@@ -53,8 +53,9 @@ class SingleFactorization:
     """Rank-R Cholesky factorization of the two-electron tensor.
 
     ``factors[r]`` is the symmetric N x N matrix L^(r) (Hartree^1/2), in
-    pivot-selection order.  ``residual_sup_norm`` is the max absolute
-    entrywise reconstruction error at termination.
+    pivot-selection order.  ``residual_sup_norm`` is the largest absolute
+    residual diagonal at termination; the residual is PSD, so it bounds every
+    entry, |w_ij| <= sqrt(w_ii w_jj).
     """
 
     factors: list[np.ndarray]
@@ -130,8 +131,13 @@ def single_factorize(
 
     Repeatedly selects the largest remaining diagonal of W, forms the
     corresponding symmetric factor (the Cholesky column reshaped N x N and
-    symmetrized), deflates, and stops once the largest remaining diagonal is
-    at most ``tol``.
+    symmetrized), and stops once the largest remaining diagonal is at most
+    ``tol``.  Only the residual diagonal and the computed columns are kept
+    (Koch, Sanchez de Meras & Pedersen, JCP 118, 9481 (2003)): column q of
+    the residual is W[:, q] minus each earlier column times its entry q, in
+    pivot order, which is the same floating-point sequence as deflating a
+    full copy of W by one rank-1 update per pivot.  Memory is O(N^2 R) and
+    time O(N^2 R^2).
 
     Raises
     ------
@@ -143,11 +149,12 @@ def single_factorize(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n_orbitals
-    w = eri_supermatrix(m)
+    w = m.two_body.reshape(n * n, n * n)
+    diag = np.diagonal(w).copy()
+    columns: list[np.ndarray] = []
     factors: list[np.ndarray] = []
 
     for _ in range(n * n):
-        diag = np.diagonal(w)
         if diag.min() < -psd_tol:
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
@@ -158,13 +165,16 @@ def single_factorize(
         pivot = diag[q]
         if pivot <= tol:
             break
-        col = w[:, q] / np.sqrt(pivot)
+        col = w[:, q].copy()
+        for c in columns:
+            col -= c * c[q]
+        col /= np.sqrt(pivot)
+        columns.append(col)
         factor = col.reshape(n, n)
-        factor = 0.5 * (factor + factor.T)
-        factors.append(factor)
-        w -= np.outer(col, col)
+        factors.append(0.5 * (factor + factor.T))
+        diag -= col * col
 
-    residual = float(np.abs(w).max()) if w.size else 0.0
+    residual = float(np.abs(diag).max()) if diag.size else 0.0
     return SingleFactorization(factors=factors, residual_sup_norm=residual)
 
 

@@ -14,7 +14,6 @@ Indices are 0-based internally; FCIDUMP files are 1-based.
 
 from __future__ import annotations
 
-import io
 import re
 import warnings
 from dataclasses import dataclass
@@ -167,8 +166,9 @@ def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, in
 _HEADER_FIELD = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?=\s*(?:,|$|[A-Za-z0-9_]+\s*=))")
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int, int]:
-    """Read the namelist header; returns (norb, nelec, first body line index)."""
+def _parse_header(lines) -> tuple[int, int, int]:
+    """Read the namelist header from an iterable of lines; returns (norb,
+    nelec, number of header lines).  Only the header lines are consumed."""
     header_text = []
     end_idx = None
     for idx, raw in enumerate(lines):
@@ -193,8 +193,194 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int]:
         nelec = int(fields["NELEC"].split(",")[0])
     except ValueError as exc:
         raise FcidumpError(f"non-integer NORB/NELEC: {exc}", line=1) from None
+    if norb <= 0:
+        raise FcidumpError(f"NORB must be positive, got {norb}", line=1)
+    if nelec < 0:
+        raise FcidumpError(f"NELEC must be non-negative, got {nelec}", line=1)
     # ORBSYM / ISYM / MS2 are accepted and ignored: no point-group symmetry here.
     return norb, nelec, end_idx + 1
+
+
+# Whitespace as ``str.split`` sees it becomes b" " and line boundaries as
+# ``str.splitlines`` sees them become b"\n" (after b"\r\n" -> b"\n"), so line
+# numbers and tokens match a line-by-line reading of the text.
+_NORMALIZE = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1e", b"  \n\n\n\n\n\n")
+# Fortran double-precision exponents, mapped on the whole body at once.
+_FORTRAN_EXPONENT = bytes.maketrans(b"Dd", b"Ee")
+# Bytes a valid record may contain once underscores are stripped: the
+# separators, and what ``float`` accepts (digits, sign, point, exponent and
+# the letters of inf, infinity and nan).  Any other byte fails the record.
+_RECORD_BYTES = b" \n0123456789+-.eEinftyaINFTYA"
+_BAD_BYTE = re.compile(b"[^" + re.escape(_RECORD_BYTES) + b"]")
+# An underscore ``float``/``int`` reject: not between two digits.
+_BAD_UNDERSCORE = re.compile(rb"(?<![0-9])_|_(?![0-9])")
+# Bytes ``float`` accepts but ``int`` does not.
+_NOT_INTEGER = np.zeros(256, dtype=bool)
+_NOT_INTEGER[np.frombuffer(b".eEinftyaINFTYA", dtype=np.uint8)] = True
+
+
+def _split_lines(buf: bytes):
+    """Lines of normalized content, decoded one at a time."""
+    start = 0
+    while start < len(buf):
+        end = buf.find(b"\n", start)
+        end = len(buf) if end < 0 else end
+        yield buf[start:end].decode("ascii")
+        start = end + 1
+
+
+def _ascii_bytes(text) -> bytes:
+    """FCIDUMP content as ASCII bytes; any other byte is an error."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
+    if data.isascii():
+        return data
+    pos = re.search(rb"[^\x00-\x7f]", data).start()
+    line = len((data[:pos].decode("ascii") + "x").splitlines())
+    raise FcidumpError(f"non-ASCII byte {data[pos]:#04x}", line=line)
+
+
+def _record_error(stripped: str) -> str:
+    """Why a body line that is not a valid record fails, in check order."""
+    tokens = stripped.split()
+    if len(tokens) != 5:
+        return f"expected 'value i j k l', got {stripped!r}"
+    try:
+        float(tokens[0].replace("D", "E").replace("d", "e"))
+    except ValueError:
+        return f"non-numeric value field {tokens[0]!r}"
+    return f"non-integer index in {stripped!r}"
+
+
+def _parses(text: bytes) -> bool:
+    try:
+        np.fromstring(text, sep=" ")
+    except ValueError:
+        return False
+    return True
+
+
+class _Body:
+    """The FCIDUMP body as arrays, cut back to the first failing record.
+
+    Each check looks only at the records before the current cut and may move
+    the cut earlier, so after all checks the cut is at the first record that
+    a line-by-line reading would reject, and ``error`` holds its line number
+    and message.  ``body`` starts with the newline that ends the header: body
+    line 0 is the header's last line, and every token follows whitespace.
+    """
+
+    def __init__(self, data: bytes, body: bytes, first_line: int):
+        self.data = data  # the original content, for error messages
+        self.body = body
+        self.first_line = first_line  # file line number of body line 0
+        self.error: tuple[int, str] | None = None
+
+    def source_line(self, lineno: int) -> str:
+        """Line ``lineno`` (1-based) of the original content, stripped."""
+        return self.data.decode("ascii").splitlines()[lineno - 1].strip()
+
+    def line_of(self, r: int) -> int:
+        return self.first_line + int(self.rec_line[r])
+
+    def _reject(self, line: int, message: str | None) -> None:
+        lineno = self.first_line + line
+        if message is None:
+            message = _record_error(self.source_line(lineno))
+        self.error = (lineno, message)
+
+    def cut_record(self, r: int, message: str | None = None) -> None:
+        """Reject record ``r``; keep the records before it."""
+        self._reject(int(self.rec_line[r]), message)
+        self.n = r
+
+    def _cut_at_byte(self, pos: int) -> None:
+        """Reject the line holding byte ``pos``; keep the body before it."""
+        self._reject(self.body.count(b"\n", 0, pos), None)
+        self.body = self.body[: self.body.rfind(b"\n", 0, pos) + 1]
+
+    def _tokenize(self) -> None:
+        """Token start offsets and the line of each record; rejects the first
+        line holding other than 0 or 5 tokens."""
+        b = np.frombuffer(self.body, dtype=np.uint8)
+        ws = b <= 32  # only b" " and b"\n" are left at or below 32
+        starts = np.flatnonzero(ws[:-1] > ws[1:])
+        starts += 1
+        del ws
+        tok_line = np.searchsorted(np.flatnonzero(b == 10), starts)
+        counts = np.bincount(tok_line)
+        bad = np.flatnonzero((counts != 0) & (counts != 5))
+        del counts
+        self.end = len(self.body)
+        if bad.size:
+            keep = int(np.searchsorted(tok_line, bad[0]))
+            self._reject(int(bad[0]), None)
+            self.end = int(starts[keep])
+            starts, tok_line = starts[:keep], tok_line[:keep]
+        self.starts = starts
+        self.rec_line = tok_line[::5].copy()
+        self.n = self.rec_line.size
+
+    def _span(self, lo: int, hi: int) -> bytes:
+        """The text of records lo..hi-1."""
+        end = self.starts[5 * hi] if 5 * hi < self.starts.size else self.end
+        return self.body[self.starts[5 * lo]: end]
+
+    def _values(self) -> np.ndarray:
+        """The numbers of the records, shape (n, 5); rejects the first record
+        holding a token ``float`` does not accept."""
+        if self.n == 0:
+            return np.empty((0, 5))
+        try:
+            return np.fromstring(self._span(0, self.n), sep=" ").reshape(-1, 5)
+        except ValueError:
+            pass
+        # Records parse independently, so bisect for the first that fails.
+        lo, hi = 0, self.n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _parses(self._span(lo, mid)):
+                lo = mid
+            else:
+                hi = mid
+        self.cut_record(lo)
+        if lo == 0:
+            return np.empty((0, 5))
+        return np.fromstring(self._span(0, lo), sep=" ").reshape(-1, 5)
+
+    def records(self) -> np.ndarray:
+        """The (value, i, j, k, l) rows of the well-formed records before the
+        first line that is not one: a line with other than five tokens, a
+        value ``float`` rejects or an index ``int`` rejects."""
+        if b"_" in self.body:  # float() and int() skip an underscore between digits
+            bad = _BAD_UNDERSCORE.search(self.body)
+            if bad:
+                self._cut_at_byte(bad.start())
+            self.body = self.body.replace(b"_", b"")
+        if self.body.translate(None, _RECORD_BYTES):
+            self._cut_at_byte(_BAD_BYTE.search(self.body).start())
+        self._tokenize()
+        rec = self._values()
+        # Index tokens with a point, an exponent or a letter are not integers.
+        b = np.frombuffer(self.body, dtype=np.uint8)[: self.end]
+        token = np.searchsorted(self.starts, np.flatnonzero(_NOT_INTEGER[b]), side="right") - 1
+        token = token[(token % 5 != 0) & (token < 5 * self.n)]
+        if token.size:
+            self.cut_record(int(token[0]) // 5)
+        self.body = self.starts = None
+        return rec[: self.n]
+
+
+def _store_key(i, j, k, l, norb: int) -> np.ndarray:
+    """Sort key of one-body records (k = l = 0), a*N + b for h_ab with a >= b,
+    and of two-body records, N^2 plus the (pair, pair) index of the canonical
+    orbit; 1-based index arrays in."""
+    a, b = np.maximum(i, j) - 1, np.minimum(i, j) - 1
+    c, d = np.maximum(k, l) - 1, np.minimum(k, l) - 1
+    ab = a * (a + 1) // 2 + b
+    cd = c * (c + 1) // 2 + d
+    n_pairs = norb * (norb + 1) // 2
+    two_body = norb * norb + np.maximum(ab, cd) * n_pairs + np.minimum(ab, cd)
+    return np.where(k == 0, a * norb + b, two_body)
 
 
 def parse_fcidump(text) -> MolecularIntegrals:
@@ -202,110 +388,157 @@ def parse_fcidump(text) -> MolecularIntegrals:
 
     Parameters
     ----------
-    text : str or file-like
-        FCIDUMP content.  The body holds ``value i j k l`` records with
-        1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0`` a
-        one-body entry, and four nonzero indices a two-body entry (chemist
+    text : str, bytes or file-like
+        FCIDUMP content, ASCII.  The body holds ``value i j k l`` records
+        with 1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0``
+        a one-body entry, ``i 0 0 0`` an orbital energy (ignored with a
+        warning), and four nonzero indices a two-body entry (chemist
         convention).  Each stored two-body value populates all eight
         symmetry-equivalent slots.
+
+    The body is read with whole-array operations: one ``np.fromstring``
+    parses every number, masks classify the records, and a stable sort on
+    canonical keys finds duplicates.  Errors name the first offending line,
+    as a line-by-line reading would.
 
     Raises
     ------
     FcidumpError
-        Missing NORB/NELEC, out-of-range indices, non-numeric values, or
-        duplicate entries that conflict by more than ``DUPLICATE_TOLERANCE``.
+        Non-ASCII content, missing or invalid NORB/NELEC, a NORB too large
+        for the two-electron tensor to fit in memory, out-of-range indices,
+        non-numeric values, or duplicate entries that conflict by more than
+        ``DUPLICATE_TOLERANCE``.
     """
     if hasattr(text, "read"):
         text = text.read()
-    lines = io.StringIO(text).read().splitlines()
-    if not lines:
+    data = _ascii_bytes(text)
+    del text
+    if not data:
         raise FcidumpError("empty input")
 
-    norb, nelec, body_start = _parse_header(lines)
+    norm = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    norm = norm.translate(_NORMALIZE)
+    norb, nelec, n_header = _parse_header(_split_lines(norm))
+    offset = -1  # the newline that ends the header
+    for _ in range(n_header):
+        offset = norm.find(b"\n", offset + 1)
+        if offset < 0:
+            offset = len(norm)
+            break
+    state = _Body(data, norm[offset:].translate(_FORTRAN_EXPONENT), n_header)
+    del norm
+    rec = state.records()
 
-    core = 0.0
-    core_seen = False
-    one: dict[tuple[int, int], float] = {}
-    two: dict[tuple[int, int, int, int], float] = {}
-    duplicates = 0
-
-    def _store(store, key, value, lineno):
-        nonlocal duplicates
-        if key in store:
-            if abs(store[key] - value) > DUPLICATE_TOLERANCE:
-                raise FcidumpError(
-                    f"duplicate entry for {key} conflicts: "
-                    f"{store[key]!r} vs {value!r}",
-                    line=lineno,
-                )
-            duplicates += 1
-        store[key] = value
-
-    for lineno0, raw in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 5:
-            raise FcidumpError(f"expected 'value i j k l', got {stripped!r}", line=lineno0)
+    out_of_range = np.flatnonzero(((rec[:, 1:] < 0) | (rec[:, 1:] > norb)).any(axis=1))
+    if out_of_range.size:
+        r = int(out_of_range[0])
+        stripped = state.source_line(state.line_of(r))
         try:
-            value = float(tokens[0].replace("D", "E").replace("d", "e"))
-        except ValueError:
-            raise FcidumpError(f"non-numeric value field {tokens[0]!r}", line=lineno0) from None
-        try:
-            i, j, k, l = (int(t) for t in tokens[1:])
-        except ValueError:
-            raise FcidumpError(f"non-integer index in {stripped!r}", line=lineno0) from None
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > norb:
-                raise FcidumpError(f"index {idx} out of range [0, {norb}]", line=lineno0)
+            idx = next(v for v in map(int, stripped.split()[1:]) if v < 0 or v > norb)
+            message = f"index {idx} out of range [0, {norb}]"
+        except ValueError:  # more digits than int() converts
+            message = _record_error(stripped)
+        state.cut_record(r, message)
+        rec = rec[:r]
+    value = rec[:, 0].copy()
+    i, j, k, l = rec[:, 1:].astype(np.intp).T
+    del rec
 
-        if i == j == k == l == 0:
-            if core_seen and abs(core - value) > DUPLICATE_TOLERANCE:
-                raise FcidumpError(
-                    f"conflicting core energy: {core!r} vs {value!r}", line=lineno0
-                )
-            core = value
-            core_seen = True
-        elif k == 0 and l == 0:
-            if j == 0:
-                # Orbital-energy record emitted by some programs; not part of
-                # the Hamiltonian.
-                warnings.warn(
-                    f"fcidump line {lineno0}: ignoring orbital-energy record for orbital {i}"
-                )
-                continue
-            _store(one, (max(i, j) - 1, min(i, j) - 1), value, lineno0)
-        elif 0 in (i, j, k, l):
-            raise FcidumpError(
-                f"malformed index pattern ({i} {j} {k} {l}): zeros are only "
-                "allowed as trailing k=l=0 or the all-zero core record",
-                line=lineno0,
-            )
+    core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
+    pair_only = (i != 0) & (k == 0) & (l == 0)
+    orbital = pair_only & (j == 0)
+    one = pair_only & (j != 0)
+    two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
+    malformed = np.flatnonzero(~(core | orbital | one | two))
+    if malformed.size:
+        r = int(malformed[0])
+        state.cut_record(
+            r,
+            f"malformed index pattern ({i[r]} {j[r]} {k[r]} {l[r]}): zeros are only "
+            "allowed as trailing k=l=0 or the all-zero core record",
+        )
+
+    core_rec = np.flatnonzero(core[: state.n])
+    core_value = value[core_rec]
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
+        clash = np.flatnonzero(np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE)
+    if clash.size:
+        c = int(clash[0])
+        state.cut_record(
+            int(core_rec[c + 1]),
+            f"conflicting core energy: {float(core_value[c])!r} vs {float(core_value[c + 1])!r}",
+        )
+
+    # A stable sort groups each key's records in file order: "last wins" is
+    # the last of each group, and each repeat is checked against the record
+    # before it, which is the value a line-by-line reading would hold.
+    stored = np.flatnonzero((one | two)[: state.n])
+    key = _store_key(i[stored], j[stored], k[stored], l[stored], norb)
+    order = np.argsort(key, kind="stable")
+    key, stored = key[order], stored[order]
+    del order
+    repeat = key[1:] == key[:-1]
+    del key
+    stored_value = value[stored]
+    with np.errstate(invalid="ignore"):
+        clash = np.flatnonzero(
+            repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)
+        )
+    if clash.size:
+        c = int(clash[np.argmin(stored[clash + 1])])
+        r = int(stored[c + 1])
+        if k[r] == 0:
+            dup_key = (max(i[r], j[r]) - 1, min(i[r], j[r]) - 1)
         else:
-            _store(two, canonical_orbit(i - 1, j - 1, k - 1, l - 1), value, lineno0)
+            dup_key = canonical_orbit(i[r] - 1, j[r] - 1, k[r] - 1, l[r] - 1)
+        dup_key = tuple(int(x) for x in dup_key)
+        state.cut_record(
+            r,
+            f"duplicate entry for {dup_key} conflicts: "
+            f"{float(stored_value[c])!r} vs {float(stored_value[c + 1])!r}",
+        )
 
+    for r in np.flatnonzero(orbital[: state.n]):
+        warnings.warn(
+            f"fcidump line {state.line_of(r)}: "
+            f"ignoring orbital-energy record for orbital {i[r]}"
+        )
+    if state.error is not None:
+        raise FcidumpError(state.error[1], line=state.error[0])
+
+    duplicates = int(repeat.sum())
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
 
-    h1 = np.zeros((norb, norb))
-    for (a, b), v in one.items():
-        h1[a, b] = v
-        h1[b, a] = v
-    h2 = np.zeros((norb, norb, norb, norb))
-    for (a, b, c, d), v in two.items():
-        for idx in orbit_members(a, b, c, d):
-            h2[idx] = v
+    last = stored[np.append(~repeat, True)] if stored.size else stored
+    one_last = last[k[last] == 0]
+    two_last = last[k[last] != 0]
+    try:
+        h1 = np.zeros((norb, norb))
+        h2 = np.zeros((norb, norb, norb, norb))
+    except (MemoryError, ValueError):  # ValueError: larger than numpy can index
+        raise FcidumpError(
+            f"NORB={norb} is too large: (ij|kl) needs {8 * norb**4} bytes", line=1
+        ) from None
+    a, b = i[one_last] - 1, j[one_last] - 1
+    h1[a, b] = value[one_last]
+    h1[b, a] = value[one_last]
+    a, b, c, d = i[two_last] - 1, j[two_last] - 1, k[two_last] - 1, l[two_last] - 1
+    v = value[two_last]
+    for member in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                   (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
+        h2[member] = v
+    core_energy = float(core_value[-1]) if core_value.size else 0.0
 
-    m = MolecularIntegrals(norb, nelec, core, h1, h2)
-    if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
+    m = MolecularIntegrals(norb, nelec, core_energy, h1, h2)
+    if not (np.isfinite(core_energy) and np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise FcidumpError("non-finite integral value")
     return m
 
 
 def load_fcidump(path) -> MolecularIntegrals:
     """Parse an FCIDUMP file from disk."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return parse_fcidump(fh)
 
 

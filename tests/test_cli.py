@@ -85,6 +85,20 @@ class TestEstimate:
         assert code2 == 0
         assert text1 == text2
 
+    @pytest.mark.parametrize("content, message", [
+        (b"&FCI NORB=0,NELEC=2,\n&END\n0.5 0 0 0 0\n", "line 1: NORB must be positive, got 0"),
+        (b"&FCI NORB=1,NELEC=-2,\n&END\n0.5 1 1 1 1\n", "line 1: NELEC must be non-negative"),
+        (b"&FCI NORB=1,NELEC=2,\n&END\n0.5 1 1 1 1\n0.\xe9 0 0 0 0\n", "line 4: non-ASCII byte 0xe9"),
+        (b"&FCI NORB=1000000,NELEC=2,\n&END\n0.5 1 1 1 1\n", "line 1: NORB=1000000 is too large"),
+    ])
+    def test_bad_fcidump_exit_one_with_one_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.fcidump"
+        path.write_bytes(content)
+        assert main(["estimate", "--fcidump", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCost:
     def test_direct_mode_json(self):

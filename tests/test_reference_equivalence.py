@@ -1,0 +1,304 @@
+"""The vectorised FCIDUMP parser and the column-wise pivoted Cholesky against
+the loop references kept in ``tests/reference.py``: equal results, the same
+factors bit for bit, and the same errors on the same lines."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdf.factorization import NotPositiveSemidefiniteError, single_factorize
+from qdf.integrals import (
+    FcidumpError,
+    MolecularIntegrals,
+    canonical_orbit,
+    orbit_members,
+    parse_fcidump,
+    write_fcidump,
+)
+from tests.reference import parse_fcidump_lines, single_factorize_deflation
+
+
+def _tensor(factors: np.ndarray) -> np.ndarray:
+    """sum_r A_r (x) A_r for symmetric A_r: exactly 8-fold symmetric."""
+    n = factors.shape[1]
+    g = np.zeros((n, n, n, n))
+    for a in factors:
+        g += np.einsum("ij,kl->ijkl", a, a)
+    return g
+
+
+def _assert_same_factorization(m, tol=1e-10):
+    try:
+        ref = single_factorize_deflation(m, tol=tol)
+    except NotPositiveSemidefiniteError:
+        with pytest.raises(NotPositiveSemidefiniteError):
+            single_factorize(m, tol=tol)
+        return
+    new = single_factorize(m, tol=tol)
+    assert new.rank == ref.rank
+    for a, b in zip(new.factors, ref.factors):
+        assert np.array_equal(a, b)
+    # The residual diagonal is part of the residual matrix, bit for bit.
+    assert new.residual_sup_norm <= ref.residual_sup_norm
+
+
+@st.composite
+def psd_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rank = draw(st.integers(min_value=0, max_value=n * (n + 1) // 2 + 2))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # Small integers make equal diagonals, so argmax breaks pivot ties.
+        raw = rng.integers(-2, 3, size=(rank, n, n)).astype(float)
+    else:
+        raw = rng.normal(size=(rank, n, n))
+    factors = 0.5 * (raw + raw.transpose(0, 2, 1))
+    return MolecularIntegrals(n, n, 0.0, np.zeros((n, n)), _tensor(factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(psd_instances(), st.sampled_from([1e-12, 1e-10, 1e-3]))
+def test_cholesky_matches_deflation(m, tol):
+    _assert_same_factorization(m, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(psd_instances(), st.floats(min_value=0.1, max_value=2.0))
+def test_cholesky_indefinite_matches_deflation(m, weight):
+    # Subtracting a rank-1 term usually leaves an indefinite supermatrix.
+    n = m.n_orbitals
+    a = np.arange(n * n, dtype=float).reshape(n, n) / (n * n)
+    a = a + a.T + np.eye(n)
+    g = m.two_body - weight * np.einsum("ij,kl->ijkl", a, a)
+    _assert_same_factorization(MolecularIntegrals(n, n, 0.0, m.one_body, g))
+
+
+def test_negative_tensor_rejected_by_both():
+    g = -np.ones((2, 2, 2, 2))
+    m = MolecularIntegrals(2, 2, 0.0, np.zeros((2, 2)), g)
+    for factorize in (single_factorize, single_factorize_deflation):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            factorize(m)
+
+
+def test_h4_residual_matches_deflation(h4):
+    new = single_factorize(h4, tol=1e-10)
+    ref = single_factorize_deflation(h4, tol=1e-10)
+    assert abs(new.residual_sup_norm - ref.residual_sup_norm) <= 1e-12
+
+
+def _seeded_integrals(n: int, rank: int, seed: int) -> MolecularIntegrals:
+    """A rank-``rank`` PSD tensor from decaying random factors on the orbital
+    pairs, scattered to the full 8-fold symmetric tensor."""
+    rng = np.random.default_rng(seed)
+    rows, cols = np.tril_indices(n)
+    decay = np.exp(-np.arange(rank) * 8.0 / rank)
+    factors = rng.standard_normal((rank, rows.size)) * (decay / np.sqrt(np.sum(decay**2)))[:, None]
+    pair_matrix = factors.T @ factors
+    pair_matrix = 0.5 * (pair_matrix + pair_matrix.T)
+    pair_of = np.empty((n, n), dtype=np.intp)
+    pair_of[rows, cols] = np.arange(rows.size)
+    pair_of[cols, rows] = np.arange(rows.size)
+    flat = pair_of.reshape(-1)
+    two_body = pair_matrix[np.ix_(flat, flat)].reshape(n, n, n, n)
+    one_body = rng.standard_normal((n, n))
+    one_body = 0.5 * (one_body + one_body.T) - 2.0 * np.eye(n)
+    return MolecularIntegrals(n, n, float(rng.uniform(1.0, 10.0)), one_body, two_body)
+
+
+def test_n20_rank120_parse_and_factors_match_references():
+    text = write_fcidump(_seeded_integrals(20, 120, seed=7))
+    m = parse_fcidump(text)
+    assert m == parse_fcidump_lines(text)
+    new = single_factorize(m)
+    ref = single_factorize_deflation(m)
+    assert new.rank == ref.rank == 120
+    for a, b in zip(new.factors, ref.factors):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+def _outcome(parse, text):
+    """(result or (line, message), warnings) of one parse."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except FcidumpError as exc:
+            result = (exc.line, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_same_outcome(text):
+    new, new_warnings = _outcome(parse_fcidump, text)
+    ref, ref_warnings = _outcome(parse_fcidump_lines, text)
+    if isinstance(ref, MolecularIntegrals):
+        assert isinstance(new, MolecularIntegrals), new
+        assert new == ref
+    else:
+        assert new == ref
+    assert new_warnings == ref_warnings
+
+
+def _format_value(v: float, style: int) -> str:
+    return [repr(v), f"{v:.17g}", f"{v:.17e}", f"{v:.17E}".replace("E", "D"),
+            f"{v:.17e}".replace("e", "d"), f"{v:.3g}"][style]
+
+
+def _random_member(rng, i, j, k, l):
+    members = sorted(orbit_members(i, j, k, l))
+    return members[rng.integers(len(members))]
+
+
+def _records(rng, norb: int) -> list[str]:
+    """Body lines: a random subset of orbits, each written as a random member,
+    plus the core energy, orbital energies and benign duplicates."""
+    records = []
+    for i in range(norb):
+        for j in range(i + 1):
+            for k in range(i + 1):
+                for l in range(k + 1):
+                    if (i, j) >= (k, l) and rng.random() < 0.6:
+                        member = _random_member(rng, i, j, k, l)
+                        records.append((rng.normal(), tuple(x + 1 for x in member)))
+    for i in range(norb):
+        for j in range(i + 1):
+            if rng.random() < 0.6:
+                pair = (i + 1, j + 1) if rng.random() < 0.5 else (j + 1, i + 1)
+                records.append((rng.normal(), pair + (0, 0)))
+    for i in range(norb):
+        if rng.random() < 0.2:
+            records.append((rng.normal(), (i + 1, 0, 0, 0)))
+    if rng.random() < 0.8:
+        records.append((rng.uniform(-5, 5), (0, 0, 0, 0)))
+    for _ in range(rng.integers(3)):
+        if records:
+            v, idx = records[rng.integers(len(records))]
+            if idx[2] != 0:
+                idx = tuple(x + 1 for x in _random_member(rng, *(y - 1 for y in idx)))
+            records.append((v, idx))
+    rng.shuffle(records)
+    lines = []
+    for v, idx in records:
+        style = int(rng.integers(6)) if idx != (0, 0, 0, 0) else 0
+        sep = " " if rng.random() < 0.8 else "\t "
+        lines.append(_format_value(v, style) + sep + sep.join(str(x) for x in idx)
+                     + ("  " if rng.random() < 0.2 else ""))
+        if rng.random() < 0.1:
+            lines.append("" if rng.random() < 0.5 else "   ")
+    return lines
+
+
+def _text(rng, norb: int, lines: list[str]) -> str:
+    header = [f" &FCI NORB={norb},NELEC={norb},MS2=0,", "  ORBSYM=" + "1," * norb, "  ISYM=1,", " &END"]
+    if rng.random() < 0.3:
+        header = [f"&FCI NORB= {norb}, NELEC= {norb}, MS2=0, ORBSYM=" + "1," * norb + " /"]
+    newline = "\r\n" if rng.random() < 0.2 else "\n"
+    end = newline if rng.random() < 0.9 else ""
+    return newline.join(header + lines) + end
+
+
+@st.composite
+def fcidump_texts(draw):
+    norb = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return _text(rng, norb, _records(rng, norb))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fcidump_texts())
+def test_parser_matches_line_reference(text):
+    _assert_same_outcome(text)
+
+
+# Tokens and bytes where a vectorised reading could part from float() and
+# int(): invalid spellings, and valid ones such as underscores, signs,
+# leading zeros, inf and nan.
+_EDGE_TOKENS = [
+    "abc", "1.5", "1e", "1e5", "", "nan", "-nan", "inf", "Infinity", "1_0", "_1", "1__0", "1_",
+    "+1", "-0", "01", "0x10", "1d0", "1D0", "NaN(1)", "99999999999999999999", "-1", "0", "5",
+    "1-1", ".", "+", "1..2", "0.5d", "1,0", "1;", "\x00",
+]
+_EDGE_BYTES = list("\x00\x01\t\x0b\x0c\r\x1c\x1d\x1e\x1f !#,.e+-_0123456789dDxn")
+
+
+@st.composite
+def mutated_fcidump_texts(draw):
+    norb = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lines = _records(rng, norb) or ["0.5 0 0 0 0"]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = int(rng.integers(len(lines)))
+        tokens = lines[at].split()
+        kind = draw(st.integers(min_value=0, max_value=6))
+        if kind == 0 and tokens:
+            tokens[int(rng.integers(len(tokens)))] = draw(st.sampled_from(_EDGE_TOKENS))
+            lines[at] = " ".join(tokens)
+        elif kind == 1 and tokens:
+            del tokens[int(rng.integers(len(tokens)))]
+            lines[at] = " ".join(tokens)
+        elif kind == 2:
+            lines[at] = lines[at] + " " + draw(st.sampled_from(["1", "0", "x"]))
+        elif kind == 3:
+            line = lines[at]
+            pos = int(rng.integers(len(line) + 1))
+            lines[at] = line[:pos] + draw(st.sampled_from(_EDGE_BYTES)) + line[pos:]
+        elif kind == 4 and len(tokens) == 5 and _value(tokens[0]) is not None:
+            # a conflicting (or, within the tolerance, benign) duplicate
+            shift = draw(st.sampled_from([1e-3, 1e-11, 0.0]))
+            duplicate = " ".join([repr(_value(tokens[0]) + shift)] + tokens[1:])
+            lines.insert(int(rng.integers(len(lines) + 1)), duplicate)
+        elif kind == 5:
+            pattern = draw(st.sampled_from(["1 2 2 0", "0 1 0 0", "1 0 1 0", "0 0 0 1", "1 1 0 0",
+                                            "0 0 0 0", f"{norb + 1} 1 1 1", "1 0 0 0"]))
+            lines.insert(int(rng.integers(len(lines) + 1)), f"{rng.normal()!r} {pattern}")
+        elif kind == 6:
+            lines.insert(int(rng.integers(len(lines) + 1)), draw(st.sampled_from(["", "  ", "\x0c", "&END"])))
+    return _text(rng, norb, lines)
+
+
+def _value(token: str):
+    try:
+        return float(token.replace("D", "E").replace("d", "e"))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_fcidump_texts())
+def test_parser_errors_match_line_reference(text):
+    _assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("&FCI NORB=1,NELEC=1,\n&END\n0.5 1 1 1 1\n\xe9\n", 4),
+    ("&FCI NORB=1,NELEC=1,\r\n&END\r\n0.5 1 1 1 1 \n", 3),
+    ("&FCI NORB=²,NELEC=1,\n&END\n", 1),
+])
+def test_non_ascii_rejected_with_line(text, line):
+    for content in (text, text.encode("utf-8")):
+        with pytest.raises(FcidumpError, match="non-ASCII byte 0xc[23]") as info:
+            parse_fcidump(content)
+        assert info.value.line == line
+
+
+def test_pair_with_leading_zero_is_malformed():
+    text = "&FCI NORB=2,NELEC=2,\n&END\n0.5 1 1 1 1\n0.1 0 2 0 0\n"
+    with pytest.raises(FcidumpError, match="malformed") as info:
+        parse_fcidump(text)
+    assert info.value.line == 4
+
+
+def test_canonical_key_in_conflict_message():
+    text = "&FCI NORB=3,NELEC=2,\n&END\n0.5 1 3 2 1\n0.6 3 1 1 2\n"
+    with pytest.raises(FcidumpError) as info:
+        parse_fcidump(text)
+    assert str(canonical_orbit(0, 2, 1, 0)) in str(info.value)
+    assert info.value.line == 4
