@@ -22,7 +22,6 @@ from qdf.integrals import (
 )
 from qdf.factorization import (
     DoubleFactorization,
-    EigenFactor,
     NotPositiveSemidefiniteError,
     SingleFactorization,
     alpha_cd,
@@ -67,7 +66,6 @@ __all__ = [
     "AdjustedOneBody",
     "CostReport",
     "DoubleFactorization",
-    "EigenFactor",
     "ErrorBudget",
     "FcidumpError",
     "FockOperator",

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,9 +86,38 @@ def _mode_name(raw: str) -> str:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        return truncation.default_grid(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi and n >= 1):
+            raise ValueError("needs finite 0 < lo <= hi and n >= 1")
     except ValueError as exc:
         raise CliError(f"bad --grid {spec!r} (expected lo:hi:n): {exc}", EXIT_CONFIG) from None
+    return truncation.default_grid(lo, hi, n)
+
+
+def _checked(kind, accept, requirement: str):
+    """argparse type function: ``kind(text)`` if ``accept`` holds for it."""
+
+    def parse(text: str):
+        try:
+            if accept(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {requirement}, got {text!r}")
+
+    return parse
+
+
+_epsilon = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_delta_e = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_lambda = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: exit 3 with one line."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
 def _load_pipeline(args):
@@ -189,28 +218,12 @@ def _sweep_rows(df, args):
     grid = _parse_grid(args.grid)
     budget = costmodel.ErrorBudget(delta_e=args.delta_e)
     mode = _mode_name(args.mode)
-
-    def one_point(eps: float):
-        reduced, plan = truncation.truncate(df, args.scheme, eps)
-        report = costmodel.estimate(df=reduced, budget=budget, mode=mode, lam=args.lam)
-        return {
-            "epsilon": eps,
-            "R": plan.surviving_R,
-            "M": plan.surviving_M,
-            "alpha_df": factorization.alpha_df(reduced),
-            "coherent_score": plan.coherent_score,
-            "incoherent_score": plan.incoherent_score,
-            "Qubits": report.logical_qubits,
-            "Toffoli": report.total_toffoli,
-        }
-
-    n_workers = max(1, int(os.environ.get("QDF_THREADS", "1")))
-    points = [float(e) for e in grid]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one_point, points))  # ordered, deterministic
-    else:
-        rows = [one_point(e) for e in points]
+    rows = []
+    for eps, r, m, m_max, alpha, coh, inc in truncation.threshold_sweep(df, args.scheme, grid):
+        report = costmodel.estimate(n=df.n_orbitals, rank=r, m_total=m, m_max=m_max, alpha=alpha,
+                                    budget=budget, mode=mode, lam=args.lam)
+        values = [eps, r, m, alpha, coh, inc, report.logical_qubits, report.total_toffoli]
+        rows.append(dict(zip(SWEEP_CSV_COLUMNS, values)))
     return rows
 
 
@@ -317,7 +330,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdf",
         description="Resource estimation for qubitized phase estimation of "
         "double-factorized molecular Hamiltonians",
@@ -328,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         if fcidump:
             p.add_argument("--fcidump", help="FCIDUMP input file")
             p.add_argument("--cache", help="binary factorization cache path")
-        p.add_argument("--delta-e", type=float, default=1e-3, dest="delta_e",
+        p.add_argument("--delta-e", type=_delta_e, default=1e-3, dest="delta_e",
                        help="target energy standard deviation, Hartree (default 1e-3)")
         p.add_argument("--mode", choices=["min-qubits", "min-toffolis", "fixed"],
                        default="min-qubits")
-        p.add_argument("--lambda", type=int, default=None, dest="lam",
+        p.add_argument("--lambda", type=_lambda, default=None, dest="lam",
                        help="ancilla tradeoff parameter for --mode fixed")
         p.add_argument("--format", choices=["json", "csv", "table"], default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -340,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="full pipeline from an FCIDUMP file")
     common(p_est)
     p_est.add_argument("--scheme", choices=["coherent", "incoherent"], default="incoherent")
-    p_est.add_argument("--epsilon", type=float, default=1e-3,
+    p_est.add_argument("--epsilon", type=_epsilon, default=1e-3,
                        help="truncation threshold, Hartree (default 1e-3)")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -370,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -18,7 +18,6 @@ from qdf.integrals import AdjustedOneBody, MolecularIntegrals
 
 __all__ = [
     "DoubleFactorization",
-    "EigenFactor",
     "NotPositiveSemidefiniteError",
     "SingleFactorization",
     "alpha_cd",
@@ -67,51 +66,58 @@ class SingleFactorization:
 
 
 @dataclass(frozen=True)
-class EigenFactor:
-    """One eigenpair of a Cholesky factor: index r, eigenvalue lambda_m^(r)
-    (Hartree^1/2), and the unit-norm eigenvector R_m^(r)."""
-
-    rank_index: int
-    eigenvalue: float
-    eigenvector: np.ndarray
-
-
-@dataclass(frozen=True)
 class DoubleFactorization:
     """Eigendecomposed two-electron factors plus the adjusted one-body data.
 
-    ``two_body[r]`` lists the retained eigenpairs of L^(r), sorted by
-    descending |eigenvalue|.  ``schatten_norms[r]`` freezes sum_m |lambda_m|
-    of the factor at construction time; truncation never updates it (the
-    truncation error scores are defined against the untruncated factors).
-    ``one_body_eigs`` are the eigenpairs of l_minus1, which are never
-    truncated.
+    The retained eigenpairs of all factors are stored flat: rows
+    ``offsets[r]:offsets[r + 1]`` of ``eigenvalues`` (M,) and of
+    ``eigenvectors`` (M, N) belong to L^(r), sorted by descending
+    |eigenvalue|; each row of ``eigenvectors`` is a unit-norm eigenvector.
+    ``schatten_norms[r]`` freezes sum_m |lambda_m| of the factor at
+    construction time; truncation never updates it (the truncation error
+    scores are defined against the untruncated factors).  ``one_body_eigs``
+    are the eigenpairs of l_minus1, which are never truncated.
     """
 
     one_body: AdjustedOneBody
     one_body_eigs: tuple[np.ndarray, np.ndarray]
-    two_body: list[list[EigenFactor]]
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    offsets: np.ndarray
     schatten_norms: np.ndarray
     n_orbitals: int
 
     @property
     def rank(self) -> int:
-        return len(self.two_body)
+        return self.offsets.size - 1
 
     @property
     def total_eigenpairs(self) -> int:
-        return sum(len(group) for group in self.two_body)
+        return self.eigenvalues.size
 
     @property
     def max_eigenpairs_per_rank(self) -> int:
-        return max((len(group) for group in self.two_body), default=0)
+        return int(np.diff(self.offsets).max(initial=0))
+
+    @property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, m) of each flat eigenpair, as two (M,) arrays."""
+        rank_of = np.repeat(np.arange(self.rank), np.diff(self.offsets))
+        return rank_of, np.arange(self.total_eigenpairs) - self.offsets[rank_of]
+
+    def padded_abs_eigenvalues(self) -> np.ndarray:
+        """|lambda_m^(r)| at [r, m], zero-padded to (R, max_eigenpairs_per_rank)."""
+        out = np.zeros((self.rank, self.max_eigenpairs_per_rank))
+        out[self.pair_index] = np.abs(self.eigenvalues)
+        return out
 
     def factor_matrix(self, r: int) -> np.ndarray:
-        """Rebuild L^(r) from its retained eigenpairs."""
+        """Rebuild L^(r) from its retained eigenpairs, added one at a time."""
         n = self.n_orbitals
         out = np.zeros((n, n))
-        for ef in self.two_body[r]:
-            out += ef.eigenvalue * np.outer(ef.eigenvector, ef.eigenvector)
+        lo, hi = self.offsets[r], self.offsets[r + 1]
+        for lam, vec in zip(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi]):
+            out += lam * np.outer(vec, vec)
         return out
 
 
@@ -178,24 +184,24 @@ def single_factorize(
     return SingleFactorization(factors=factors, residual_sup_norm=residual)
 
 
-def _fix_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Deterministic eigenvector sign: first component with |x| > tol is positive."""
-    for x in vec:
-        if abs(x) > tol:
-            return vec if x > 0 else -vec
-    return vec
-
-
-def _eigh_sorted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition sorted by descending |eigenvalue|, with
-    the lexicographic sign convention applied to each vector."""
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for c in range(vecs.shape[1]):
-        vecs[:, c] = _fix_sign(vecs[:, c])
-    return vals, vecs
+def _eigh_sorted(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of a stack of symmetric (N, N) matrices: the
+    eigenvalues (B, N) by descending |eigenvalue| and the eigenvectors as rows
+    (B, N, N), each with its first component of magnitude > 1e-12 positive."""
+    vals = np.empty(mats.shape[:2])
+    vecs = np.empty(mats.shape)
+    for b, a in enumerate(mats):
+        try:
+            vals[b], vecs[b] = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"eigendecomposition failed for {what} {b}: {exc}") from exc
+    order = np.argsort(-np.abs(vals), axis=1, kind="stable")
+    rows = np.take_along_axis(vecs, order[:, None, :], axis=2).transpose(0, 2, 1)
+    rows = rows.reshape(-1, mats.shape[-1])
+    above = np.abs(rows) > 1e-12
+    flip = above.any(axis=1) & (rows[np.arange(rows.shape[0]), above.argmax(axis=1)] < 0)
+    rows[flip] = -rows[flip]  # exact
+    return np.take_along_axis(vals, order, axis=1), rows.reshape(mats.shape)
 
 
 def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFactorization:
@@ -205,30 +211,39 @@ def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFac
     factor are numerical zeros and dropped.
     """
     n = adj.l_minus1.shape[0]
-    two_body: list[list[EigenFactor]] = []
-    norms = []
-    for r, factor in enumerate(sf.factors):
-        try:
-            vals, vecs = _eigh_sorted(factor)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"eigendecomposition failed for factor {r}: {exc}") from exc
-        cutoff = EIGENVALUE_CUTOFF * (np.abs(vals).max() if vals.size else 0.0)
-        group = [
-            EigenFactor(rank_index=r, eigenvalue=float(v), eigenvector=vecs[:, idx].copy())
-            for idx, v in enumerate(vals)
-            if abs(v) > cutoff
-        ]
-        two_body.append(group)
-        norms.append(sum(abs(ef.eigenvalue) for ef in group))
-
-    ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1)
+    vals, vecs = _eigh_sorted(np.reshape(sf.factors, (-1, n, n)), "factor")
+    abs_vals = np.abs(vals)
+    keep = abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None]
+    ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1[None], "one-body matrix")
     return DoubleFactorization(
         one_body=adj,
-        one_body_eigs=(ob_vals, ob_vecs),
-        two_body=two_body,
-        schatten_norms=np.asarray(norms, dtype=float),
+        one_body_eigs=(ob_vals[0], ob_vecs[0].T),
+        eigenvalues=vals[keep],
+        eigenvectors=vecs[keep],
+        offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+        schatten_norms=rank_sums(np.where(keep, abs_vals, 0.0)),
         n_orbitals=n,
     )
+
+
+def rank_sums(padded: np.ndarray) -> np.ndarray:
+    """Row sums of a zero-padded (R, m) array of |lambda|, added left to
+    right one column at a time, as a loop over each rank's eigenpairs adds
+    them (np.sum adds pairwise and can move the last digit)."""
+    sums = np.zeros(padded.shape[0])
+    for column in padded.T:
+        sums += column
+    return sums
+
+
+def alpha_from_rank_sums(one_body_eigenvalues: np.ndarray, sums: np.ndarray) -> float:
+    """alpha_DF from the one-body eigenvalues and the per-rank sums
+    s_r = sum_m |lambda_m^(r)|.  The s_r ** 2 (the C library's pow, which
+    does not always round like s * s) are added left to right."""
+    two_body = 0.0
+    for s in sums.tolist():
+        two_body += s ** 2
+    return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
 
 
 def schatten_norm(a: np.ndarray) -> float:
@@ -248,11 +263,7 @@ def alpha_df(df: DoubleFactorization) -> float:
 
     evaluated on the currently retained eigenpairs, so truncation lowers it.
     """
-    one_body = float(np.abs(df.one_body_eigs[0]).sum())
-    two_body = sum(
-        sum(abs(ef.eigenvalue) for ef in group) ** 2 for group in df.two_body
-    )
-    return 2.0 * one_body + 0.25 * two_body
+    return alpha_from_rank_sums(df.one_body_eigs[0], rank_sums(df.padded_abs_eigenvalues()))
 
 
 def alpha_cd(sf: SingleFactorization, adj: AdjustedOneBody) -> float:
@@ -299,59 +310,68 @@ def save_cache(df: DoubleFactorization, path) -> None:
     """Write a DoubleFactorization to the versioned binary cache format."""
     n = df.n_orbitals
     ob_vals, ob_vecs = df.one_body_eigs
-    k = ob_vals.size
+    parts = [
+        _MAGIC,
+        struct.pack("<IIII", _VERSION, n, df.rank, ob_vals.size),
+        struct.pack("<dd", df.one_body.scalar_shift, df.one_body.core_energy),
+        *(np.ascontiguousarray(a, dtype="<f8").tobytes()
+          for a in (df.one_body.h_tilde, df.one_body.l_minus1, ob_vals, ob_vecs.T)),
+    ]
+    values = np.ascontiguousarray(df.eigenvalues, dtype="<f8")
+    vectors = np.ascontiguousarray(df.eigenvectors, dtype="<f8")
+    for r, (lo, hi) in enumerate(zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())):
+        parts.append(struct.pack("<IId", r, hi - lo, float(df.schatten_norms[r])))
+        parts += [values[lo:hi].tobytes(), vectors[lo:hi].tobytes()]
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, n, df.rank, k))
-        fh.write(struct.pack("<dd", df.one_body.scalar_shift, df.one_body.core_energy))
-        fh.write(np.ascontiguousarray(df.one_body.h_tilde, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(df.one_body.l_minus1, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ob_vals, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ob_vecs.T, dtype="<f8").tobytes())
-        for r, group in enumerate(df.two_body):
-            fh.write(struct.pack("<IId", r, len(group), float(df.schatten_norms[r])))
-            vals = np.array([ef.eigenvalue for ef in group], dtype="<f8")
-            fh.write(vals.tobytes())
-            if group:
-                vecs = np.stack([ef.eigenvector for ef in group]).astype("<f8")
-                fh.write(vecs.tobytes())
+        fh.write(b"".join(parts))
 
 
 def load_cache(path) -> DoubleFactorization:
-    """Read a DoubleFactorization from the binary cache format."""
+    """Read a DoubleFactorization from the binary cache format; ValueError
+    unless the file is a complete, well-formed cache."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        version, n, rank, k = struct.unpack("<IIII", fh.read(16))
-        if version != _VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        scalar, core = struct.unpack("<dd", fh.read(16))
-        h_tilde = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        l_minus1 = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        ob_vals = np.frombuffer(fh.read(8 * k), dtype="<f8").copy()
-        ob_vecs = np.frombuffer(fh.read(8 * k * n), dtype="<f8").reshape(k, n).T.copy()
-        two_body: list[list[EigenFactor]] = []
-        norms = []
-        for _ in range(rank):
-            r, mcount = struct.unpack("<II", fh.read(8))
-            (norm,) = struct.unpack("<d", fh.read(8))
-            vals = np.frombuffer(fh.read(8 * mcount), dtype="<f8")
-            vecs = np.frombuffer(fh.read(8 * mcount * n), dtype="<f8").reshape(mcount, n)
-            two_body.append(
-                [
-                    EigenFactor(rank_index=int(r), eigenvalue=float(v), eigenvector=vecs[i].copy())
-                    for i, v in enumerate(vals)
-                ]
-            )
-            norms.append(norm)
-    adj = AdjustedOneBody(
-        h_tilde=h_tilde, l_minus1=l_minus1, scalar_shift=scalar, core_energy=core
-    )
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"bad cache magic {data[:4]!r}")
+    pos = 4
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal pos
+        size = np.dtype(dtype).itemsize * count
+        if pos + size > len(data):
+            raise ValueError(f"cache is truncated: {len(data)} bytes")
+        out = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        pos += size
+        return out
+
+    version, n, rank, k = take("<u4", 4).tolist()
+    if version != _VERSION:
+        raise ValueError(f"unsupported cache version {version}")
+    scalar, core = take("<f8", 2).tolist()
+    h_tilde = take("<f8", n * n).reshape(n, n).copy()
+    l_minus1 = take("<f8", n * n).reshape(n, n).copy()
+    ob_vals = take("<f8", k).copy()
+    ob_vecs = take("<f8", k * n).reshape(k, n).T.copy()
+    norms, values, vectors = [], [np.empty(0)], [np.empty(0)]
+    for r in range(rank):
+        index, count = take("<u4", 2).tolist()
+        if index != r or count > n:
+            raise ValueError(f"cache record {r} has rank index {index} and {count} eigenpairs")
+        norms += take("<f8", 1).tolist()
+        values.append(take("<f8", count))
+        vectors.append(take("<f8", count * n))
+    if pos != len(data):
+        raise ValueError(f"cache has {len(data) - pos} bytes after its last record")
+    eigenvalues = np.concatenate(values)
+    schatten_norms = np.array(norms)
+    if not (np.isfinite(eigenvalues).all() and (schatten_norms >= 0).all()):
+        raise ValueError("cache holds a non-finite eigenvalue or a negative or NaN Schatten norm")
     return DoubleFactorization(
-        one_body=adj,
+        one_body=AdjustedOneBody(h_tilde, l_minus1, scalar_shift=scalar, core_energy=core),
         one_body_eigs=(ob_vals, ob_vecs),
-        two_body=two_body,
-        schatten_norms=np.asarray(norms, dtype=float),
+        eigenvalues=eigenvalues,
+        eigenvectors=np.concatenate(vectors).reshape(-1, n),
+        offsets=np.cumsum([v.size for v in values]),
+        schatten_norms=schatten_norms,
         n_orbitals=n,
     )

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qdf.factorization import DoubleFactorization
+from qdf.factorization import DoubleFactorization, alpha_from_rank_sums, rank_sums
 
 __all__ = [
     "TruncationPlan",
@@ -58,38 +58,36 @@ def _coerce_scheme(scheme) -> TruncationScheme:
     return TruncationScheme(str(scheme).lower())
 
 
-def score_eigenpairs(df: DoubleFactorization) -> list[tuple[tuple[int, int], float]]:
-    """Per-eigenpair removal scores ||L^(r)||_SH * |lambda_m^(r)|, sorted
-    ascending; ties broken by (r, m) lexicographic order."""
-    scored = [
-        ((r, m), float(df.schatten_norms[r]) * abs(ef.eigenvalue))
-        for r, group in enumerate(df.two_body)
-        for m, ef in enumerate(group)
-    ]
-    scored.sort(key=lambda item: (item[1], item[0]))
-    return scored
+def score_eigenpairs(df: DoubleFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """Removal scores ||L^(r)||_SH * |lambda_m^(r)| in ascending order.
+
+    Returns ``(order, scores)``: ``order[i]`` is the flat index (row of
+    ``df.eigenvalues``) of the i-th smallest score ``scores[i]``.  Flat
+    indices run in (r, m) order, so the stable sort breaks ties by (r, m).
+    """
+    scores = df.schatten_norms[df.pair_index[0]] * np.abs(df.eigenvalues)
+    order = np.argsort(scores, kind="stable")
+    return order, scores[order]
 
 
-def _greedy_removal_count(scores: list[float], scheme: TruncationScheme, epsilon: float) -> int:
-    """How many of the ascending ``scores`` the budget admits (inclusive)."""
-    count = 0
-    if scheme is TruncationScheme.COHERENT:
-        acc = 0.0
-        for s in scores:
-            if acc + s <= epsilon:
-                acc += s
-                count += 1
-            else:
-                break
-    else:
-        acc_sq = 0.0
-        for s in scores:
-            if math.sqrt(acc_sq + s * s) <= epsilon:
-                acc_sq += s * s
-                count += 1
-            else:
-                break
-    return count
+def _removal_prefixes(df: DoubleFactorization, scheme: TruncationScheme, epsilons):
+    """The truncation kernel shared by ``truncate`` and ``threshold_sweep``.
+
+    Returns the order of ``score_eigenpairs`` and, per threshold, how many
+    leading eigenpairs the budget admits and their linear and root-sum-square
+    scores.  ``np.cumsum`` adds left to right like the loop ``acc + s <= eps``
+    (or ``sqrt(acc_sq + s * s) <= eps``), and both prefix sums are
+    non-decreasing, so the admitted count is a ``searchsorted``.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    if not (np.isfinite(eps).all() and (eps >= 0).all()):
+        raise ValueError(f"epsilon must be finite and non-negative, got {eps.tolist()}")
+    order, scores = score_eigenpairs(df)
+    linear = np.concatenate(([0.0], np.cumsum(scores)))
+    root_sq = np.concatenate(([0.0], np.sqrt(np.cumsum(scores * scores))))
+    used = linear if scheme is TruncationScheme.COHERENT else root_sq
+    counts = np.searchsorted(used[1:], eps, side="right")
+    return order, counts, linear[counts], root_sq[counts]
 
 
 def truncate(
@@ -99,37 +97,31 @@ def truncate(
 
     Returns the reduced factorization (ranks left with no eigenpairs are
     dropped; surviving factors keep their frozen Schatten norms) and the plan.
-    ``epsilon = 0`` removes only exactly-zero scores.
+    ``epsilon = 0`` removes only exactly-zero scores.  Raises ValueError
+    unless ``epsilon`` is finite and non-negative.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
     scheme = _coerce_scheme(scheme)
-    scored = score_eigenpairs(df)
-    n_remove = _greedy_removal_count([s for _, s in scored], scheme, epsilon)
-    removed = scored[:n_remove]
-    removed_set = {key for key, _ in removed}
+    order, counts, coherent, incoherent = _removal_prefixes(df, scheme, [epsilon])
+    removed = order[: counts[0]]
+    keep = np.ones(df.total_eigenpairs, dtype=bool)
+    keep[removed] = False
 
-    kept_groups: list[list] = []
-    kept_norms: list[float] = []
-    for r, group in enumerate(df.two_body):
-        kept = [ef for m, ef in enumerate(group) if (r, m) not in removed_set]
-        if kept:
-            kept_groups.append(kept)
-            kept_norms.append(float(df.schatten_norms[r]))
-
-    reduced = DoubleFactorization(
-        one_body=df.one_body,
-        one_body_eigs=df.one_body_eigs,
-        two_body=kept_groups,
-        schatten_norms=np.asarray(kept_norms, dtype=float),
-        n_orbitals=df.n_orbitals,
+    rank_of, local = df.pair_index
+    kept_counts = np.bincount(rank_of[keep], minlength=df.rank)
+    alive = kept_counts > 0
+    reduced = replace(
+        df,
+        eigenvalues=df.eigenvalues[keep],
+        eigenvectors=df.eigenvectors[keep],
+        offsets=np.concatenate(([0], np.cumsum(kept_counts[alive]))),
+        schatten_norms=df.schatten_norms[alive],
     )
     plan = TruncationPlan(
         scheme=scheme,
         epsilon=epsilon,
-        removed=[key for key, _ in removed],
-        coherent_score=float(sum(s for _, s in removed)),
-        incoherent_score=float(math.sqrt(sum(s * s for _, s in removed))),
+        removed=list(zip(rank_of[removed].tolist(), local[removed].tolist())),
+        coherent_score=float(coherent[0]),
+        incoherent_score=float(incoherent[0]),
         surviving_R=reduced.rank,
         surviving_M=reduced.total_eigenpairs,
     )
@@ -144,56 +136,32 @@ def default_grid(lo: float = 1e-4, hi: float = 1e-1, n: int = 16) -> np.ndarray:
 
 def threshold_sweep(
     df: DoubleFactorization, scheme, grid
-) -> list[tuple[float, int, int, float]]:
-    """(epsilon, surviving_R, surviving_M, alpha_df) for each grid threshold.
-
-    The grid must be sorted ascending; the sweep walks the single sorted score
-    list once, so the total cost is O(M log M) plus O(1) per grid point.
+) -> list[tuple[float, int, int, int, float, float, float]]:
+    """(epsilon, R, M, m_max, alpha_df, coherent_score, incoherent_score) per
+    grid threshold, bit for bit those of ``truncate`` there: R, M, m_max (the
+    most eigenpairs left in one rank) and ``alpha_df`` of the reduced
+    factorization, and the plan's scores.  The scores are sorted once; the
+    grid must be ascending, so each point only removes pairs its predecessor
+    kept.
     """
     scheme = _coerce_scheme(scheme)
     grid = [float(e) for e in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")
+    order, counts, coherent, incoherent = _removal_prefixes(df, scheme, grid)
 
-    scored = score_eigenpairs(df)
-    eigen_abs = {
-        (r, m): abs(ef.eigenvalue)
-        for r, group in enumerate(df.two_body)
-        for m, ef in enumerate(group)
-    }
-    one_body_term = 2.0 * float(np.abs(df.one_body_eigs[0]).sum())
-
-    # Running state: per-rank kept Schatten sums and counts, and the two-body
-    # alpha contribution sum_r s_r^2, updated incrementally per removal.
-    s_r = [sum(abs(ef.eigenvalue) for ef in group) for group in df.two_body]
-    count_r = [len(group) for group in df.two_body]
-    two_body_sq = sum(s * s for s in s_r)
-    m_total = sum(count_r)
-    r_alive = sum(1 for c in count_r if c)
-
-    rows = []
-    idx = 0
-    acc = 0.0
-    acc_sq = 0.0
-    for eps in grid:
-        while idx < len(scored):
-            (r, m), s = scored[idx]
-            if scheme is TruncationScheme.COHERENT:
-                if acc + s > eps:
-                    break
-                acc += s
-            else:
-                if math.sqrt(acc_sq + s * s) > eps:
-                    break
-                acc_sq += s * s
-            lam = eigen_abs[(r, m)]
-            two_body_sq += (s_r[r] - lam) ** 2 - s_r[r] ** 2
-            s_r[r] -= lam
-            count_r[r] -= 1
-            if count_r[r] == 0:
-                r_alive -= 1
-            m_total -= 1
-            idx += 1
-        alpha = one_body_term + 0.25 * two_body_sq
-        rows.append((eps, r_alive, m_total, float(alpha)))
+    rank_of, local = df.pair_index
+    # kept |lambda| per rank; a removed pair becomes a 0.0, which leaves the
+    # left-to-right rank sums of alpha_df unchanged
+    kept_abs = df.padded_abs_eigenvalues()
+    kept_counts = np.diff(df.offsets)
+    rows, done = [], 0
+    for eps, count, coh, inc in zip(grid, counts.tolist(), coherent.tolist(), incoherent.tolist()):
+        newly = order[done:count]
+        kept_abs[rank_of[newly], local[newly]] = 0.0
+        kept_counts -= np.bincount(rank_of[newly], minlength=df.rank)
+        done = count
+        alpha = alpha_from_rank_sums(df.one_body_eigs[0], rank_sums(kept_abs))
+        rows.append((eps, int(np.count_nonzero(kept_counts)), df.total_eigenpairs - count,
+                     int(kept_counts.max(initial=0)), alpha, coh, inc))
     return rows

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -36,6 +37,19 @@ def reference_energies():
 
 def factorize(mol, tol=1e-10):
     return double_factorize(single_factorize(mol, tol=tol), adjusted_one_body(mol))
+
+
+def without_pair(df, index):
+    """``df`` with flat eigenpair ``index`` deleted by hand and nothing else
+    changed: its rank stays, even when it is left empty."""
+    offsets = df.offsets.copy()
+    offsets[int(df.pair_index[0][index]) + 1:] -= 1
+    return dataclasses.replace(
+        df,
+        eigenvalues=np.delete(df.eigenvalues, index),
+        eigenvectors=np.delete(df.eigenvectors, index, axis=0),
+        offsets=offsets,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,24 +1,33 @@
-"""Loop references for the vectorised parser and the pivoted Cholesky.
+"""Loop references for the vectorised parser, the pivoted Cholesky, the
+eigendecomposition step and the truncation kernel.
 
 These are the earlier implementations, kept only as test oracles: the
-per-line FCIDUMP parser and the rank-1-deflation Cholesky over a full copy of
-the ERI supermatrix.  The package must reproduce them exactly (the same
-factors, bit for bit, and the same errors with the same line numbers).
+per-line FCIDUMP parser, the rank-1-deflation Cholesky over a full copy of
+the ERI supermatrix, the per-factor eigendecomposition with a per-vector sign
+loop, and the object-form truncation (a Python list of scored eigenpairs,
+sorted, admitted one at a time, filtered through a set).  The package must
+reproduce them exactly (the same numbers, bit for bit, and the same errors
+with the same line numbers).  Sums are explicit left-to-right loops, the order
+of Python's ``sum`` before 3.12.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import warnings
 
 import numpy as np
 
 from qdf.factorization import (
+    EIGENVALUE_CUTOFF,
     PSD_TOLERANCE,
+    DoubleFactorization,
     NotPositiveSemidefiniteError,
     SingleFactorization,
     eri_supermatrix,
 )
+from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
     FcidumpError,
@@ -148,3 +157,114 @@ def parse_fcidump_lines(text) -> MolecularIntegrals:
     if not (np.isfinite(core) and np.isfinite(h1).all() and np.isfinite(h2).all()):
         raise FcidumpError("non-finite integral value")
     return m
+
+
+def _fix_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Deterministic eigenvector sign: first component with |x| > tol is positive."""
+    for x in vec:
+        if abs(x) > tol:
+            return vec if x > 0 else -vec
+    return vec
+
+
+def eigenpair_groups_loop(factors: list[np.ndarray]) -> list[list[tuple[float, np.ndarray]]]:
+    """Per factor, the (eigenvalue, eigenvector) pairs that double_factorize
+    keeps, sorted by descending |eigenvalue|, one factor and one vector at a
+    time."""
+    groups = []
+    for factor in factors:
+        vals, vecs = np.linalg.eigh(factor)
+        order = np.argsort(-np.abs(vals), kind="stable")
+        vals = vals[order]
+        vecs = vecs[:, order]
+        for c in range(vecs.shape[1]):
+            vecs[:, c] = _fix_sign(vecs[:, c])
+        cutoff = EIGENVALUE_CUTOFF * (np.abs(vals).max() if vals.size else 0.0)
+        groups.append([(float(v), vecs[:, i].copy()) for i, v in enumerate(vals) if abs(v) > cutoff])
+    return groups
+
+
+def groups_of(df: DoubleFactorization) -> list[list[tuple[float, np.ndarray]]]:
+    """The flat eigenpairs of ``df`` as one list of (eigenvalue, eigenvector)
+    pairs per rank."""
+    return [
+        [(float(lam), vec) for lam, vec in zip(df.eigenvalues[lo:hi], df.eigenvectors[lo:hi])]
+        for lo, hi in zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())
+    ]
+
+
+def _abs_sum(group) -> float:
+    acc = 0.0
+    for lam, _ in group:
+        acc += abs(lam)
+    return acc
+
+
+def alpha_df_loop(one_body_eigenvalues: np.ndarray, groups) -> float:
+    """alpha_DF = 2 ||l_minus1||_SH + 1/4 sum_r (sum_m |lambda_m^(r)|)^2."""
+    two_body = 0.0
+    for group in groups:
+        two_body += _abs_sum(group) ** 2
+    return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
+
+
+def _greedy_removal_count(scores: list[float], scheme: TruncationScheme, epsilon: float) -> int:
+    """How many of the ascending ``scores`` the budget admits (inclusive)."""
+    count = 0
+    if scheme is TruncationScheme.COHERENT:
+        acc = 0.0
+        for s in scores:
+            if acc + s <= epsilon:
+                acc += s
+                count += 1
+            else:
+                break
+    else:
+        acc_sq = 0.0
+        for s in scores:
+            if math.sqrt(acc_sq + s * s) <= epsilon:
+                acc_sq += s * s
+                count += 1
+            else:
+                break
+    return count
+
+
+def score_eigenpairs_loop(df: DoubleFactorization) -> list[tuple[tuple[int, int], float]]:
+    """((r, m), score) of every eigenpair, sorted by (score, r, m)."""
+    scored = [
+        ((r, m), float(df.schatten_norms[r]) * abs(lam))
+        for r, group in enumerate(groups_of(df))
+        for m, (lam, _) in enumerate(group)
+    ]
+    scored.sort(key=lambda item: (item[1], item[0]))
+    return scored
+
+
+def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
+    """Object-form truncation: the removed (r, m) keys, both scores, the kept
+    eigenpairs per surviving rank with their frozen norms, and alpha_DF."""
+    scheme = TruncationScheme(str(scheme).lower())
+    scored = score_eigenpairs_loop(df)
+    removed = scored[: _greedy_removal_count([s for _, s in scored], scheme, epsilon)]
+    removed_set = {key for key, _ in removed}
+
+    kept_groups, kept_norms = [], []
+    for r, group in enumerate(groups_of(df)):
+        kept = [pair for m, pair in enumerate(group) if (r, m) not in removed_set]
+        if kept:
+            kept_groups.append(kept)
+            kept_norms.append(float(df.schatten_norms[r]))
+    coherent = 0.0
+    sum_sq = 0.0
+    for _, s in removed:
+        coherent += s
+        sum_sq += s * s
+    return {
+        "removed": [key for key, _ in removed],
+        "coherent_score": coherent,
+        "incoherent_score": math.sqrt(sum_sq),
+        "groups": kept_groups,
+        "schatten_norms": kept_norms,
+        "alpha_df": alpha_df_loop(df.one_body_eigs[0], kept_groups),
+    }

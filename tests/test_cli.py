@@ -171,6 +171,39 @@ class TestSweep:
         assert main(["sweep", "--fcidump", H2, "--grid", "nope"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
+    def test_h4_matches_golden_file(self, tmp_path, scheme):
+        out = tmp_path / "sweep.json"
+        code = main([
+            "sweep", "--fcidump", H4, "--scheme", scheme, "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        with open(fixture_path(f"h4_sweep_{scheme}_golden.json"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["estimate", "--epsilon", "nan"], "argument --epsilon: expected a finite number >= 0"),
+    (["estimate", "--epsilon", "inf"], "argument --epsilon: expected a finite number >= 0"),
+    (["estimate", "--epsilon=-1e-3"], "argument --epsilon: expected a finite number >= 0"),
+    (["estimate", "--delta-e", "inf"], "argument --delta-e: expected a finite number > 0"),
+    (["estimate", "--delta-e", "0"], "argument --delta-e: expected a finite number > 0"),
+    (["estimate", "--lambda", "-1"], "argument --lambda: expected an integer >= 0"),
+    (["estimate", "--lambda", "1.5"], "argument --lambda: expected an integer >= 0"),
+    (["sweep", "--grid", "nan:1:3"], "needs finite 0 < lo <= hi and n >= 1"),
+    (["sweep", "--grid", "1e-3:inf:3"], "needs finite 0 < lo <= hi and n >= 1"),
+    (["sweep", "--grid", "0:1e-2:3"], "needs finite 0 < lo <= hi and n >= 1"),
+    (["sweep", "--grid", "1e-2:1e-3:3"], "needs finite 0 < lo <= hi and n >= 1"),
+    (["sweep", "--grid", "1e-3:1e-2:0"], "needs finite 0 < lo <= hi and n >= 1"),
+    (["sweep", "--delta-e", "nan"], "argument --delta-e: expected a finite number > 0"),
+])
+def test_bad_flag_exit_three_with_one_line(capsys, args, message):
+    assert main([*args, "--fcidump", H2]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestValidate:
     def test_h2_passes(self, capsys):
@@ -219,7 +252,7 @@ class TestValidate:
         # reconstructs the input tensor
         blob = bytearray(cache.read_bytes())
         df_ref = load_cache(cache)
-        target = df_ref.two_body[0][0].eigenvalue
+        target = df_ref.eigenvalues[0]
         idx = blob.find(np.float64(target).tobytes())
         assert idx > 0
         blob[idx : idx + 8] = np.float64(target + 0.25).tobytes()
@@ -257,12 +290,3 @@ class TestDeterminism:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_worker_pool_size_does_not_change_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        monkeypatch.setenv("QDF_THREADS", "1")
-        main(["sweep", "--fcidump", H4, "--format", "csv", "--out", str(serial)])
-        monkeypatch.setenv("QDF_THREADS", "4")
-        main(["sweep", "--fcidump", H4, "--format", "csv", "--out", str(pooled)])
-        assert serial.read_bytes() == pooled.read_bytes()

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,10 @@ from qdf.factorization import (
     schatten_norm,
     single_factorize,
 )
-from qdf.integrals import MolecularIntegrals, adjusted_one_body
+from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
 from qdf.oracle import random_molecular_integrals
-from qdf.truncation import truncate
+from qdf.truncation import score_eigenpairs, truncate
+from tests.conftest import factorize, fixture_path, without_pair
 
 
 def _tensor_from_factors(factors):
@@ -106,8 +110,8 @@ class TestDoubleFactorize:
             _instance(2, [np.diag([2.0, -1.0])]), tol=1e-12
         )
         df = double_factorize(sf_like, adj)
-        lams = [ef.eigenvalue for ef in df.two_body[0]]
-        assert lams == pytest.approx([2.0, -1.0])
+        lams = df.eigenvalues[df.offsets[0]:df.offsets[1]]
+        assert lams.tolist() == pytest.approx([2.0, -1.0])
         assert df.schatten_norms[0] == pytest.approx(3.0)
 
     def test_offdiagonal_factor_eigenpairs(self):
@@ -126,27 +130,24 @@ class TestDoubleFactorize:
         assert np.abs(np.abs(rebuilt) - np.abs(a)).max() <= 1e-8
 
     def test_eigenvectors_unit_norm(self, h4_df):
-        for group in h4_df.two_body:
-            for ef in group:
-                assert abs(np.linalg.norm(ef.eigenvector) - 1.0) <= 1e-12
+        assert h4_df.eigenvectors.shape == (h4_df.total_eigenpairs, h4_df.n_orbitals)
+        for vec in h4_df.eigenvectors:
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
     def test_deterministic_sign_convention(self, h4):
         df1 = double_factorize(single_factorize(h4, tol=1e-10), adjusted_one_body(h4))
         df2 = double_factorize(single_factorize(h4, tol=1e-10), adjusted_one_body(h4))
-        for g1, g2 in zip(df1.two_body, df2.two_body):
-            for e1, e2 in zip(g1, g2):
-                np.testing.assert_array_equal(e1.eigenvector, e2.eigenvector)
-        for group in df1.two_body:
-            for ef in group:
-                leading = ef.eigenvector[np.abs(ef.eigenvector) > 1e-12][0]
-                assert leading > 0
+        np.testing.assert_array_equal(df1.eigenvectors, df2.eigenvectors)
+        for vec in df1.eigenvectors:
+            leading = vec[np.abs(vec) > 1e-12][0]
+            assert leading > 0
 
 
 def df_factor_reference(df, r):
     n = df.n_orbitals
     out = np.zeros((n, n))
-    for ef in df.two_body[r]:
-        out += ef.eigenvalue * np.outer(ef.eigenvector, ef.eigenvector)
+    for m in range(df.offsets[r], df.offsets[r + 1]):
+        out += df.eigenvalues[m] * np.outer(df.eigenvectors[m], df.eigenvectors[m])
     return out
 
 
@@ -202,7 +203,8 @@ class TestAlphas:
         adj = adjusted_one_body(m)
         df = double_factorize(single_factorize(m, tol=1e-12), adj)
         two_body_part = 0.25 * sum(
-            sum(abs(ef.eigenvalue) for ef in g) ** 2 for g in df.two_body
+            sum(abs(lam) for lam in df.eigenvalues[lo:hi]) ** 2
+            for lo, hi in zip(df.offsets[:-1], df.offsets[1:])
         )
         assert two_body_part == pytest.approx(1.0, abs=1e-12)
 
@@ -239,17 +241,14 @@ class TestAlphas:
             assert alpha_cd(sf, adj) >= alpha_df(df) - 1e-10
 
     def test_alpha_df_monotone_under_removal(self, h4_df):
-        from qdf.truncation import score_eigenpairs
-
         previous = alpha_df(h4_df)
         current = h4_df
         for _ in range(6):
-            scored = score_eigenpairs(current)
-            if not scored:
+            _, scores = score_eigenpairs(current)
+            if not scores.size:
                 break
             # removing the next-smallest eigenpair must never raise alpha
-            (_, smallest) = scored[0]
-            current, _ = truncate(current, "coherent", smallest)
+            current, _ = truncate(current, "coherent", float(scores[0]))
             value = alpha_df(current)
             assert value <= previous + 1e-12
             previous = value
@@ -266,19 +265,13 @@ class TestReconstruction:
         assert np.abs(reconstruct_two_body(reduced)).max() == 0.0
 
     def test_single_removal_difference_structure(self, h2_df):
-        from qdf.truncation import score_eigenpairs
-
-        # drop exactly the smallest-score eigenpair (r, m) by hand
-        (r, m), _ = score_eigenpairs(h2_df)[0]
-        removed = h2_df.two_body[r][m]
-        b = removed.eigenvalue * np.outer(removed.eigenvector, removed.eigenvector)
+        # drop exactly the smallest-score eigenpair by hand
+        (index, *_), _ = score_eigenpairs(h2_df)
+        r = int(h2_df.pair_index[0][index])
+        vec = h2_df.eigenvectors[index]
+        b = h2_df.eigenvalues[index] * np.outer(vec, vec)
         a = df_factor_reference(h2_df, r)
-
-        import dataclasses
-
-        groups = [list(g) for g in h2_df.two_body]
-        del groups[r][m]
-        reduced = dataclasses.replace(h2_df, two_body=groups)
+        reduced = without_pair(h2_df, index)
 
         diff = reconstruct_two_body(h2_df) - reconstruct_two_body(reduced)
         # A(x)A - (A-B)(x)(A-B) = A(x)B + B(x)A - B(x)B for the affected factor
@@ -300,13 +293,53 @@ class TestCache:
         np.testing.assert_array_equal(again.schatten_norms, h4_df.schatten_norms)
         np.testing.assert_array_equal(again.one_body.l_minus1, h4_df.one_body.l_minus1)
         assert again.one_body.core_energy == h4_df.one_body.core_energy
-        for g1, g2 in zip(again.two_body, h4_df.two_body):
-            for e1, e2 in zip(g1, g2):
-                assert e1.eigenvalue == e2.eigenvalue
-                np.testing.assert_array_equal(e1.eigenvector, e2.eigenvector)
+        assert_same_arrays(again, h4_df)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.qdfcache"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_cache(path)
+
+
+def assert_same_arrays(a, b):
+    for name in ("eigenvalues", "eigenvectors", "offsets", "schatten_norms"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for x, y in zip(a.one_body_eigs, b.one_body_eigs):
+        np.testing.assert_array_equal(x, y)
+    for name in ("h_tilde", "l_minus1", "scalar_shift", "core_energy"):
+        np.testing.assert_array_equal(getattr(a.one_body, name), getattr(b.one_body, name))
+    assert a.n_orbitals == b.n_orbitals
+
+
+# sha256 of the v1 cache bytes of the fixtures, as written by the earlier
+# per-rank writer; h*_cache_v1.qdfcache are those files.
+CACHE_SHA256 = {
+    "h2": "3e65a8f5db3eee43889fdd05b4bbd30095f56fb696d23ce4719e7fef6b5a8663",
+    "h4": "ee072ba990908c7990aaaa048e37ef1f827403b3a6d5be3a133135ebbe46cd59",
+}
+
+
+class TestCacheFormat:
+    @pytest.mark.parametrize("name", ["h2", "h4"])
+    def test_writer_bytes_unchanged(self, name, tmp_path):
+        path = tmp_path / f"{name}.qdfcache"
+        save_cache(factorize(load_fcidump(fixture_path(f"{name}_sto3g.fcidump"))), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[name]
+
+    @pytest.mark.parametrize("name", ["h2", "h4"])
+    def test_earlier_cache_loads_to_same_arrays(self, name):
+        path = fixture_path(f"{name}_cache_v1.qdfcache")
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == CACHE_SHA256[name]
+        fresh = factorize(load_fcidump(fixture_path(f"{name}_sto3g.fcidump")))
+        assert_same_arrays(load_cache(path), fresh)
+
+    def test_truncated_cache_rejected(self, tmp_path):
+        with open(fixture_path("h4_cache_v1.qdfcache"), "rb") as fh:
+            blob = fh.read()
+        path = tmp_path / "cut.qdfcache"
+        for size in (3, 20, 60, 300, len(blob) - 8, len(blob) - 1, len(blob) + 3):
+            path.write_bytes((blob + b"\0" * 8)[:size])
+            with pytest.raises(ValueError):
+                load_cache(path)

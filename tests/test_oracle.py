@@ -73,15 +73,13 @@ class TestBuildFromDf:
         np.testing.assert_allclose(op.matrix, expected, atol=1e-12)
 
     def test_single_removed_pair_respects_score_bound(self, h4_df):
-        import dataclasses
-
         from qdf.truncation import score_eigenpairs
+        from tests.conftest import without_pair
 
         full = build_from_df(h4_df)
-        (r, m), score = score_eigenpairs(h4_df)[3]
-        groups = [list(g) for g in h4_df.two_body]
-        del groups[r][m]
-        reduced = dataclasses.replace(h4_df, two_body=groups)
+        order, scores = score_eigenpairs(h4_df)
+        score = scores[3]
+        reduced = without_pair(h4_df, order[3])
         err = spectral_norm(full.matrix - build_from_df(reduced).matrix)
         assert err <= score + 1e-10
 

@@ -1,7 +1,9 @@
-"""The vectorised FCIDUMP parser and the column-wise pivoted Cholesky against
-the loop references kept in ``tests/reference.py``: equal results, the same
-factors bit for bit, and the same errors on the same lines."""
+"""The vectorised FCIDUMP parser, the column-wise pivoted Cholesky, the
+eigendecomposition step and the truncation kernel against the loop references
+kept in ``tests/reference.py``: equal results, the same numbers bit for bit,
+and the same errors on the same lines."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,16 +11,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdf.factorization import NotPositiveSemidefiniteError, single_factorize
+from qdf.factorization import (
+    DoubleFactorization,
+    NotPositiveSemidefiniteError,
+    alpha_df,
+    double_factorize,
+    single_factorize,
+)
 from qdf.integrals import (
+    AdjustedOneBody,
     FcidumpError,
     MolecularIntegrals,
     canonical_orbit,
     orbit_members,
+    adjusted_one_body,
     parse_fcidump,
     write_fcidump,
 )
-from tests.reference import parse_fcidump_lines, single_factorize_deflation
+from qdf.truncation import default_grid, threshold_sweep, truncate
+from tests.reference import (
+    alpha_df_loop,
+    eigenpair_groups_loop,
+    parse_fcidump_lines,
+    score_eigenpairs_loop,
+    single_factorize_deflation,
+    truncate_loop,
+)
 
 
 def _tensor(factors: np.ndarray) -> np.ndarray:
@@ -302,3 +320,165 @@ def test_canonical_key_in_conflict_message():
         parse_fcidump(text)
     assert str(canonical_orbit(0, 2, 1, 0)) in str(info.value)
     assert info.value.line == 4
+
+
+# ---------------------------------------------------------------------------
+# Eigendecomposition and truncation
+# ---------------------------------------------------------------------------
+
+def _assert_flat_equals_groups(df: DoubleFactorization, groups) -> None:
+    assert df.offsets.tolist() == np.cumsum([0] + [len(g) for g in groups]).tolist()
+    assert df.eigenvalues.tolist() == [lam for g in groups for lam, _ in g]
+    vectors = [vec for g in groups for _, vec in g]
+    assert np.array_equal(df.eigenvectors, np.reshape(vectors, (len(vectors), df.n_orbitals)))
+
+
+def _assert_same_double_factorization(m) -> None:
+    sf = single_factorize(m, tol=1e-10)
+    df = double_factorize(sf, adjusted_one_body(m))
+    groups = eigenpair_groups_loop(sf.factors)
+    _assert_flat_equals_groups(df, groups)
+    norms = []
+    for g in groups:
+        acc = 0.0
+        for lam, _ in g:
+            acc += abs(lam)
+        norms.append(acc)
+    assert df.schatten_norms.tolist() == norms
+
+
+@settings(max_examples=60, deadline=None)
+@given(psd_instances())
+def test_double_factorize_matches_loop(m):
+    _assert_same_double_factorization(m)
+
+
+def test_h4_double_factorize_matches_loop(h4):
+    _assert_same_double_factorization(h4)
+
+
+# A few magnitudes, both signs: +-lambda pairs tie inside a rank, repeated
+# magnitude lists tie across ranks through equal Schatten norms, and 0.0 gives
+# zero scores.
+MAGNITUDES = [0.0, 1e-3, 0.25, 0.5, 1.0, 3.0]
+
+
+@st.composite
+def factorizations(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    rank = draw(st.integers(min_value=0, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    groups = []
+    for _ in range(rank):
+        if groups and draw(st.booleans()):
+            lams = list(groups[-1])
+        else:
+            mags = draw(st.lists(
+                st.one_of(st.sampled_from(MAGNITUDES), st.floats(min_value=1e-6, max_value=10.0)),
+                min_size=1, max_size=n,
+            ))
+            lams = [mag if draw(st.booleans()) else -mag for mag in mags]
+        groups.append(sorted(lams, key=abs, reverse=True))
+    norms = []
+    for lams in groups:
+        acc = 0.0
+        for lam in lams:
+            acc += abs(lam)
+        # a norm above the kept sum is what a truncated factorization carries
+        norms.append(acc + draw(st.sampled_from([0.0, 0.0, 0.5])))
+    counts = [len(lams) for lams in groups]
+    ob_vals = rng.normal(size=n)
+    return DoubleFactorization(
+        one_body=AdjustedOneBody(np.zeros((n, n)), np.diag(ob_vals), 0.0),
+        one_body_eigs=(ob_vals, np.eye(n)),
+        eigenvalues=np.array([lam for lams in groups for lam in lams], dtype=float),
+        eigenvectors=rng.normal(size=(sum(counts), n)),
+        offsets=np.cumsum([0] + counts),
+        schatten_norms=np.array(norms, dtype=float),
+        n_orbitals=n,
+    )
+
+
+def _budget_boundaries(df) -> list[float]:
+    """0, every prefix sum and root-sum-square of the ascending scores as a
+    loop accumulates them, their floating-point neighbours, and a budget
+    above the total."""
+    linear, root_sq = [0.0], [0.0]
+    acc_sq = 0.0
+    for _, s in score_eigenpairs_loop(df):
+        linear.append(linear[-1] + s)
+        acc_sq += s * s
+        root_sq.append(math.sqrt(acc_sq))
+    exact = linear + root_sq
+    near = [math.nextafter(b, math.inf) for b in exact]
+    near += [math.nextafter(b, 0.0) for b in exact]
+    return sorted(set(exact + near + [2.0 * linear[-1] + 1.0]))
+
+
+def _assert_truncation_matches_loop(df, scheme, eps):
+    ref = truncate_loop(df, scheme, eps)
+    reduced, plan = truncate(df, scheme, eps)
+    assert plan.removed == ref["removed"]
+    assert plan.coherent_score == ref["coherent_score"]
+    assert plan.incoherent_score == ref["incoherent_score"]
+    assert plan.surviving_R == len(ref["groups"])
+    assert plan.surviving_M == sum(len(g) for g in ref["groups"])
+    _assert_flat_equals_groups(reduced, ref["groups"])
+    assert reduced.schatten_norms.tolist() == ref["schatten_norms"]
+    assert alpha_df(reduced) == ref["alpha_df"]
+    return ref
+
+
+def _assert_sweep_matches_loop(df, scheme, grid):
+    rows = threshold_sweep(df, scheme, grid)
+    assert len(rows) == len(grid)
+    for eps, row in zip(grid, rows):
+        ref = truncate_loop(df, scheme, eps)
+        groups = ref["groups"]
+        assert row == (
+            eps, len(groups), sum(len(g) for g in groups), max(map(len, groups), default=0),
+            ref["alpha_df"], ref["coherent_score"], ref["incoherent_score"],
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncation_matches_loop(data):
+    df = data.draw(factorizations())
+    boundaries = _budget_boundaries(df)
+    eps = data.draw(st.one_of(st.sampled_from(boundaries), st.floats(min_value=0.0, max_value=20.0)))
+    for scheme in ("coherent", "incoherent"):
+        _assert_truncation_matches_loop(df, scheme, eps)
+        _assert_sweep_matches_loop(df, scheme, boundaries)
+
+
+def test_n20_rank120_sweep_matches_loop():
+    m = _seeded_integrals(20, 120, seed=11)
+    df = double_factorize(single_factorize(m), adjusted_one_body(m))
+    grid = [0.0, *default_grid(1e-6, 1.0, 31)]
+    for scheme in ("coherent", "incoherent"):
+        _assert_sweep_matches_loop(df, scheme, grid)
+        for eps in grid[::6]:
+            _assert_truncation_matches_loop(df, scheme, eps)
+
+
+def test_alpha_df_squares_rank_sums_like_the_loop():
+    # x ** 2 calls the C library's pow, which on some platforms rounds a few
+    # values differently from x * x; alpha_df must keep the loop's rounding.
+    values = np.random.default_rng(5).uniform(0.1, 10.0, 20_000).tolist()
+    odd = [x for x in values if x ** 2 != x * x][:20]
+    if not odd:
+        pytest.skip("x ** 2 == x * x for every sampled value on this platform")
+    for x in odd:
+        df = DoubleFactorization(
+            one_body=AdjustedOneBody(np.zeros((1, 1)), np.zeros((1, 1)), 0.0),
+            one_body_eigs=(np.zeros(1), np.eye(1)),
+            eigenvalues=np.array([x]),
+            eigenvectors=np.ones((1, 1)),
+            offsets=np.array([0, 1]),
+            schatten_norms=np.array([x]),
+            n_orbitals=1,
+        )
+        alpha = alpha_df_loop(df.one_body_eigs[0], [[(x, np.ones(1))]])
+        assert alpha_df(df) == alpha
+        assert threshold_sweep(df, "coherent", [0.0])[0][4] == alpha
