@@ -109,8 +109,9 @@ def _checked(kind, accept, requirement: str):
 
 
 _epsilon = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-_delta_e = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _lambda = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         if fcidump:
             p.add_argument("--fcidump", help="FCIDUMP input file")
             p.add_argument("--cache", help="binary factorization cache path")
-        p.add_argument("--delta-e", type=_delta_e, default=1e-3, dest="delta_e",
+        p.add_argument("--delta-e", type=_positive, default=1e-3, dest="delta_e",
                        help="target energy standard deviation, Hartree (default 1e-3)")
         p.add_argument("--mode", choices=["min-qubits", "min-toffolis", "fixed"],
                        default="min-qubits")
@@ -359,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="direct cost model from table parameters")
     common(p_cost, fcidump=False)
-    p_cost.add_argument("--n", type=int, help="spatial orbitals")
-    p_cost.add_argument("--r", type=int, help="factorization rank R")
-    p_cost.add_argument("--m", type=int, help="total retained eigenvectors M")
-    p_cost.add_argument("--m-max", type=int, default=None, dest="m_max",
+    p_cost.add_argument("--n", type=_count, help="spatial orbitals")
+    p_cost.add_argument("--r", type=_count, help="factorization rank R")
+    p_cost.add_argument("--m", type=_count, help="total retained eigenvectors M")
+    p_cost.add_argument("--m-max", type=_count, default=None, dest="m_max",
                         help="max eigenvectors in one factor (default min(M, N))")
-    p_cost.add_argument("--alpha", type=float, help="block-encoding normalization, Hartree")
+    p_cost.add_argument("--alpha", type=_positive, help="block-encoding normalization, Hartree")
     p_cost.set_defaults(func=cmd_cost)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep with per-point costs")

@@ -587,18 +587,30 @@ def estimate(
         if lam is None:
             raise ValueError("fixed mode requires lam")
         chosen = int(lam)
-    elif mode in ("min_toffoli", "min_qubits"):
-        best_lam = 0
-        best_total = None
-        for lam_value in range(0, lambda_max + 1):
-            total, _ = total_at(lam_value)
-            if best_total is None or total < best_total:
-                best_total, best_lam = total, lam_value
-        chosen = best_lam if mode == "min_toffoli" else min(1, best_lam)
+        total, wc = total_at(chosen)
+    elif mode == "min_toffoli":
+        chosen = 0
+        total, wc = total_at(0)
+        for lam_value in range(1, lambda_max + 1):
+            candidate = total_at(lam_value)
+            if candidate[0] < total:
+                chosen, (total, wc) = lam_value, candidate
+    elif mode == "min_qubits":
+        # The Toffoli-optimal lam is 0 exactly when no lam >= 1 is strictly
+        # cheaper than lam = 0; otherwise lam = 1 is chosen, so the scan stops
+        # at the first lam that beats lam = 0.
+        chosen = 0
+        total, wc = total_at(0)
+        for lam_value in range(1, lambda_max + 1):
+            candidate = total_at(lam_value)
+            if lam_value == 1:
+                at_one = candidate
+            if candidate[0] < total:
+                chosen, (total, wc) = 1, at_one
+                break
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    total, wc = total_at(chosen)
     cf = closed_form_walk_toffoli(n, m_total, wc.precision.beta, chosen)
     return CostReport(
         n_orbitals=n,

@@ -1,14 +1,22 @@
 """Loop references for the vectorised parser, the pivoted Cholesky, the
-eigendecomposition step and the truncation kernel.
+eigendecomposition step, the truncation kernel, the lambda scan and the dense
+oracle.
 
 These are the earlier implementations, kept only as test oracles: the
 per-line FCIDUMP parser, the rank-1-deflation Cholesky over a full copy of
 the ERI supermatrix, the per-factor eigendecomposition with a per-vector sign
-loop, and the object-form truncation (a Python list of scored eigenpairs,
-sorted, admitted one at a time, filtered through a set).  The package must
-reproduce them exactly (the same numbers, bit for bit, and the same errors
-with the same line numbers).  Sums are explicit left-to-right loops, the order
-of Python's ``sum`` before 3.12.
+loop, the object-form truncation (a Python list of scored eigenpairs,
+sorted, admitted one at a time, filtered through a set) and the full lambda
+scan of ``costmodel.estimate``.  The package must reproduce them exactly (the
+same numbers, bit for bit, and the same errors with the same line numbers).
+Sums are explicit left-to-right loops, the order of Python's ``sum`` before
+3.12.
+
+The dense-oracle reference is the complex Jordan-Wigner backend: mode
+operators as Kronecker chains of 2x2 matrices, every term of the Hamiltonian
+added as its own sparse product, full-matrix spectra.  The package's real,
+gathered, sector-blocked oracle sums in another order, so it is compared to
+this one within a tolerance, not bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +26,18 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from qdf.costmodel import (
+    LAMBDA_SCAN_MAX,
+    CostReport,
+    ErrorBudget,
+    _resolve_params,
+    closed_form_walk_toffoli,
+    pe_repetitions,
+    walk_operator_cost,
+)
 from qdf.factorization import (
     EIGENVALUE_CUTOFF,
     PSD_TOLERANCE,
@@ -268,3 +287,191 @@ def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
         "schatten_norms": kept_norms,
         "alpha_df": alpha_df_loop(df.one_body_eigs[0], kept_groups),
     }
+
+
+def estimate_full_scan(df=None, *, n=None, rank=None, m_total=None, m_max=None, alpha=None,
+                       budget=None, mode="min_toffoli", lam=None,
+                       lambda_max=LAMBDA_SCAN_MAX) -> CostReport:
+    """``costmodel.estimate`` with the lambda scan over every lam in
+    [0, lambda_max] in both scanning modes, and the chosen lam evaluated again."""
+    if budget is None:
+        budget = ErrorBudget(delta_e=1e-3)
+    n, rank, m_total, m_max, alpha = _resolve_params(df, n, rank, m_total, m_max, alpha)
+    reps = pe_repetitions(alpha, budget)
+
+    def total_at(lam_value):
+        wc = walk_operator_cost(n, rank, m_total, m_max, budget, alpha, lam_value)
+        return wc.toffoli * reps, wc
+
+    if mode == "fixed":
+        if lam is None:
+            raise ValueError("fixed mode requires lam")
+        chosen = int(lam)
+    elif mode in ("min_toffoli", "min_qubits"):
+        best_lam = 0
+        best_total = None
+        for lam_value in range(0, lambda_max + 1):
+            total, _ = total_at(lam_value)
+            if best_total is None or total < best_total:
+                best_total, best_lam = total, lam_value
+        chosen = best_lam if mode == "min_toffoli" else min(1, best_lam)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    total, wc = total_at(chosen)
+    cf = closed_form_walk_toffoli(n, m_total, wc.precision.beta, chosen)
+    return CostReport(
+        n_orbitals=n, rank_R=rank, eigvec_M=m_total, alpha_df=alpha, beta=wc.precision.beta,
+        mu=wc.precision.mu, lambda_ancilla=chosen, walk_toffoli=wc.toffoli,
+        walk_toffoli_breakdown=wc.toffoli_breakdown, logical_qubits=wc.qubits,
+        logical_qubit_breakdown=wc.qubit_breakdown, pe_repetitions=reps, total_toffoli=total,
+        closed_form_toffoli=cf, closed_form_total=cf * reps, mode=mode, delta_e=budget.delta_e,
+    )
+
+
+_I2 = sp.identity(2, format="csr", dtype=complex)
+_Z = sp.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
+_SMINUS = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))  # a on one mode
+
+
+def _kron_chain(ops: dict, n_modes: int):
+    """Kronecker product over ``n_modes`` qubits, qubit 0 most significant,
+    identity where ``ops`` has no entry."""
+    out = None
+    for q in range(n_modes):
+        factor = ops.get(q, _I2)
+        out = factor if out is None else sp.kron(out, factor, format="csr")
+    return out
+
+
+class _KronJordanWigner:
+    """Sparse complex mode operators and pair products for one qubit count."""
+
+    _cache: dict = {}
+
+    def __init__(self, n_modes: int):
+        a = []
+        for p in range(n_modes):
+            ops = {q: _Z for q in range(p)}
+            ops[p] = _SMINUS
+            a.append(_kron_chain(ops, n_modes))
+        adag = [op.conj().T.tocsr() for op in a]
+        gamma0 = [(a[p] + adag[p]).tocsr() for p in range(n_modes)]
+        gamma1 = [(-1j * (a[p] - adag[p])).tocsr() for p in range(n_modes)]
+        # excitation[p][q] = a+_p a_q;  majorana_pair[p][q] = gamma_{p,0} gamma_{q,1}
+        self.excitation = [[adag[p] @ a[q] for q in range(n_modes)] for p in range(n_modes)]
+        self.majorana_pair = [[gamma0[p] @ gamma1[q] for q in range(n_modes)]
+                              for p in range(n_modes)]
+
+    @classmethod
+    def get(cls, n_modes: int) -> "_KronJordanWigner":
+        if n_modes not in cls._cache:
+            cls._cache[n_modes] = cls(n_modes)
+        return cls._cache[n_modes]
+
+
+class _CooAccumulator:
+    """Weighted sum of sparse matrices, materialized once at the end."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, coeff: complex, matrix):
+        coo = matrix.tocoo()
+        self.rows.append(coo.row)
+        self.cols.append(coo.col)
+        self.vals.append(coeff * coo.data)
+
+    def to_csr(self):
+        if not self.vals:
+            return sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        rows = np.concatenate(self.rows)
+        cols = np.concatenate(self.cols)
+        vals = np.concatenate(self.vals)
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+
+
+def build_from_integrals_kron(m: MolecularIntegrals) -> np.ndarray:
+    """Complex dense H from the integrals, one sparse product per
+    (ijkl, s, r) term through a+_p a+_t a_u a_q = E_pq E_tu - delta_qt E_pu."""
+    n = m.n_orbitals
+    n_modes = 2 * n
+    jw = _KronJordanWigner.get(n_modes)
+    dim = 1 << n_modes
+    acc = _CooAccumulator(dim)
+    for i in range(n):
+        for j in range(n):
+            hij = m.one_body[i, j]
+            if hij == 0.0:
+                continue
+            for s in (0, 1):
+                acc.add(hij, jw.excitation[i + s * n][j + s * n])
+    g = m.two_body
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    v = g[i, j, k, l]
+                    if v == 0.0:
+                        continue
+                    for s in (0, 1):
+                        for r in (0, 1):
+                            p, q = i + s * n, j + s * n
+                            t, u = k + r * n, l + r * n
+                            acc.add(0.5 * v, jw.excitation[p][q] @ jw.excitation[t][u])
+                            if q == t:
+                                acc.add(-0.5 * v, jw.excitation[p][u])
+    dense = acc.to_csr().toarray()
+    dense += m.core_energy * np.eye(dim)
+    return dense
+
+
+def _majorana_pair_kron(l_matrix: np.ndarray):
+    n = l_matrix.shape[0]
+    jw = _KronJordanWigner.get(2 * n)
+    acc = _CooAccumulator(1 << (2 * n))
+    for i in range(n):
+        for j in range(n):
+            lij = l_matrix[i, j]
+            if lij == 0.0:
+                continue
+            for s in (0, 1):
+                acc.add(0.5j * lij, jw.majorana_pair[i + s * n][j + s * n])
+    return acc.to_csr()
+
+
+def majorana_pair_matrix_kron(l_matrix: np.ndarray) -> np.ndarray:
+    """Complex dense G_L = (i/2) sum_{ij,s} L_ij gamma_{i,s,0} gamma_{j,s,1}."""
+    return _majorana_pair_kron(l_matrix).toarray()
+
+
+def build_from_df_kron(df: DoubleFactorization) -> np.ndarray:
+    """Complex dense (core + shift) I + G_{l_minus1} + 1/2 sum_r G_{L^(r)}^2."""
+    n = df.n_orbitals
+    total = _majorana_pair_kron(df.one_body.l_minus1).astype(complex)
+    for r in range(df.rank):
+        g_r = _majorana_pair_kron(df.factor_matrix(r))
+        total = total + 0.5 * (g_r @ g_r)
+    dense = total.toarray()
+    dense += (df.one_body.scalar_shift + df.one_body.core_energy) * np.eye(1 << (2 * n))
+    return dense
+
+
+def spectral_norm_full(matrix: np.ndarray) -> float:
+    """Largest |eigenvalue| of the whole Hermitian matrix (Lanczos above
+    dimension 1024)."""
+    if matrix.shape[0] <= 1024:
+        return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+    v0 = np.ones(matrix.shape[0])  # fixed start vector keeps runs deterministic
+    val = spla.eigsh(sp.csr_matrix(matrix), k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(abs(val[0]))
+
+
+def ground_energy_full(matrix: np.ndarray, n_electrons: int) -> float:
+    """Lowest eigenvalue of the whole n_electrons-particle block."""
+    n_modes = matrix.shape[0].bit_length() - 1
+    states = np.arange(matrix.shape[0])
+    counts = sum((states >> q) & 1 for q in range(n_modes))
+    sector = np.flatnonzero(counts == n_electrons)
+    return float(np.linalg.eigvalsh(matrix[np.ix_(sector, sector)])[0])

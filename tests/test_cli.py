@@ -117,6 +117,23 @@ class TestCost:
         assert main(["cost", "--n", "54", "--r", "567", "--m", "24000"]) == 3
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "argument --n: expected an integer >= 1"),
+        ("--r", "-2", "argument --r: expected an integer >= 1"),
+        ("--m", "1.5", "argument --m: expected an integer >= 1"),
+        ("--m-max", "0", "argument --m-max: expected an integer >= 1"),
+        ("--alpha", "inf", "argument --alpha: expected a finite number > 0"),
+        ("--alpha", "nan", "argument --alpha: expected a finite number > 0"),
+        ("--alpha", "0", "argument --alpha: expected a finite number > 0"),
+    ])
+    def test_bad_flag_exit_three_with_one_line(self, capsys, flag, value, message):
+        flags = {"--n": "4", "--r": "2", "--m": "4", "--alpha": "1", flag: value}
+        assert main(["cost", *(token for item in flags.items() for token in item)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_default_grid_has_16_rows(self):

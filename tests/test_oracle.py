@@ -133,6 +133,36 @@ class TestSpectralNorm:
         op = FockOperator(1, np.zeros((4, 4), dtype=complex))
         assert spectral_norm(op) == 0.0
 
+    def test_non_zero_imaginary_part_refused(self):
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[1, 2], matrix[2, 1] = 1j, -1j
+        with pytest.raises(ValueError, match="imaginary"):
+            FockOperator(1, matrix)
+        with pytest.raises(ValueError, match="imaginary"):
+            spectral_norm(matrix)
+        with pytest.raises(ValueError, match="imaginary"):
+            majorana_pair_matrix(np.array([[1j]]))
+
+    def test_off_sector_entry_refused(self):
+        # Basis state 0 is empty and state 3 holds one electron of each spin.
+        # The block norms of this matrix are all 0, its norm is 1.
+        matrix = np.zeros((4, 4))
+        matrix[0, 3] = matrix[3, 0] = 1.0
+        with pytest.raises(ValueError, match="sector"):
+            spectral_norm(matrix)
+        with pytest.raises(ValueError, match="sector"):
+            ground_energy(FockOperator(1, matrix), 0)
+
+    def test_pair_creating_majorana_operator_refused(self):
+        # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L.
+        g = majorana_pair_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="sector"):
+            spectral_norm(g)
+
+    def test_non_fock_dimension_refused(self):
+        with pytest.raises(ValueError, match="4\\^N"):
+            spectral_norm(np.eye(8))
+
     def test_squared_majorana_pair_bounded_by_schatten_square(self, rng):
         for _ in range(10):
             l_matrix = rng.normal(size=(3, 3))

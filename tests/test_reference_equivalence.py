@@ -1,16 +1,17 @@
 """The vectorised FCIDUMP parser, the column-wise pivoted Cholesky, the
-eigendecomposition step and the truncation kernel against the loop references
-kept in ``tests/reference.py``: equal results, the same numbers bit for bit,
-and the same errors on the same lines."""
+eigendecomposition step, the truncation kernel and the lambda scan against the
+loop references kept in ``tests/reference.py``: equal results, the same
+numbers bit for bit, and the same errors on the same lines."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdf.costmodel import ErrorBudget, estimate
 from qdf.factorization import (
     DoubleFactorization,
     NotPositiveSemidefiniteError,
@@ -32,6 +33,7 @@ from qdf.truncation import default_grid, threshold_sweep, truncate
 from tests.reference import (
     alpha_df_loop,
     eigenpair_groups_loop,
+    estimate_full_scan,
     parse_fcidump_lines,
     score_eigenpairs_loop,
     single_factorize_deflation,
@@ -482,3 +484,37 @@ def test_alpha_df_squares_rank_sums_like_the_loop():
         alpha = alpha_df_loop(df.one_body_eigs[0], [[(x, np.ones(1))]])
         assert alpha_df(df) == alpha
         assert threshold_sweep(df, "coherent", [0.0])[0][4] == alpha
+
+
+def _estimate_outcome(fn, **kwargs):
+    try:
+        return fn(**kwargs).to_dict()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _small_or_large(hi: int):
+    """Integers in [1, hi], often in [1, 8], where lam = 0 can be optimal."""
+    return st.one_of(st.integers(1, 8), st.integers(1, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=_small_or_large(64),
+    rank=_small_or_large(600),
+    m_total=_small_or_large(40000),
+    m_max=st.none() | _small_or_large(64),
+    alpha=st.floats(1e-3, 1e3),
+    delta_e=st.floats(1e-4, 1e-1),
+    lambda_max=st.sampled_from([0, 1, 2]) | st.integers(0, 64),
+    mode=st.sampled_from(["min_toffoli", "min_qubits", "fixed"]),
+    lam=st.integers(0, 64),
+)
+@example(n=1, rank=1, m_total=1, m_max=1, alpha=1e-3, delta_e=1e-3, lambda_max=64,
+         mode="min_qubits", lam=0)  # lam = 0 is Toffoli-optimal here
+def test_estimate_matches_full_scan(n, rank, m_total, m_max, alpha, delta_e, lambda_max,
+                                    mode, lam):
+    kwargs = dict(n=n, rank=rank, m_total=m_total, m_max=m_max, alpha=alpha,
+                  budget=ErrorBudget(delta_e=delta_e), mode=mode, lam=lam,
+                  lambda_max=lambda_max)
+    assert _estimate_outcome(estimate, **kwargs) == _estimate_outcome(estimate_full_scan, **kwargs)
