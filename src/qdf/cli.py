@@ -122,7 +122,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_pipeline(args):
-    """parse -> adjust -> factorize -> (optional cache) for fcidump commands."""
+    """parse -> adjust -> factorize -> (optional cache) for fcidump commands.
+
+    A cache is reused only when its one-body data equal those of the parsed
+    file; any other cache is a miss, and the factorization is recomputed and
+    written over it."""
     if not args.fcidump:
         raise CliError("--fcidump is required", EXIT_CONFIG)
     if not os.path.exists(args.fcidump):
@@ -131,18 +135,17 @@ def _load_pipeline(args):
         mol = integrals.load_fcidump(args.fcidump)
     except integrals.FcidumpError as exc:
         raise CliError(f"{args.fcidump}: {exc}", EXIT_PARSE) from None
+    adj = integrals.adjusted_one_body(mol)
 
     cache_path = getattr(args, "cache", None)
     if cache_path and os.path.exists(cache_path):
         df = factorization.load_cache(cache_path)
-        if df.n_orbitals != mol.n_orbitals:
-            raise CliError(
-                f"cache {cache_path} is for N={df.n_orbitals}, file has N={mol.n_orbitals}",
-                EXIT_CONFIG,
-            )
-        return mol, df
+        ob = df.one_body
+        if (np.array_equal(ob.h_tilde, adj.h_tilde) and np.array_equal(ob.l_minus1, adj.l_minus1)
+                and (ob.scalar_shift, ob.core_energy) == (adj.scalar_shift, adj.core_energy)):
+            return mol, df
+        sys.stderr.write(f"cache {cache_path} was built from other integrals; rebuilding it\n")
     try:
-        adj = integrals.adjusted_one_body(mol)
         sf = factorization.single_factorize(mol, tol=1e-10)
         df = factorization.double_factorize(sf, adj)
     except (factorization.NotPositiveSemidefiniteError, ArithmeticError) as exc:
@@ -152,38 +155,34 @@ def _load_pipeline(args):
     return mol, df
 
 
-def _estimate_for_df(df, args):
-    budget = costmodel.ErrorBudget(delta_e=args.delta_e)
-    mode = _mode_name(args.mode)
-    return costmodel.estimate(
-        df, budget=budget, mode=mode, lam=getattr(args, "lam", None)
-    )
-
-
-def cmd_estimate(args) -> int:
-    mol, df = _load_pipeline(args)
-    reduced, plan = truncation.truncate(df, args.scheme, args.epsilon)
-    report = _estimate_for_df(reduced, args)
-    step = os.path.splitext(os.path.basename(args.fcidump))[0]
+def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float, extra: dict):
+    """One cost report as JSON (with the ``extra`` keys), a one-row CSV or a table."""
     if args.format == "json":
-        payload = report.to_dict()
-        payload["step"] = step
-        payload["truncation"] = {
-            "scheme": plan.scheme.value,
-            "epsilon": plan.epsilon,
-            "removed": len(plan.removed),
-            "coherent_score": plan.coherent_score,
-            "incoherent_score": plan.incoherent_score,
-        }
-        _emit(_json_dumps(payload), args.out)
+        _emit(_json_dumps({**report.to_dict(), **extra}), args.out)
     elif args.format == "csv":
         row = [
-            step, args.epsilon, report.n_orbitals, report.rank_R, report.eigvec_M,
+            step, epsilon, report.n_orbitals, report.rank_R, report.eigvec_M,
             report.alpha_df, report.logical_qubits, report.total_toffoli,
         ]
         _emit(_csv([row], ESTIMATE_CSV_COLUMNS), args.out)
     else:
         _emit(_report_table(report), args.out)
+
+
+def cmd_estimate(args) -> int:
+    _, df = _load_pipeline(args)
+    reduced, plan = truncation.truncate(df, args.scheme, args.epsilon)
+    budget = costmodel.ErrorBudget(delta_e=args.delta_e)
+    report = costmodel.estimate(reduced, budget=budget, mode=_mode_name(args.mode), lam=args.lam)
+    step = os.path.splitext(os.path.basename(args.fcidump))[0]
+    truncated = {
+        "scheme": plan.scheme.value,
+        "epsilon": plan.epsilon,
+        "removed": len(plan.removed),
+        "coherent_score": plan.coherent_score,
+        "incoherent_score": plan.incoherent_score,
+    }
+    _write_report(report, args, step, args.epsilon, {"step": step, "truncation": truncated})
     return 0
 
 
@@ -202,16 +201,7 @@ def cmd_cost(args) -> int:
         mode=_mode_name(args.mode),
         lam=args.lam,
     )
-    if args.format == "json":
-        _emit(_json_dumps(report.to_dict()), args.out)
-    elif args.format == "csv":
-        row = [
-            "direct", 0.0, report.n_orbitals, report.rank_R, report.eigvec_M,
-            report.alpha_df, report.logical_qubits, report.total_toffoli,
-        ]
-        _emit(_csv([row], ESTIMATE_CSV_COLUMNS), args.out)
-    else:
-        _emit(_report_table(report), args.out)
+    _write_report(report, args, "direct", 0.0, {})
     return 0
 
 

@@ -59,10 +59,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _iceil(x: float, guard: float = 1e-9) -> int:
+def _iceil(x: float) -> int:
     """Ceiling with a tiny guard so that binary-float noise at exact decimal
     boundaries does not bump a count by one."""
-    return math.ceil(x - guard)
+    return math.ceil(x - 1e-9)
 
 
 def _clog2(x: int) -> int:
@@ -70,30 +70,20 @@ def _clog2(x: int) -> int:
     return (int(x) - 1).bit_length() if x > 1 else 0
 
 
-def _scan_window(target: float, lo: int, hi: int) -> range:
-    """Integer window around a continuous minimizer, inclusive of bounds.
+def _tradeoff_min(num: int, step: int, lo: int, hi: int) -> int:
+    """min over integers x in [lo, hi] (lo <= hi) of ceil(num/(1+x)) + step*x,
+    the ancilla tradeoff of every data lookup.
 
-    Ceilinged cost curves sit within 1 of their convex envelopes, so the
-    integer argmin lies within ~sqrt(target) of the continuous one; the
-    window is padded accordingly.  A minimizer outside [lo, hi] clamps to the
-    nearer bound (the constrained optimum of a convex curve sits there).
+    The ceilinged curve sits within 1 of its convex envelope
+    num/(1+x) + step*x, so the integer argmin lies within ~sqrt(center) of the
+    continuous one, sqrt(num/step) - 1; the window is padded accordingly.  A
+    minimizer outside [lo, hi] clamps to the nearer bound (the constrained
+    optimum of a convex curve sits there), and both bounds are always scanned.
     """
-    if hi < lo:
-        return range(0)
-    center = min(max(int(target), lo), hi)
-    pad = int(math.isqrt(max(center, 0) + 1)) + 4
-    a = max(lo, center - pad)
-    b = min(hi, center + pad)
-    return range(a, b + 1)
-
-
-def _min_over(candidates, cost) -> int:
-    best = None
-    for lam in candidates:
-        c = cost(lam)
-        if best is None or c < best:
-            best = c
-    return best
+    center = min(max(int(math.sqrt(num / step) - 1), lo), hi)
+    pad = math.isqrt(center + 1) + 4
+    xs = {lo, hi, *range(max(lo, center - pad), min(hi, center + pad) + 1)}
+    return min(_ceil_div(num, 1 + x) + step * x for x in xs)
 
 
 def lookup_clean(d: int, b: int, lam: int) -> int:
@@ -105,21 +95,13 @@ def lookup_clean(d: int, b: int, lam: int) -> int:
         raise ValueError("b must be >= 1")
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    target = math.sqrt(d / b) - 1
-    window = set(_scan_window(target, 0, lam)) | {0, lam}
-    return _min_over(window, lambda lp: _ceil_div(d, 1 + lp) + lp * b)
+    return _tradeoff_min(d, b, 0, lam)
 
 
 def lookup_clean_uncompute(d: int, lam: int) -> int:
     """Toffolis for measurement-based uncomputation of a clean lookup:
     min over lam' in [0, lam] of ceil(d/(1+lam')) + lam'."""
-    if d <= 1:
-        return 0
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    target = math.sqrt(d) - 1
-    window = set(_scan_window(target, 0, lam)) | {0, lam}
-    return _min_over(window, lambda lp: _ceil_div(d, 1 + lp) + lp)
+    return lookup_clean(d, 1, lam)
 
 
 def lookup_dirty(d: int, b: int, dirty_budget: int) -> int:
@@ -132,30 +114,16 @@ def lookup_dirty(d: int, b: int, dirty_budget: int) -> int:
     if b < 1 or dirty_budget < 0:
         raise ValueError("b must be >= 1 and dirty_budget >= 0")
     hi = dirty_budget // b
-    if hi < 1:
-        return d
-    target = math.sqrt(d / (2 * b)) - 1
-    window = set(_scan_window(target, 1, hi)) | {1, hi}
-    best = _min_over(window, lambda lp: _ceil_div(2 * d, 1 + lp) + 4 * lp * b)
-    return min(d, best)
+    return d if hi < 1 else min(d, _tradeoff_min(2 * d, 4 * b, 1, hi))
 
 
 def lookup_dirty_uncompute(d: int, dirty_budget: int) -> int:
     """Uncompute analog of :func:`lookup_dirty`:
     min(d, min over lam' in [1, dirty_budget] of ceil(2d/(1+lam')) + 4*lam')."""
-    if d <= 1:
-        return 0
-    if dirty_budget < 1:
-        return d
-    target = math.sqrt(d / 2) - 1
-    window = set(_scan_window(target, 1, dirty_budget)) | {1, dirty_budget}
-    best = _min_over(window, lambda lp: _ceil_div(2 * d, 1 + lp) + 4 * lp)
-    return min(d, best)
+    return lookup_dirty(d, 1, dirty_budget)
 
 
-def sparse_multiplexed_lookup(
-    q: int, j: int, b: int, lam: int, lam_uncompute: int | None = None
-) -> tuple[int, int, int]:
+def sparse_multiplexed_lookup(q: int, j: int, b: int, lam: int) -> tuple[int, int, int]:
     """Doubly-indexed lookup over ``q`` total entries grouped under ``j``
     outer indices, each entry ``b`` bits.
 
@@ -163,16 +131,13 @@ def sparse_multiplexed_lookup(
     from the ``1 + b*(1+lam)`` output registers; the flattened index is
     formed by two ceil(log2 q)-bit adders; the main table uses the clean
     lookup with budget ``lam``.  Uncomputation replaces the main lookup by
-    its measurement-based variant with budget ``lam_uncompute`` (the
-    1-bit-per-copy reinterpretation of the same ``lam * b`` register block,
-    by default).
+    its measurement-based variant with budget ``lam * b`` (the
+    1-bit-per-copy reinterpretation of the same register block).
 
     Returns (compute Toffolis, uncompute Toffolis, clean qubits).
     """
     if not (q >= j >= 1):
         raise ValueError("need q >= j >= 1")
-    if lam_uncompute is None:
-        lam_uncompute = lam * b
     n_dirty = 1 + b * (1 + lam)
     bits_q = _clog2(q)
     shift = 0
@@ -180,7 +145,7 @@ def sparse_multiplexed_lookup(
         shift = lookup_dirty(j, bits_q, n_dirty) + lookup_dirty_uncompute(j, n_dirty)
     adders = 2 * bits_q
     compute = shift + lookup_clean(q, b, lam) + adders
-    uncompute = shift + lookup_clean_uncompute(q, lam_uncompute) + adders
+    uncompute = shift + lookup_clean_uncompute(q, lam * b) + adders
     clean_qubits = max(bits_q, _clog2(j)) + lam * b
     return compute, uncompute, clean_qubits
 
@@ -238,23 +203,13 @@ def rotation_array_cost(m_rot: int, k: int, b: int, kappa: int, lam: int) -> int
         raise ValueError("kappa must be >= b")
     if m_rot < 1 or k < 1 or lam < 0:
         raise ValueError("need m_rot >= 1, k >= 1, lam >= 0")
-    slices = _iceil(m_rot * b / kappa + 1)
-
-    def cost(lp: int) -> int:
-        return slices * (_ceil_div(k, 1 + lp // kappa) + lp)
-
     # Within a block of kappa helpers the cost grows linearly in lam', so the
-    # only candidates are block starts j*kappa (optimum near sqrt(k/kappa)
-    # blocks) plus lam' = 0.
-    candidates = {0, (lam // kappa) * kappa}
-    j_target = math.sqrt(k / kappa) - 1
-    for jj in _scan_window(j_target, 0, lam // kappa):
-        candidates.add(jj * kappa)
-    candidates = {c for c in candidates if 0 <= c <= lam}
-    return _min_over(sorted(candidates), cost)
+    # minimum sits at a block start lam' = j*kappa, where it costs
+    # ceil(k/(1+j)) + j*kappa per slice.
+    return _iceil(m_rot * b / kappa + 1) * _tradeoff_min(k, kappa, 0, lam // kappa)
 
 
-def majorana_angles(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def majorana_angles(u: np.ndarray) -> np.ndarray:
     """Rotation-chain angles theta_0..theta_{N-2} realizing the unit vector
     ``u``:
 
@@ -267,7 +222,7 @@ def majorana_angles(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a 1-D vector")
     norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"u must be unit-norm, got ||u|| = {norm!r}")
     n = u.size
     if n == 1:
@@ -416,7 +371,7 @@ def walk_operator_cost(
 
     nb1 = n * beta1
     comp_1e = lookup_clean(n, nb1, lam)
-    uncomp_1e = lookup_clean_uncompute(n, lam * nb1 if lam else 0)
+    uncomp_1e = lookup_clean_uncompute(n, lam * nb1)
     rotations_1e = 4 * nb1
     swaps_1e = 2 * n
     prep_1e, _, _ = state_prep_cost(n, mu1, dirty_pool, width=_clog2(n) + mu1 + 1)

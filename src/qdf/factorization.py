@@ -128,11 +128,7 @@ def eri_supermatrix(m: MolecularIntegrals) -> np.ndarray:
     return m.two_body.reshape(n * n, n * n).copy()
 
 
-def single_factorize(
-    m: MolecularIntegrals,
-    tol: float = 1e-10,
-    psd_tol: float = PSD_TOLERANCE,
-) -> SingleFactorization:
+def single_factorize(m: MolecularIntegrals, tol: float = 1e-10) -> SingleFactorization:
     """Greedy pivoted-Cholesky factorization of the ERI supermatrix.
 
     Repeatedly selects the largest remaining diagonal of W, forms the
@@ -148,7 +144,7 @@ def single_factorize(
     Raises
     ------
     NotPositiveSemidefiniteError
-        A residual diagonal drops below ``-psd_tol``.
+        A residual diagonal drops below ``-PSD_TOLERANCE``.
     ValueError
         ``tol <= 0``.
     """
@@ -161,11 +157,11 @@ def single_factorize(
     factors: list[np.ndarray] = []
 
     for _ in range(n * n):
-        if diag.min() < -psd_tol:
+        if diag.min() < -PSD_TOLERANCE:
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
                 f"residual diagonal {diag.min():.3e} at pair index {q} "
-                f"is below -{psd_tol:.1e}; ERI supermatrix is not PSD"
+                f"is below -{PSD_TOLERANCE:.1e}; ERI supermatrix is not PSD"
             )
         q = int(np.argmax(diag))
         pivot = diag[q]

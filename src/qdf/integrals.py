@@ -39,8 +39,10 @@ __all__ = [
 #: much before the file is rejected as self-contradictory.
 DUPLICATE_TOLERANCE = 1e-10
 
-#: Absolute tolerance for the symmetry validator.
+#: Absolute tolerance of the symmetry validator, and the most violations it
+#: reports for each check.
 SYMMETRY_TOLERANCE = 1e-10
+MAX_SYMMETRY_REPORT = 100
 
 
 class FcidumpError(ValueError):
@@ -505,6 +507,9 @@ def parse_fcidump(text) -> MolecularIntegrals:
         )
     if state.error is not None:
         raise FcidumpError(state.error[1], line=state.error[0])
+    # The text is needed only for error messages; freeing it before the
+    # tensor is filled keeps it out of the process's peak memory.
+    del state, data
 
     duplicates = int(repeat.sum())
     if duplicates:
@@ -542,7 +547,7 @@ def load_fcidump(path) -> MolecularIntegrals:
         return parse_fcidump(fh)
 
 
-def write_fcidump(m: MolecularIntegrals, n_electrons: int | None = None) -> str:
+def write_fcidump(m: MolecularIntegrals) -> str:
     """Serialize to FCIDUMP text.
 
     Values are written with 17 significant digits so that
@@ -550,9 +555,8 @@ def write_fcidump(m: MolecularIntegrals, n_electrons: int | None = None) -> str:
     8-fold orbit is emitted.
     """
     n = m.n_orbitals
-    nelec = m.n_electrons if n_electrons is None else n_electrons
     out = [
-        f"&FCI NORB={n},NELEC={nelec},MS2=0,",
+        f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,",
         " ORBSYM=" + ",".join(["1"] * n) + ",",
         " ISYM=1,",
         "&END",
@@ -578,28 +582,27 @@ def write_fcidump(m: MolecularIntegrals, n_electrons: int | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate_symmetry(m: MolecularIntegrals, atol: float = SYMMETRY_TOLERANCE,
-                      max_report: int = 100) -> list[SymmetryViolation]:
+def validate_symmetry(m: MolecularIntegrals) -> list[SymmetryViolation]:
     """Check the one-body and 8-fold two-body symmetries.
 
-    Returns an empty list iff every symmetry holds within ``atol`` (absolute)
-    and all entries are finite.  Report-only: never raises.
+    Returns an empty list iff every symmetry holds within SYMMETRY_TOLERANCE
+    (absolute) and all entries are finite.  Report-only: never raises.
     """
     violations: list[SymmetryViolation] = []
     h1, g = m.one_body, m.two_body
 
     if not np.isfinite(h1).all():
-        for idx in np.argwhere(~np.isfinite(h1))[:max_report]:
+        for idx in np.argwhere(~np.isfinite(h1))[:MAX_SYMMETRY_REPORT]:
             violations.append(SymmetryViolation("one_body finite", tuple(int(x) for x in idx), np.inf))
     if not np.isfinite(g).all():
-        for idx in np.argwhere(~np.isfinite(g))[:max_report]:
+        for idx in np.argwhere(~np.isfinite(g))[:MAX_SYMMETRY_REPORT]:
             violations.append(SymmetryViolation("two_body finite", tuple(int(x) for x in idx), np.inf))
     if violations:
         return violations
 
     delta1 = h1 - h1.T
-    bad = np.argwhere(np.abs(delta1) > atol)
-    for i, j in bad[:max_report]:
+    bad = np.argwhere(np.abs(delta1) > SYMMETRY_TOLERANCE)
+    for i, j in bad[:MAX_SYMMETRY_REPORT]:
         if i < j:
             violations.append(
                 SymmetryViolation("h_ij = h_ji", (int(i), int(j)), float(abs(delta1[i, j])))
@@ -613,7 +616,7 @@ def validate_symmetry(m: MolecularIntegrals, atol: float = SYMMETRY_TOLERANCE,
     ]
     for name, perm in generators:
         delta = g - g.transpose(perm)
-        bad = np.argwhere(np.abs(delta) > atol)
+        bad = np.argwhere(np.abs(delta) > SYMMETRY_TOLERANCE)
         seen: set[tuple] = set()
         for idx in bad:
             t = tuple(int(x) for x in idx)
@@ -622,7 +625,7 @@ def validate_symmetry(m: MolecularIntegrals, atol: float = SYMMETRY_TOLERANCE,
                 continue
             seen.add(rep)
             violations.append(SymmetryViolation(name, t, float(abs(delta[t]))))
-            if len(seen) >= max_report:
+            if len(seen) >= MAX_SYMMETRY_REPORT:
                 break
 
     return violations

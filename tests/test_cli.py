@@ -85,6 +85,28 @@ class TestEstimate:
         assert code2 == 0
         assert text1 == text2
 
+    @pytest.mark.parametrize("foreign", ["scaled_h4", "h2"])
+    def test_foreign_cache_is_rebuilt(self, tmp_path, capsys, foreign):
+        from qdf.integrals import MolecularIntegrals, load_fcidump, write_fcidump
+
+        path = H2
+        if foreign == "scaled_h4":
+            m = load_fcidump(H4)
+            path = str(tmp_path / "other.fcidump")
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(write_fcidump(MolecularIntegrals(
+                    m.n_orbitals, m.n_electrons, m.core_energy, 1.1 * m.one_body, 0.9 * m.two_body,
+                )))
+        cache, fresh = tmp_path / "h4.qdfcache", tmp_path / "fresh.qdfcache"
+        assert run_cli(["estimate", "--fcidump", H4, "--cache", str(cache)])[0] == 0
+        code, text = run_cli(["estimate", "--fcidump", path, "--cache", str(cache), "--format", "json"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rebuilding" in err
+        _, expected = run_cli(["estimate", "--fcidump", path, "--cache", str(fresh), "--format", "json"])
+        assert text == expected
+        assert cache.read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize("content, message", [
         (b"&FCI NORB=0,NELEC=2,\n&END\n0.5 0 0 0 0\n", "line 1: NORB must be positive, got 0"),
         (b"&FCI NORB=1,NELEC=-2,\n&END\n0.5 1 1 1 1\n", "line 1: NELEC must be non-negative"),

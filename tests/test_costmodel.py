@@ -30,16 +30,18 @@ from qdf.costmodel import (
 # ---------------------------------------------------------------------------
 
 
+def _exhaustive_min(num, step, lo, hi):
+    """min of ceil(num/(1+x)) + step*x over every integer x in [lo, hi]."""
+    x = np.arange(lo, hi + 1, dtype=np.int64)
+    return int((-(-num // (1 + x)) + step * x).min())
+
+
 def bf_clean(d, b, lam):
-    if d <= 1:
-        return 0
-    return min(-(-d // (1 + lp)) + lp * b for lp in range(lam + 1))
+    return 0 if d <= 1 else _exhaustive_min(d, b, 0, lam)
 
 
 def bf_clean_unc(d, lam):
-    if d <= 1:
-        return 0
-    return min(-(-d // (1 + lp)) + lp for lp in range(lam + 1))
+    return 0 if d <= 1 else _exhaustive_min(d, 1, 0, lam)
 
 
 def bf_dirty(d, b, budget):
@@ -48,7 +50,7 @@ def bf_dirty(d, b, budget):
     hi = budget // b
     if hi < 1:
         return d
-    return min(d, min(-(-2 * d // (1 + lp)) + 4 * lp * b for lp in range(1, hi + 1)))
+    return min(d, _exhaustive_min(2 * d, 4 * b, 1, hi))
 
 
 def bf_dirty_unc(d, budget):
@@ -56,7 +58,7 @@ def bf_dirty_unc(d, budget):
         return 0
     if budget < 1:
         return d
-    return min(d, min(-(-2 * d // (1 + lp)) + 4 * lp for lp in range(1, budget + 1)))
+    return min(d, _exhaustive_min(2 * d, 4, 1, budget))
 
 
 class TestLookupClean:
@@ -111,6 +113,13 @@ class TestLookupDirty:
         assert lookup_dirty_uncompute(1024, 0) == 1024
         assert lookup_dirty_uncompute(1, 100) == 0
         assert lookup_dirty_uncompute(1024, 10**6) <= 4 * math.sqrt(2 * 1024) + 4
+
+    def test_negative_budget_rejected(self):
+        for budget in (-1, -10**6):
+            with pytest.raises(ValueError):
+                lookup_dirty(1024, 10, budget)
+            with pytest.raises(ValueError):
+                lookup_dirty_uncompute(1024, budget)
 
 
 class TestSparseMultiplexedLookup:
@@ -200,6 +209,19 @@ class TestRotationArray:
             slices * (-(-k // (1 + lp // kappa)) + lp) for lp in range(4096)
         )
         assert direct == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64), st.integers(1, 10**8), st.integers(1, 5000),
+        st.integers(0, 5000), st.integers(0, 10**5),
+    )
+    def test_matches_brute_force_over_every_helper_count(self, m_rot, k, b, spare, lam):
+        # every lam' in [0, lam], not only the block starts j*kappa
+        kappa = b + spare
+        slices = -(-(m_rot * b + kappa) // kappa)
+        lp = np.arange(lam + 1, dtype=np.int64)
+        brute = slices * int((-(-k // (1 + lp // kappa)) + lp).min())
+        assert rotation_array_cost(m_rot, k, b, kappa, lam) == brute
 
     def test_minimum_near_sqrt_k_kappa(self):
         k, kappa = 4096, 64
@@ -455,3 +477,15 @@ def test_exhaustive_grid_equivalence():
         budget = b * lam
         assert lookup_dirty(d, b, budget) == bf_dirty(d, b, budget), (d, b, budget)
         assert lookup_dirty_uncompute(d, budget) == bf_dirty_unc(d, budget), (d, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10**8), st.integers(1, 5000), st.integers(0, 10**5), st.integers(0, 10**6)
+)
+def test_brute_force_equivalence_at_paper_scale(d, b, lam, budget):
+    # the ranges walk_operator_cost reaches at paper scale, far past the grid's lam <= 63
+    assert lookup_clean(d, b, lam) == bf_clean(d, b, lam), (d, b, lam)
+    assert lookup_clean_uncompute(d, lam) == bf_clean_unc(d, lam), (d, lam)
+    assert lookup_dirty(d, b, budget) == bf_dirty(d, b, budget), (d, b, budget)
+    assert lookup_dirty_uncompute(d, budget) == bf_dirty_unc(d, budget), (d, budget)
