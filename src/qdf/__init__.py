@@ -21,6 +21,7 @@ from qdf.integrals import (
     write_fcidump,
 )
 from qdf.factorization import (
+    CacheHeader,
     DoubleFactorization,
     NotPositiveSemidefiniteError,
     SingleFactorization,
@@ -30,6 +31,7 @@ from qdf.factorization import (
     entrywise_norm,
     eri_supermatrix,
     load_cache,
+    read_cache,
     reconstruct_two_body,
     save_cache,
     schatten_norm,
@@ -64,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjustedOneBody",
+    "CacheHeader",
     "CostReport",
     "DoubleFactorization",
     "ErrorBudget",
@@ -92,6 +95,7 @@ __all__ = [
     "one_body_norm_check",
     "parse_fcidump",
     "pe_repetitions",
+    "read_cache",
     "reconstruct_two_body",
     "save_cache",
     "schatten_norm",

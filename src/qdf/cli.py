@@ -8,10 +8,12 @@ Exit codes: 1 parse error, 2 numeric/validation error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -121,38 +123,101 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
-def _load_pipeline(args):
-    """parse -> adjust -> factorize -> (optional cache) for fcidump commands.
-
-    A cache is reused only when its one-body data equal those of the parsed
-    file; any other cache is a miss, and the factorization is recomputed and
-    written over it."""
+def _fcidump_path(args) -> str:
     if not args.fcidump:
         raise CliError("--fcidump is required", EXIT_CONFIG)
     if not os.path.exists(args.fcidump):
         raise CliError(f"no such file: {args.fcidump}", EXIT_PARSE)
-    try:
-        mol = integrals.load_fcidump(args.fcidump)
-    except integrals.FcidumpError as exc:
-        raise CliError(f"{args.fcidump}: {exc}", EXIT_PARSE) from None
-    adj = integrals.adjusted_one_body(mol)
+    return args.fcidump
 
-    cache_path = getattr(args, "cache", None)
-    if cache_path and os.path.exists(cache_path):
-        df = factorization.load_cache(cache_path)
-        ob = df.one_body
-        if (np.array_equal(ob.h_tilde, adj.h_tilde) and np.array_equal(ob.l_minus1, adj.l_minus1)
-                and (ob.scalar_shift, ob.core_energy) == (adj.scalar_shift, adj.core_energy)):
-            return mol, df
-        sys.stderr.write(f"cache {cache_path} was built from other integrals; rebuilding it\n")
+
+def _warn(texts) -> None:
+    for text in texts:
+        warnings.warn(text)
+
+
+def _parse(path: str) -> tuple[integrals.MolecularIntegrals, list[str]]:
+    """The parsed FCIDUMP and the texts of the parser's warnings, which are
+    shown (also when the parse fails) as a cache hit shows them again."""
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            mol = integrals.load_fcidump(path)
+        except integrals.FcidumpError as exc:
+            failure = CliError(f"{path}: {exc}", EXIT_PARSE)
+        except OSError as exc:
+            failure = CliError(f"cannot read {path}: {exc.strerror}", EXIT_PARSE)
+    texts = [str(w.message) for w in caught]
+    _warn(texts)
+    if failure is not None:
+        raise failure
+    return mol, texts
+
+
+def _file_sha256(path: str) -> bytes:
+    """SHA-256 of the file, read in 1 MiB blocks so that its bytes are never
+    all held at once."""
+    digest = hashlib.sha256()
     try:
-        sf = factorization.single_factorize(mol, tol=1e-10)
-        df = factorization.double_factorize(sf, adj)
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_PARSE) from None
+    return digest.digest()
+
+
+def _cache_hit(path: str, fcidump_sha256: bytes):
+    """The header and factorization of the cache at ``path`` when it is a hit:
+    a v2 cache whose every header field matches the FCIDUMP's digest and the
+    factorization settings.  Anything else is a miss, reported in one stderr
+    line, except a missing file, which is a silent miss."""
+    try:
+        header, df = factorization.read_cache(path)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        reason = f"is unreadable ({exc})"
+    else:
+        if header is None:
+            reason = "is a v1 cache, which is not bound to its input"
+        elif header.fcidump_sha256 != fcidump_sha256:
+            reason = "was built from other integrals"
+        elif (header.tol, header.eigenvalue_cutoff) != (
+                factorization.CHOLESKY_TOL, factorization.EIGENVALUE_CUTOFF):
+            reason = "was built with other factorization settings"
+        else:
+            return header, df
+    sys.stderr.write(f"cache {path} {reason}; rebuilding it\n")
+    return None
+
+
+def _factorization(args, parsed=None) -> factorization.DoubleFactorization:
+    """The double factorization of --fcidump.  With --cache, a hit is loaded
+    without parsing the FCIDUMP (its stored parser warnings are shown again);
+    on a miss the factorization is computed and written over the cache.
+    ``parsed`` is the caller's ``_parse`` result, if it has one."""
+    path = _fcidump_path(args)
+    digest = _file_sha256(path) if args.cache else None
+    hit = _cache_hit(args.cache, digest) if args.cache else None
+    if hit is not None:
+        header, df = hit
+        if parsed is None:
+            _warn(header.warnings)
+        return df
+    mol, texts = parsed or _parse(path)
+    try:
+        sf = factorization.single_factorize(mol, tol=factorization.CHOLESKY_TOL)
+        df = factorization.double_factorize(sf, integrals.adjusted_one_body(mol))
     except (factorization.NotPositiveSemidefiniteError, ArithmeticError) as exc:
         raise CliError(str(exc), EXIT_NUMERIC) from None
-    if cache_path:
-        factorization.save_cache(df, cache_path)
-    return mol, df
+    if args.cache:
+        try:
+            factorization.save_cache(df, args.cache, digest, factorization.CHOLESKY_TOL, texts)
+        except OSError as exc:
+            raise CliError(f"cannot write cache {args.cache}: {exc.strerror}", EXIT_CONFIG) from None
+    return df
 
 
 def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float, extra: dict):
@@ -170,7 +235,7 @@ def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float,
 
 
 def cmd_estimate(args) -> int:
-    _, df = _load_pipeline(args)
+    df = _factorization(args)
     reduced, plan = truncation.truncate(df, args.scheme, args.epsilon)
     budget = costmodel.ErrorBudget(delta_e=args.delta_e)
     report = costmodel.estimate(reduced, budget=budget, mode=_mode_name(args.mode), lam=args.lam)
@@ -219,7 +284,7 @@ def _sweep_rows(df, args):
 
 
 def cmd_sweep(args) -> int:
-    _, df = _load_pipeline(args)
+    df = _factorization(args)
     rows = _sweep_rows(df, args)
     if args.format == "json":
         payload = {"schema": "qdf-sweep/1", "scheme": str(args.scheme), "rows": rows}
@@ -231,13 +296,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    mol, df = _load_pipeline(args)
+    mol, warned = _parse(_fcidump_path(args))
     if mol.n_orbitals > oracle.DENSE_ORBITAL_CAP:
         raise CliError(
             f"validate needs N <= {oracle.DENSE_ORBITAL_CAP} (dense oracle cap), "
             f"got N={mol.n_orbitals}",
             EXIT_CONFIG,
         )
+    df = _factorization(args, (mol, warned))
 
     checks = []
 

@@ -17,6 +17,8 @@ import numpy as np
 from qdf.integrals import AdjustedOneBody, MolecularIntegrals
 
 __all__ = [
+    "CHOLESKY_TOL",
+    "CacheHeader",
     "DoubleFactorization",
     "NotPositiveSemidefiniteError",
     "SingleFactorization",
@@ -26,6 +28,7 @@ __all__ = [
     "entrywise_norm",
     "eri_supermatrix",
     "load_cache",
+    "read_cache",
     "reconstruct_two_body",
     "save_cache",
     "schatten_norm",
@@ -36,6 +39,9 @@ __all__ = [
 #: not positive semidefinite (finite-precision integral files sit slightly
 #: below zero).
 PSD_TOLERANCE = 1e-8
+
+#: Pivoted Cholesky stops once the largest residual diagonal is at most this.
+CHOLESKY_TOL = 1e-10
 
 #: Eigenvalues with |lambda| <= EIGENVALUE_CUTOFF * max|lambda| are numerical
 #: zeros and dropped at factorization time; physical truncation is a separate
@@ -128,7 +134,7 @@ def eri_supermatrix(m: MolecularIntegrals) -> np.ndarray:
     return m.two_body.reshape(n * n, n * n).copy()
 
 
-def single_factorize(m: MolecularIntegrals, tol: float = 1e-10) -> SingleFactorization:
+def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> SingleFactorization:
     """Greedy pivoted-Cholesky factorization of the ERI supermatrix.
 
     Repeatedly selects the largest remaining diagonal of W, forms the
@@ -284,26 +290,66 @@ def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Binary cache
 #
-# Layout (all little-endian):
-#   magic  4s   = b"QDF1"
-#   version u32 = 1
-#   n_orbitals u32, rank u32, n_one_body_eigs u32
-#   scalar_shift f64, core_energy f64
-#   h_tilde   n*n f64
-#   l_minus1  n*n f64
-#   one-body eigenvalues  K f64
-#   one-body eigenvectors K*n f64 (row per eigenpair)
-#   per rank group:
-#     rank_index u32, m u32, schatten_norm f64,
-#     eigenvalues m f64, eigenvectors m*n f64 (row per eigenpair)
+# A v2 file is a header that binds the cache to its input, then the v1 byte
+# stream unchanged.  All little-endian:
+#   magic  4s   = b"QDF2"
+#   version u32 = 2
+#   fcidump_sha256 32s    SHA-256 of the FCIDUMP bytes the cache was built from
+#   tol f64, eigenvalue_cutoff f64    the factorization settings
+#   payload_length u64    bytes of the v1 stream
+#   warnings_length u32, warnings     the parser's warning texts, ASCII, one a line
+#   the v1 stream:
+#     magic  4s   = b"QDF1"
+#     version u32 = 1
+#     n_orbitals u32, rank u32, n_one_body_eigs u32
+#     scalar_shift f64, core_energy f64
+#     h_tilde   n*n f64
+#     l_minus1  n*n f64
+#     one-body eigenvalues  K f64
+#     one-body eigenvectors K*n f64 (row per eigenpair)
+#     per rank group:
+#       rank_index u32, m u32, schatten_norm f64,
+#       eigenvalues m f64, eigenvectors m*n f64 (row per eigenpair)
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"QDF1"
 _VERSION = 1
+_MAGIC_V2 = b"QDF2"
+_VERSION_V2 = 2
+_HEADER_V2 = struct.Struct("<4sI32sddQI")
 
 
-def save_cache(df: DoubleFactorization, path) -> None:
-    """Write a DoubleFactorization to the versioned binary cache format."""
+@dataclass(frozen=True)
+class CacheHeader:
+    """What a v2 cache is bound to (the SHA-256 of the FCIDUMP bytes it was
+    built from, the Cholesky ``tol`` and ``EIGENVALUE_CUTOFF``), and the texts
+    of the warnings the parser gave on that FCIDUMP."""
+
+    fcidump_sha256: bytes
+    tol: float
+    eigenvalue_cutoff: float
+    warnings: tuple[str, ...]
+
+
+def save_cache(df: DoubleFactorization, path, fcidump_sha256: bytes, tol: float,
+               warnings=()) -> None:
+    """Write a v2 cache: ``df`` bound to the SHA-256 digest of the FCIDUMP
+    bytes it was factorized from with Cholesky ``tol``, and the texts of the
+    parser's ``warnings`` on that file (ASCII, without newlines)."""
+    if len(fcidump_sha256) != 32:
+        raise ValueError(f"expected a 32-byte SHA-256 digest, got {len(fcidump_sha256)} bytes")
+    if any("\n" in text for text in warnings):
+        raise ValueError("a cached warning text holds a newline")
+    texts = "\n".join(warnings).encode("ascii")
+    payload = _v1_parts(df)
+    header = _HEADER_V2.pack(_MAGIC_V2, _VERSION_V2, fcidump_sha256, tol, EIGENVALUE_CUTOFF,
+                             sum(map(len, payload)), len(texts))
+    with open(path, "wb") as fh:
+        fh.write(b"".join([header, texts, *payload]))
+
+
+def _v1_parts(df: DoubleFactorization) -> list[bytes]:
+    """The v1 byte stream of ``df``, in pieces."""
     n = df.n_orbitals
     ob_vals, ob_vecs = df.one_body_eigs
     parts = [
@@ -318,18 +364,46 @@ def save_cache(df: DoubleFactorization, path) -> None:
     for r, (lo, hi) in enumerate(zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())):
         parts.append(struct.pack("<IId", r, hi - lo, float(df.schatten_norms[r])))
         parts += [values[lo:hi].tobytes(), vectors[lo:hi].tobytes()]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    return parts
 
 
 def load_cache(path) -> DoubleFactorization:
-    """Read a DoubleFactorization from the binary cache format; ValueError
+    """Read the DoubleFactorization of a v1 or v2 cache file; ValueError
     unless the file is a complete, well-formed cache."""
+    return read_cache(path)[1]
+
+
+def read_cache(path) -> tuple[CacheHeader | None, DoubleFactorization]:
+    """Read a v1 or v2 cache file: its header (None for v1, which carries
+    none) and its DoubleFactorization.  ValueError unless the file is a
+    complete, well-formed cache."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != _MAGIC:
+    if data[:4] == _MAGIC:
+        return None, _from_v1_bytes(data, 0)
+    if data[:4] != _MAGIC_V2:
         raise ValueError(f"bad cache magic {data[:4]!r}")
-    pos = 4
+    if len(data) < _HEADER_V2.size:
+        raise ValueError(f"cache is truncated: {len(data)} bytes")
+    _, version, digest, tol, cutoff, payload_length, texts_length = _HEADER_V2.unpack_from(data)
+    if version != _VERSION_V2:
+        raise ValueError(f"unsupported cache version {version}")
+    start = _HEADER_V2.size + texts_length
+    if start + payload_length != len(data):
+        raise ValueError(f"cache has {len(data)} bytes, its header gives {start + payload_length}")
+    try:
+        texts = data[_HEADER_V2.size:start].decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError("cache warning texts are not ASCII") from None
+    header = CacheHeader(digest, tol, cutoff, tuple(texts.split("\n")) if texts else ())
+    return header, _from_v1_bytes(data, start)
+
+
+def _from_v1_bytes(data: bytes, pos: int) -> DoubleFactorization:
+    """The DoubleFactorization of the v1 stream from ``data[pos:]`` to the end."""
+    if data[pos:pos + 4] != _MAGIC:
+        raise ValueError(f"bad cache magic {data[pos:pos + 4]!r}")
+    pos += 4
 
     def take(dtype: str, count: int) -> np.ndarray:
         nonlocal pos
@@ -359,14 +433,17 @@ def load_cache(path) -> DoubleFactorization:
     if pos != len(data):
         raise ValueError(f"cache has {len(data) - pos} bytes after its last record")
     eigenvalues = np.concatenate(values)
+    eigenvectors = np.concatenate(vectors).reshape(-1, n)
     schatten_norms = np.array(norms)
-    if not (np.isfinite(eigenvalues).all() and (schatten_norms >= 0).all()):
-        raise ValueError("cache holds a non-finite eigenvalue or a negative or NaN Schatten norm")
+    stored = (h_tilde, l_minus1, ob_vals, ob_vecs, eigenvalues, eigenvectors, schatten_norms,
+              (scalar, core))
+    if not (all(np.isfinite(a).all() for a in stored) and (schatten_norms >= 0).all()):
+        raise ValueError("cache holds a non-finite value or a negative Schatten norm")
     return DoubleFactorization(
         one_body=AdjustedOneBody(h_tilde, l_minus1, scalar_shift=scalar, core_energy=core),
         one_body_eigs=(ob_vals, ob_vecs),
         eigenvalues=eigenvalues,
-        eigenvectors=np.concatenate(vectors).reshape(-1, n),
+        eigenvectors=eigenvectors,
         offsets=np.cumsum([v.size for v in values]),
         schatten_norms=schatten_norms,
         n_orbitals=n,

@@ -1,9 +1,18 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -15,15 +24,35 @@ H4 = fixture_path("h4_sto3g.fcidump")
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qdf", "schemas")
 
 
+def perturbed_h4(delta: float) -> str:
+    """The H4 FCIDUMP text with ``delta`` added to the (01|23) orbit."""
+    from qdf.integrals import canonical_orbit
+
+    lines = open(H4).read().splitlines()
+    for i, line in enumerate(lines):
+        value, *index = line.split()
+        if len(index) == 4 and index[0].isdigit():
+            if canonical_orbit(*(int(x) - 1 for x in index)) == canonical_orbit(0, 1, 2, 3):
+                lines[i] = " ".join([repr(float(value) + delta), *index])
+                return "\n".join(lines) + "\n"
+    raise AssertionError("no (01|23) record in the H4 fixture")
+
+
 def run_cli(args):
     """In-process invocation capturing stdout; returns (exit_code, text)."""
-    import io
-    from contextlib import redirect_stdout
-
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+def run_captured(args):
+    """In-process invocation: (exit code, stdout, stderr, warning texts)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(args)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 
 def load_schema(name):
@@ -105,6 +134,26 @@ class TestEstimate:
         assert err.count("\n") == 1 and "rebuilding" in err
         _, expected = run_cli(["estimate", "--fcidump", path, "--cache", str(fresh), "--format", "json"])
         assert text == expected
+        assert cache.read_bytes() == fresh.read_bytes()
+
+    def test_cache_of_other_two_body_integrals_is_rebuilt(self, tmp_path, capsys):
+        # (01|23) has four distinct indices: the perturbed file has the same
+        # one-body data, so only the cache's binding to the file's bytes can
+        # tell the two inputs apart
+        perturbed = tmp_path / "h4_01_23.fcidump"
+        perturbed.write_text(perturbed_h4(0.01))
+        cache, fresh = tmp_path / "h4.qdfcache", tmp_path / "fresh.qdfcache"
+        assert run_cli(["estimate", "--fcidump", H4, "--cache", str(cache)])[0] == 0
+        _, expected = run_cli(["estimate", "--fcidump", str(perturbed), "--format", "json"])
+        capsys.readouterr()
+        code, text = run_cli([
+            "estimate", "--fcidump", str(perturbed), "--cache", str(cache), "--format", "json",
+        ])
+        assert code == 0 and text == expected
+        assert "rebuilding" in capsys.readouterr().err
+        payload = json.loads(text)
+        assert (payload["alpha_df"], payload["total_toffoli"]) == (8.09707413787217, 15899625)
+        run_cli(["estimate", "--fcidump", str(perturbed), "--cache", str(fresh)])
         assert cache.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("content, message", [
@@ -286,7 +335,8 @@ class TestValidate:
 
         df = factorize(load_fcidump(H2))
         cache = tmp_path / "h2.qdfcache"
-        save_cache(df, cache)
+        with open(H2, "rb") as fh:
+            save_cache(df, cache, hashlib.sha256(fh.read()).digest(), 1e-10)
         # flip one stored eigenvalue so the cached factorization no longer
         # reconstructs the input tensor
         blob = bytearray(cache.read_bytes())
@@ -312,6 +362,17 @@ class TestValidate:
         assert main(["validate", "--fcidump", str(path)]) == 3
         assert "N <= 6" in capsys.readouterr().err
 
+    def test_dense_cap_refused_before_factorizing(self, tmp_path, capsys):
+        from qdf.integrals import MolecularIntegrals, write_fcidump
+
+        m = MolecularIntegrals(7, 7, 0.0, np.eye(7), np.zeros((7, 7, 7, 7)))
+        path = tmp_path / "n7.fcidump"
+        path.write_text(write_fcidump(m))
+        cache = tmp_path / "n7.qdfcache"
+        assert main(["validate", "--fcidump", str(path), "--cache", str(cache)]) == 3
+        assert "N <= 6" in capsys.readouterr().err
+        assert not cache.exists()
+
 
 class TestDeterminism:
     def test_sweep_byte_identical_across_processes(self, tmp_path):
@@ -329,3 +390,110 @@ class TestDeterminism:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@dataclass(frozen=True)
+class CleanRun:
+    fcidump: Path
+    cache: bytes
+    out: str
+    warned: list
+
+
+class TestMalformedCache:
+    """Every prefix cut and single-byte flip of a v2 cache either misses and
+    is rebuilt, or hits; a hit that moves an eigenvalue far enough for the
+    reconstruction check to see it fails validate."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        # an orbital-energy record makes the parser warn, so that the cache
+        # holds a warning text and the fuzz reaches that block too
+        fcidump = tmp_path_factory.mktemp("cache") / "h4_warned.fcidump"
+        fcidump.write_text(open(H4).read() + "-0.5 1 0 0 0\n")
+        cache = fcidump.with_suffix(".qdfcache")
+        code, out, err, warned = run_captured(estimate_args(fcidump, cache))
+        assert code == 0 and err == "" and len(warned) == 1
+        return CleanRun(fcidump, cache.read_bytes(), out, warned)
+
+    def check(self, clean: CleanRun, blob: bytes):
+        path = clean.fcidump.with_suffix(".case.qdfcache")
+        path.write_bytes(blob)
+        code, out, err, warned = run_captured(estimate_args(clean.fcidump, path))
+        if err.startswith(f"cache {path} "):
+            assert code == 0 and err.count("\n") == 1 and err.endswith("; rebuilding it\n")
+            assert (out, warned, path.read_bytes()) == (clean.out, clean.warned, clean.cache)
+            return
+        assert path.read_bytes() == blob
+        if out == clean.out:
+            assert (code, err) == (0, "")
+            return
+        from qdf.factorization import read_cache
+
+        # A hit whose output moved: the header is intact, so the flip sits in
+        # one payload float that estimate reads.  The format has no payload
+        # checksum; validate is what guards the payload.
+        good = read_cache(clean.fcidump.with_suffix(".qdfcache"))[1]
+        bad = read_cache(path)[1]
+        moved = [name for name, a, b in (
+            ("eigenvalues", good.eigenvalues, bad.eigenvalues),
+            ("schatten_norms", good.schatten_norms, bad.schatten_norms),
+            ("one_body_eigenvalues", good.one_body_eigs[0], bad.one_body_eigs[0]),
+        ) if not np.array_equal(a, b)]
+        assert len(moved) == 1
+        if code != 0:
+            # a value so large that the cost arithmetic overflows
+            assert (code, out) == (2, "") and err.startswith("numeric error: ")
+            assert err.count("\n") == 1
+            return
+        if moved == ["eigenvalues"]:
+            # With the moved eigenvalue's unit eigenvector v, the contraction
+            # sum (g' - g)_ijkl v_i v_j v_k v_l is delta (2 lambda + delta), and
+            # its size is at most N^2 times the sup-norm change of the rebuilt
+            # tensor.  validate fails once that change exceeds its 1e-8 bound
+            # plus the clean cache's own error (below 1e-9); 2e-8 clears both.
+            m = int(np.flatnonzero(good.eigenvalues != bad.eigenvalues)[0])
+            lam, delta = good.eigenvalues[m], bad.eigenvalues[m] - good.eigenvalues[m]
+            if abs(delta * (2 * lam + delta)) > good.n_orbitals**2 * 2e-8:
+                code, _, _, _ = run_captured(
+                    ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
+                assert code == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cut_or_overlong(self, clean, data):
+        size = data.draw(st.integers(0, len(clean.cache) + 8).filter(lambda k: k != len(clean.cache)))
+        self.check(clean, (clean.cache + b"\0" * 8)[:size])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_single_byte_flip(self, clean, data):
+        blob = bytearray(clean.cache)
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        self.check(clean, bytes(blob))
+
+    @pytest.mark.parametrize("command, bad", [
+        ("estimate", "cut"), ("sweep", "directory"), ("validate", "v1"), ("estimate", "garbage"),
+    ])
+    def test_no_traceback(self, tmp_path, clean, command, bad):
+        cache = tmp_path / "bad.qdfcache"
+        if bad == "cut":
+            cache.write_bytes(clean.cache[:100])
+        elif bad == "directory":
+            cache.mkdir()
+        elif bad == "v1":
+            cache.write_bytes(open(fixture_path("h4_cache_v1.qdfcache"), "rb").read())
+        else:
+            cache.write_bytes(b"QDF2" + b"\xff" * 80)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdf.cli", command, "--fcidump", H4, "--cache", str(cache)],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"cache {cache} ")
+        expected = 3 if bad == "directory" else 0
+        assert proc.returncode == expected, proc.stderr
+
+
+def estimate_args(fcidump, cache):
+    return ["estimate", "--fcidump", str(fcidump), "--cache", str(cache), "--format", "json"]

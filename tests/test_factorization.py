@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdf.factorization import (
+    EIGENVALUE_CUTOFF,
+    CacheHeader,
     NotPositiveSemidefiniteError,
     alpha_cd,
     alpha_df,
@@ -14,6 +17,7 @@ from qdf.factorization import (
     entrywise_norm,
     eri_supermatrix,
     load_cache,
+    read_cache,
     reconstruct_two_body,
     save_cache,
     schatten_norm,
@@ -286,8 +290,11 @@ class TestReconstruction:
 class TestCache:
     def test_roundtrip(self, h4_df, tmp_path):
         path = tmp_path / "h4.qdfcache"
-        save_cache(h4_df, path)
-        again = load_cache(path)
+        digest = hashlib.sha256(b"h4").digest()
+        save_cache(h4_df, path, digest, 1e-10, ["first warning", "second warning"])
+        header, again = read_cache(path)
+        assert header == CacheHeader(digest, 1e-10, EIGENVALUE_CUTOFF,
+                                     ("first warning", "second warning"))
         assert again.n_orbitals == h4_df.n_orbitals
         assert again.rank == h4_df.rank
         np.testing.assert_array_equal(again.schatten_norms, h4_df.schatten_norms)
@@ -313,7 +320,8 @@ def assert_same_arrays(a, b):
 
 
 # sha256 of the v1 cache bytes of the fixtures, as written by the earlier
-# per-rank writer; h*_cache_v1.qdfcache are those files.
+# per-rank writer; h*_cache_v1.qdfcache are those files.  A v2 cache ends in
+# the same v1 bytes.
 CACHE_SHA256 = {
     "h2": "3e65a8f5db3eee43889fdd05b4bbd30095f56fb696d23ce4719e7fef6b5a8663",
     "h4": "ee072ba990908c7990aaaa048e37ef1f827403b3a6d5be3a133135ebbe46cd59",
@@ -324,8 +332,14 @@ class TestCacheFormat:
     @pytest.mark.parametrize("name", ["h2", "h4"])
     def test_writer_bytes_unchanged(self, name, tmp_path):
         path = tmp_path / f"{name}.qdfcache"
-        save_cache(factorize(load_fcidump(fixture_path(f"{name}_sto3g.fcidump"))), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[name]
+        fcidump = fixture_path(f"{name}_sto3g.fcidump")
+        with open(fcidump, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).digest()
+        save_cache(factorize(load_fcidump(fcidump)), path, digest, 1e-10)
+        blob = path.read_bytes()
+        (payload_length,) = struct.unpack_from("<Q", blob, 56)
+        assert blob[:4] == b"QDF2" and blob[8:40] == digest
+        assert hashlib.sha256(blob[-payload_length:]).hexdigest() == CACHE_SHA256[name]
 
     @pytest.mark.parametrize("name", ["h2", "h4"])
     def test_earlier_cache_loads_to_same_arrays(self, name):
