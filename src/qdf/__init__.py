@@ -14,7 +14,6 @@ from qdf.integrals import (
     FcidumpError,
     MolecularIntegrals,
     adjusted_one_body,
-    count_nonzero_after_truncation,
     load_fcidump,
     parse_fcidump,
     validate_symmetry,
@@ -25,11 +24,9 @@ from qdf.factorization import (
     DoubleFactorization,
     NotPositiveSemidefiniteError,
     SingleFactorization,
-    alpha_cd,
     alpha_df,
     double_factorize,
     entrywise_norm,
-    eri_supermatrix,
     load_cache,
     read_cache,
     reconstruct_two_body,
@@ -79,15 +76,12 @@ __all__ = [
     "TruncationPlan",
     "TruncationScheme",
     "adjusted_one_body",
-    "alpha_cd",
     "alpha_df",
     "build_from_df",
     "build_from_integrals",
-    "count_nonzero_after_truncation",
     "default_grid",
     "double_factorize",
     "entrywise_norm",
-    "eri_supermatrix",
     "estimate",
     "ground_energy",
     "load_cache",

@@ -234,11 +234,18 @@ def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float,
         _emit(_report_table(report), args.out)
 
 
+def _cost(args, **scalars) -> costmodel.CostReport:
+    """The cost estimate of ``n, rank, m_total, m_max, alpha`` under
+    --delta-e, --mode and --lambda."""
+    return costmodel.estimate(**scalars, budget=costmodel.ErrorBudget(delta_e=args.delta_e),
+                              mode=_mode_name(args.mode), lam=args.lam)
+
+
 def cmd_estimate(args) -> int:
     df = _factorization(args)
     reduced, plan = truncation.truncate(df, args.scheme, args.epsilon)
-    budget = costmodel.ErrorBudget(delta_e=args.delta_e)
-    report = costmodel.estimate(reduced, budget=budget, mode=_mode_name(args.mode), lam=args.lam)
+    report = _cost(args, n=reduced.n_orbitals, rank=reduced.rank, m_total=reduced.total_eigenpairs,
+                   m_max=reduced.max_eigenpairs_per_rank, alpha=factorization.alpha_df(reduced))
     step = os.path.splitext(os.path.basename(args.fcidump))[0]
     truncated = {
         "scheme": plan.scheme.value,
@@ -255,29 +262,16 @@ def cmd_cost(args) -> int:
     for name in ("n", "r", "m", "alpha"):
         if getattr(args, name) is None:
             raise CliError(f"--{name} is required for cost", EXIT_CONFIG)
-    budget = costmodel.ErrorBudget(delta_e=args.delta_e)
-    report = costmodel.estimate(
-        n=args.n,
-        rank=args.r,
-        m_total=args.m,
-        m_max=args.m_max,
-        alpha=args.alpha,
-        budget=budget,
-        mode=_mode_name(args.mode),
-        lam=args.lam,
-    )
+    report = _cost(args, n=args.n, rank=args.r, m_total=args.m, m_max=args.m_max, alpha=args.alpha)
     _write_report(report, args, "direct", 0.0, {})
     return 0
 
 
 def _sweep_rows(df, args):
     grid = _parse_grid(args.grid)
-    budget = costmodel.ErrorBudget(delta_e=args.delta_e)
-    mode = _mode_name(args.mode)
     rows = []
     for eps, r, m, m_max, alpha, coh, inc in truncation.threshold_sweep(df, args.scheme, grid):
-        report = costmodel.estimate(n=df.n_orbitals, rank=r, m_total=m, m_max=m_max, alpha=alpha,
-                                    budget=budget, mode=mode, lam=args.lam)
+        report = _cost(args, n=df.n_orbitals, rank=r, m_total=m, m_max=m_max, alpha=alpha)
         values = [eps, r, m, alpha, coh, inc, report.logical_qubits, report.total_toffoli]
         rows.append(dict(zip(SWEEP_CSV_COLUMNS, values)))
     return rows
@@ -317,8 +311,11 @@ def cmd_validate(args) -> int:
         "no violations" if not violations else "; ".join(str(v) for v in violations[:5]),
     )
 
+    # The two-electron tensor and l_minus1, each rebuilt from its eigenpairs.
     recon = factorization.reconstruct_two_body(df)
-    recon_err = float(np.abs(recon - mol.two_body).max())
+    ob_vals, ob_vecs = df.one_body_eigs
+    recon_err = max(float(np.abs(recon - mol.two_body).max()),
+                    float(np.abs((ob_vecs * ob_vals) @ ob_vecs.T - df.one_body.l_minus1).max()))
     check("factorization_reconstruction", recon_err <= 1e-8, f"sup-norm error {recon_err:.3e}")
 
     h_ref = oracle.build_from_integrals(mol)
@@ -329,14 +326,17 @@ def cmd_validate(args) -> int:
     number_comm = oracle.particle_number_commutator_norm(h_ref)
     check("particle_number_symmetry", number_comm <= 1e-10, f"[H, N] max entry {number_comm:.3e}")
 
+    # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
     norm_dev = 0.0
     for r in range(df.rank):
         g_norm, s_norm = oracle.one_body_norm_check(df.factor_matrix(r))
-        norm_dev = max(norm_dev, abs(g_norm - s_norm))
+        norm_dev = max(norm_dev, abs(g_norm - s_norm), abs(g_norm - df.schatten_norms[r]))
     check("one_body_norm_identity", norm_dev <= 1e-8, f"max |deviation| {norm_dev:.3e}")
 
     alpha = factorization.alpha_df(df)
-    t2_const = 0.25 * float(np.sum(df.schatten_norms**2))
+    # The norms come from the eigenvalues, as in alpha_df, so that a damaged
+    # stored norm fails one_body_norm_identity alone.
+    t2_const = 0.25 * float(np.sum(factorization.rank_sums(df.padded_abs_eigenvalues())**2))
     shift = df.one_body.scalar_shift + df.one_body.core_energy + t2_const
     shifted = h_df.matrix - shift * np.eye(h_df.dim)
     norm_shifted = oracle.spectral_norm(shifted)

@@ -46,8 +46,13 @@ __all__ = [
     "walk_operator_cost",
 ]
 
-#: Default upper bound of the ancilla-tradeoff scan in :func:`estimate`.
+#: Upper bound of the ancilla-tradeoff scan in :func:`estimate`.
 LAMBDA_SCAN_MAX = 64
+
+#: Shares of the target energy standard deviation spent on phase estimation
+#: and on walk-operator synthesis.
+PE_SHARE = 0.9
+SYNTH_SHARE = 0.1
 
 #: Toffoli-to-wall-clock conversions reported alongside totals (seconds per
 #: Toffoli for fast and slow error-corrected architectures).
@@ -257,27 +262,21 @@ def angles_to_unit_vector(theta: np.ndarray, n: int | None = None) -> np.ndarray
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Split of the target energy standard deviation between phase estimation
-    and walk-operator synthesis."""
+    """Target energy standard deviation ``delta_e``, split PE_SHARE to phase
+    estimation and SYNTH_SHARE to walk-operator synthesis."""
 
     delta_e: float
-    pe_share: float = 0.9
-    synth_share: float = 0.1
 
     def __post_init__(self):
         if self.delta_e <= 0:
             raise ValueError("delta_e must be positive")
-        if self.pe_share <= 0 or self.synth_share <= 0:
-            raise ValueError("shares must be positive")
-        if abs(self.pe_share + self.synth_share - 1.0) > 1e-12:
-            raise ValueError("pe_share + synth_share must equal 1")
 
     def walk_error(self, alpha: float) -> float:
         """Allowed spectral-norm error of the walk operator,
-        synth_share * delta_e / alpha (dimensionless)."""
+        SYNTH_SHARE * delta_e / alpha (dimensionless)."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        return self.synth_share * self.delta_e / alpha
+        return SYNTH_SHARE * self.delta_e / alpha
 
 
 @dataclass(frozen=True)
@@ -413,10 +412,10 @@ def walk_operator_cost(
 
 def pe_repetitions(alpha: float, budget: ErrorBudget) -> int:
     """Walk applications for one phase estimate:
-    ceil(pi * alpha / (2 * pe_share * delta_e))."""
+    ceil(pi * alpha / (2 * PE_SHARE * delta_e))."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return _iceil(math.pi * alpha / (2.0 * budget.pe_share * budget.delta_e))
+    return _iceil(math.pi * alpha / (2.0 * PE_SHARE * budget.delta_e))
 
 
 @dataclass(frozen=True)
@@ -478,49 +477,27 @@ class CostReport:
         }
 
 
-def _resolve_params(df=None, n=None, rank=None, m_total=None, m_max=None, alpha=None):
-    if df is not None:
-        n = df.n_orbitals
-        rank = df.rank
-        m_total = df.total_eigenpairs
-        m_max = max(df.max_eigenpairs_per_rank, 1)
-        from qdf.factorization import alpha_df as _alpha_df
-
-        alpha = _alpha_df(df) if alpha is None else alpha
-    if None in (n, rank, m_total, alpha):
-        raise ValueError("need either df or all of (n, rank, m_total, alpha)")
-    if m_max is None:
-        m_max = min(m_total, n)
-    rank = max(int(rank), 1)
-    m_total = max(int(m_total), 1)
-    m_max = max(int(m_max), 1)
-    return int(n), rank, m_total, m_max, float(alpha)
-
-
 def estimate(
-    df=None,
     *,
-    n: int | None = None,
-    rank: int | None = None,
-    m_total: int | None = None,
+    n: int,
+    rank: int,
+    m_total: int,
     m_max: int | None = None,
-    alpha: float | None = None,
+    alpha: float,
     budget: ErrorBudget | None = None,
     mode: str = "min_toffoli",
     lam: int | None = None,
-    lambda_max: int = LAMBDA_SCAN_MAX,
 ) -> CostReport:
-    """Full phase-estimation cost estimate.
-
-    Parameters may come from a :class:`~qdf.factorization.DoubleFactorization`
-    or be supplied directly (table mode: ``n``, ``rank``, ``m_total``,
-    ``alpha``, optionally ``m_max`` which defaults to ``min(m_total, n)``).
+    """Full phase-estimation cost estimate for N orbitals, ``rank`` factors,
+    ``m_total`` eigenpairs (at most ``m_max`` in one factor, by default
+    ``min(m_total, n)``) and block-encoding normalization ``alpha``.  A rank or
+    eigenpair count below 1 (a fully truncated factorization) counts as 1.
 
     Modes
     -----
     ``min_toffoli``
-        Scan lam in [0, lambda_max] and keep the smallest total Toffoli count
-        (smallest lam on ties).
+        Scan lam in [0, LAMBDA_SCAN_MAX] and keep the smallest total Toffoli
+        count (smallest lam on ties).
     ``min_qubits``
         Pin lam = 1, the small-footprint configuration (lam = 0 is used only
         when the Toffoli-optimal lam is 0, i.e. the instance is so small that
@@ -530,7 +507,10 @@ def estimate(
     """
     if budget is None:
         budget = ErrorBudget(delta_e=1e-3)
-    n, rank, m_total, m_max, alpha = _resolve_params(df, n, rank, m_total, m_max, alpha)
+    if m_max is None:
+        m_max = min(m_total, n)
+    n, alpha = int(n), float(alpha)
+    rank, m_total, m_max = (max(int(x), 1) for x in (rank, m_total, m_max))
 
     reps = pe_repetitions(alpha, budget)
 
@@ -546,7 +526,7 @@ def estimate(
     elif mode == "min_toffoli":
         chosen = 0
         total, wc = total_at(0)
-        for lam_value in range(1, lambda_max + 1):
+        for lam_value in range(1, LAMBDA_SCAN_MAX + 1):
             candidate = total_at(lam_value)
             if candidate[0] < total:
                 chosen, (total, wc) = lam_value, candidate
@@ -556,7 +536,7 @@ def estimate(
         # at the first lam that beats lam = 0.
         chosen = 0
         total, wc = total_at(0)
-        for lam_value in range(1, lambda_max + 1):
+        for lam_value in range(1, LAMBDA_SCAN_MAX + 1):
             candidate = total_at(lam_value)
             if lam_value == 1:
                 at_one = candidate

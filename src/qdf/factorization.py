@@ -22,11 +22,9 @@ __all__ = [
     "DoubleFactorization",
     "NotPositiveSemidefiniteError",
     "SingleFactorization",
-    "alpha_cd",
     "alpha_df",
     "double_factorize",
     "entrywise_norm",
-    "eri_supermatrix",
     "load_cache",
     "read_cache",
     "reconstruct_two_body",
@@ -125,13 +123,6 @@ class DoubleFactorization:
         for lam, vec in zip(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi]):
             out += lam * np.outer(vec, vec)
         return out
-
-
-def eri_supermatrix(m: MolecularIntegrals) -> np.ndarray:
-    """Two-electron tensor reshaped to the symmetric N^2 x N^2 matrix
-    W[(i*N + j), (k*N + l)] = (ij|kl)."""
-    n = m.n_orbitals
-    return m.two_body.reshape(n * n, n * n).copy()
 
 
 def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> SingleFactorization:
@@ -241,10 +232,15 @@ def rank_sums(padded: np.ndarray) -> np.ndarray:
 def alpha_from_rank_sums(one_body_eigenvalues: np.ndarray, sums: np.ndarray) -> float:
     """alpha_DF from the one-body eigenvalues and the per-rank sums
     s_r = sum_m |lambda_m^(r)|.  The s_r ** 2 (the C library's pow, which
-    does not always round like s * s) are added left to right."""
+    does not always round like s * s) are added left to right; an
+    OverflowError names the sum whose square overflows."""
     two_body = 0.0
-    for s in sums.tolist():
-        two_body += s ** 2
+    try:
+        for s in sums.tolist():
+            two_body += s ** 2
+    except OverflowError:
+        raise OverflowError(f"alpha_DF overflows: the square of Schatten sum {s!r} "
+                            "is out of float range") from None
     return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
 
 
@@ -266,14 +262,6 @@ def alpha_df(df: DoubleFactorization) -> float:
     evaluated on the currently retained eigenpairs, so truncation lowers it.
     """
     return alpha_from_rank_sums(df.one_body_eigs[0], rank_sums(df.padded_abs_eigenvalues()))
-
-
-def alpha_cd(sf: SingleFactorization, adj: AdjustedOneBody) -> float:
-    """Block-encoding normalization of the single-factorized Hamiltonian,
-    alpha_CD = 2 ||h_tilde||_EW + 2 sum_r ||L^(r)||_EW^2 (entrywise norms)."""
-    return 2.0 * entrywise_norm(adj.h_tilde) + 2.0 * sum(
-        entrywise_norm(f) ** 2 for f in sf.factors
-    )
 
 
 def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:

@@ -27,9 +27,7 @@ __all__ = [
     "SymmetryViolation",
     "adjusted_one_body",
     "canonical_orbit",
-    "count_nonzero_after_truncation",
     "load_fcidump",
-    "orbit_members",
     "parse_fcidump",
     "validate_symmetry",
     "write_fcidump",
@@ -155,14 +153,6 @@ def canonical_orbit(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]
     if (i, j) < (k, l):
         i, j, k, l = k, l, i, j
     return i, j, k, l
-
-
-def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, int]]:
-    """All index tuples related to (i, j, k, l) by the 8-fold symmetry."""
-    return {
-        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
-        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
-    }
 
 
 _HEADER_FIELD = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?=\s*(?:,|$|[A-Za-z0-9_]+\s*=))")
@@ -552,34 +542,34 @@ def write_fcidump(m: MolecularIntegrals) -> str:
 
     Values are written with 17 significant digits so that
     ``parse_fcidump(write_fcidump(m)) == m`` exactly.  One representative per
-    8-fold orbit is emitted.
+    8-fold orbit is emitted, the canonical (ij|kl) with i >= j, k >= l and
+    (i, j) >= (k, l), in lexicographic (i, j, k, l) order; zeros are skipped.
     """
     n = m.n_orbitals
-    out = [
+    header = [
         f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,",
         " ORBSYM=" + ",".join(["1"] * n) + ",",
         " ISYM=1,",
         "&END",
     ]
+    # The pairs (i, j), i >= j, in lexicographic order (that of np.tril_indices),
+    # then the pairs of pairs (ij, kl), kl <= ij, likewise: the canonical
+    # orbits in lexicographic (i, j, k, l) order.
+    i, j = np.nonzero(np.tri(n, dtype=bool))
+    ij, kl = np.nonzero(np.tri(i.size, dtype=bool))
+    a, b, zero = i + 1, j + 1, np.zeros_like(i)
+    line = "{:.17g} {} {} {} {}".format
 
-    def fmt(v: float) -> str:
-        return f"{v:.17g}"
+    def records(values, *index):
+        keep = values != 0.0
+        return map(line, values[keep].tolist(), *(x[keep].tolist() for x in index))
 
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(i + 1):
-                lmax = j if k == i else k
-                for l in range(lmax + 1):
-                    v = m.two_body[i, j, k, l]
-                    if v != 0.0:
-                        out.append(f"{fmt(v)} {i + 1} {j + 1} {k + 1} {l + 1}")
-    for i in range(n):
-        for j in range(i + 1):
-            v = m.one_body[i, j]
-            if v != 0.0:
-                out.append(f"{fmt(v)} {i + 1} {j + 1} 0 0")
-    out.append(f"{fmt(m.core_energy)} 0 0 0 0")
-    return "\n".join(out) + "\n"
+    return "\n".join([
+        *header,
+        *records(m.two_body[i[ij], j[ij], i[kl], j[kl]], a[ij], b[ij], a[kl], b[kl]),
+        *records(m.one_body[i, j], a, b, zero, zero),
+        line(m.core_energy, 0, 0, 0, 0),
+    ]) + "\n"
 
 
 def validate_symmetry(m: MolecularIntegrals) -> list[SymmetryViolation]:
@@ -648,32 +638,3 @@ def adjusted_one_body(m: MolecularIntegrals) -> AdjustedOneBody:
         h_tilde=h_tilde, l_minus1=l_minus1, scalar_shift=scalar, core_energy=m.core_energy
     )
 
-
-def _orbit_values(g: np.ndarray) -> np.ndarray:
-    """Values of the unique canonical orbit representatives of ``g``."""
-    n = g.shape[0]
-    i, j, k, l = np.meshgrid(*(np.arange(n),) * 4, indexing="ij")
-    pair_ij = i * n + j
-    pair_kl = k * n + l
-    canonical = (i >= j) & (k >= l) & (pair_ij >= pair_kl)
-    return g[canonical]
-
-
-def count_nonzero_after_truncation(m: MolecularIntegrals, epsilon_in: float) -> int:
-    """Unique nonzero two-body orbits kept after greedy magnitude truncation.
-
-    Orbits are removed smallest-|value| first while the 2-norm of removed
-    values stays within ``epsilon_in``.  Plain |(ij|kl)| is the per-orbit
-    weight.
-    """
-    if epsilon_in < 0:
-        raise ValueError("epsilon_in must be non-negative")
-    values = np.abs(_orbit_values(m.two_body))
-    values = values[values > 0.0]
-    if values.size == 0:
-        return 0
-    values.sort()
-    budget = epsilon_in * epsilon_in
-    removed_sq = np.cumsum(values * values)
-    n_removed = int(np.searchsorted(removed_sq, budget, side="right"))
-    return int(values.size - n_removed)

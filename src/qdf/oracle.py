@@ -32,7 +32,6 @@ __all__ = [
     "majorana_pair_matrix",
     "one_body_norm_check",
     "particle_number_commutator_norm",
-    "random_molecular_integrals",
     "spectral_norm",
 ]
 
@@ -293,25 +292,3 @@ def one_body_norm_check(l_matrix: np.ndarray) -> tuple[float, float]:
     g = majorana_pair_matrix(l_matrix)
     return spectral_norm(g), schatten_norm(l_matrix)
 
-
-def random_molecular_integrals(
-    n: int,
-    rank: int | None = None,
-    n_electrons: int | None = None,
-    rng: np.random.Generator | None = None,
-    scale: float = 1.0,
-) -> MolecularIntegrals:
-    """Random instance with a PSD ERI supermatrix: the two-body tensor is
-    sum_r A_r[i,j] A_r[k,l] over random symmetric matrices A_r, which has the
-    full 8-fold symmetry by construction."""
-    rng = np.random.default_rng() if rng is None else rng
-    rank = n if rank is None else rank
-    n_electrons = n if n_electrons is None else n_electrons
-    h1 = rng.normal(scale=scale, size=(n, n))
-    h1 = 0.5 * (h1 + h1.T)
-    g = np.zeros((n, n, n, n))
-    for _ in range(rank):
-        a = rng.normal(scale=scale, size=(n, n))
-        a = 0.5 * (a + a.T)
-        g += np.einsum("ij,kl->ijkl", a, a)
-    return MolecularIntegrals(n, n_electrons, float(rng.normal(scale=scale)), h1, g)

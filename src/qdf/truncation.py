@@ -84,7 +84,8 @@ def _removal_prefixes(df: DoubleFactorization, scheme: TruncationScheme, epsilon
         raise ValueError(f"epsilon must be finite and non-negative, got {eps.tolist()}")
     order, scores = score_eigenpairs(df)
     linear = np.concatenate(([0.0], np.cumsum(scores)))
-    root_sq = np.concatenate(([0.0], np.sqrt(np.cumsum(scores * scores))))
+    with np.errstate(over="ignore"):  # a score above 1e154 squares to inf, which no budget admits
+        root_sq = np.concatenate(([0.0], np.sqrt(np.cumsum(scores * scores))))
     used = linear if scheme is TruncationScheme.COHERENT else root_sq
     counts = np.searchsorted(used[1:], eps, side="right")
     return order, counts, linear[counts], root_sq[counts]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdf import (
+    MolecularIntegrals,
     adjusted_one_body,
     double_factorize,
     load_fcidump,
@@ -65,3 +66,26 @@ def h4_df(h4):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20230817)
+
+
+def random_molecular_integrals(
+    n: int,
+    rank: int | None = None,
+    n_electrons: int | None = None,
+    rng: np.random.Generator | None = None,
+    scale: float = 1.0,
+) -> MolecularIntegrals:
+    """Random instance with a PSD ERI supermatrix: the two-body tensor is
+    sum_r A_r[i,j] A_r[k,l] over random symmetric matrices A_r, which has the
+    full 8-fold symmetry by construction."""
+    rng = np.random.default_rng() if rng is None else rng
+    rank = n if rank is None else rank
+    n_electrons = n if n_electrons is None else n_electrons
+    h1 = rng.normal(scale=scale, size=(n, n))
+    h1 = 0.5 * (h1 + h1.T)
+    g = np.zeros((n, n, n, n))
+    for _ in range(rank):
+        a = rng.normal(scale=scale, size=(n, n))
+        a = 0.5 * (a + a.T)
+        g += np.einsum("ij,kl->ijkl", a, a)
+    return MolecularIntegrals(n, n_electrons, float(rng.normal(scale=scale)), h1, g)

@@ -1,16 +1,17 @@
-"""Loop references for the vectorised parser, the pivoted Cholesky, the
-eigendecomposition step, the truncation kernel, the lambda scan and the dense
-oracle.
+"""Loop references for the vectorised parser and writer, the pivoted Cholesky,
+the eigendecomposition step, the truncation kernel, the lambda scan and the
+dense oracle.
 
 These are the earlier implementations, kept only as test oracles: the
-per-line FCIDUMP parser, the rank-1-deflation Cholesky over a full copy of
-the ERI supermatrix, the per-factor eigendecomposition with a per-vector sign
-loop, the object-form truncation (a Python list of scored eigenpairs,
-sorted, admitted one at a time, filtered through a set) and the full lambda
-scan of ``costmodel.estimate``.  The package must reproduce them exactly (the
-same numbers, bit for bit, and the same errors with the same line numbers).
-Sums are explicit left-to-right loops, the order of Python's ``sum`` before
-3.12.
+per-line FCIDUMP parser, the quadruple-loop FCIDUMP writer, the
+rank-1-deflation Cholesky over a full copy of the ERI supermatrix, the
+per-factor eigendecomposition with a per-vector sign loop, the object-form
+truncation (a Python list of scored eigenpairs, sorted, admitted one at a
+time, filtered through a set) and the full lambda scan of
+``costmodel.estimate``.  The package must reproduce them exactly (the same
+numbers and bytes, bit for bit, and the same errors with the same line
+numbers).  Sums are explicit left-to-right loops, the order of Python's
+``sum`` before 3.12.
 
 The dense-oracle reference is the complex Jordan-Wigner backend: mode
 operators as Kronecker chains of 2x2 matrices, every term of the Hamiltonian
@@ -33,7 +34,6 @@ from qdf.costmodel import (
     LAMBDA_SCAN_MAX,
     CostReport,
     ErrorBudget,
-    _resolve_params,
     closed_form_walk_toffoli,
     pe_repetitions,
     walk_operator_cost,
@@ -44,7 +44,6 @@ from qdf.factorization import (
     DoubleFactorization,
     NotPositiveSemidefiniteError,
     SingleFactorization,
-    eri_supermatrix,
 )
 from qdf.truncation import TruncationScheme
 from qdf.integrals import (
@@ -53,8 +52,15 @@ from qdf.integrals import (
     MolecularIntegrals,
     _parse_header,
     canonical_orbit,
-    orbit_members,
 )
+
+
+def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, int]]:
+    """All index tuples related to (i, j, k, l) by the 8-fold symmetry."""
+    return {
+        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
+    }
 
 
 def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10,
@@ -63,7 +69,7 @@ def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n_orbitals
-    w = eri_supermatrix(m)
+    w = m.two_body.reshape(n * n, n * n).copy()
     factors: list[np.ndarray] = []
 
     for _ in range(n * n):
@@ -178,6 +184,37 @@ def parse_fcidump_lines(text) -> MolecularIntegrals:
     return m
 
 
+def write_fcidump_loop(m: MolecularIntegrals) -> str:
+    """FCIDUMP text with one f-string per value, over the canonical orbits
+    in a quadruple loop."""
+    n = m.n_orbitals
+    out = [
+        f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,",
+        " ORBSYM=" + ",".join(["1"] * n) + ",",
+        " ISYM=1,",
+        "&END",
+    ]
+
+    def fmt(v: float) -> str:
+        return f"{v:.17g}"
+
+    for i in range(n):
+        for j in range(i + 1):
+            for k in range(i + 1):
+                lmax = j if k == i else k
+                for l in range(lmax + 1):
+                    v = m.two_body[i, j, k, l]
+                    if v != 0.0:
+                        out.append(f"{fmt(v)} {i + 1} {j + 1} {k + 1} {l + 1}")
+    for i in range(n):
+        for j in range(i + 1):
+            v = m.one_body[i, j]
+            if v != 0.0:
+                out.append(f"{fmt(v)} {i + 1} {j + 1} 0 0")
+    out.append(f"{fmt(m.core_energy)} 0 0 0 0")
+    return "\n".join(out) + "\n"
+
+
 def _fix_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Deterministic eigenvector sign: first component with |x| > tol is positive."""
     for x in vec:
@@ -289,14 +326,17 @@ def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
     }
 
 
-def estimate_full_scan(df=None, *, n=None, rank=None, m_total=None, m_max=None, alpha=None,
-                       budget=None, mode="min_toffoli", lam=None,
-                       lambda_max=LAMBDA_SCAN_MAX) -> CostReport:
+def estimate_full_scan(*, n, rank, m_total, m_max=None, alpha, budget=None, mode="min_toffoli",
+                       lam=None) -> CostReport:
     """``costmodel.estimate`` with the lambda scan over every lam in
-    [0, lambda_max] in both scanning modes, and the chosen lam evaluated again."""
+    [0, LAMBDA_SCAN_MAX] in both scanning modes, and the chosen lam evaluated
+    again."""
     if budget is None:
         budget = ErrorBudget(delta_e=1e-3)
-    n, rank, m_total, m_max, alpha = _resolve_params(df, n, rank, m_total, m_max, alpha)
+    if m_max is None:
+        m_max = min(m_total, n)
+    n, alpha = int(n), float(alpha)
+    rank, m_total, m_max = (max(int(x), 1) for x in (rank, m_total, m_max))
     reps = pe_repetitions(alpha, budget)
 
     def total_at(lam_value):
@@ -310,7 +350,7 @@ def estimate_full_scan(df=None, *, n=None, rank=None, m_total=None, m_max=None, 
     elif mode in ("min_toffoli", "min_qubits"):
         best_lam = 0
         best_total = None
-        for lam_value in range(0, lambda_max + 1):
+        for lam_value in range(0, LAMBDA_SCAN_MAX + 1):
             total, _ = total_at(lam_value)
             if best_total is None or total < best_total:
                 best_total, best_lam = total, lam_value

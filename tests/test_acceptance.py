@@ -35,11 +35,10 @@ from qdf.oracle import (
     build_from_integrals,
     df_fragments,
     ground_energy,
-    random_molecular_integrals,
     spectral_norm,
 )
 from qdf.truncation import default_grid, truncate
-from tests.conftest import factorize, fixture_path
+from tests.conftest import factorize, fixture_path, random_molecular_integrals
 
 REFERENCE_ROWS = [
     # label, N, R, M, alpha_df, qubits, toffoli

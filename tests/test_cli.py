@@ -19,6 +19,12 @@ jsonschema = pytest.importorskip("jsonschema")
 from qdf.cli import main
 from tests.conftest import fixture_path
 
+VALIDATE_CHECKS = [
+    "validate_symmetry", "factorization_reconstruction", "representation_identity",
+    "particle_number_symmetry", "one_body_norm_identity", "alpha_dominates_spectral_norm",
+    "truncation_soundness",
+]
+
 H2 = fixture_path("h2_sto3g.fcidump")
 H4 = fixture_path("h4_sto3g.fcidump")
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "qdf", "schemas")
@@ -446,18 +452,36 @@ class TestMalformedCache:
             assert (code, out) == (2, "") and err.startswith("numeric error: ")
             assert err.count("\n") == 1
             return
-        if moved == ["eigenvalues"]:
-            # With the moved eigenvalue's unit eigenvector v, the contraction
-            # sum (g' - g)_ijkl v_i v_j v_k v_l is delta (2 lambda + delta), and
-            # its size is at most N^2 times the sup-norm change of the rebuilt
-            # tensor.  validate fails once that change exceeds its 1e-8 bound
-            # plus the clean cache's own error (below 1e-9); 2e-8 clears both.
-            m = int(np.flatnonzero(good.eigenvalues != bad.eigenvalues)[0])
-            lam, delta = good.eigenvalues[m], bad.eigenvalues[m] - good.eigenvalues[m]
-            if abs(delta * (2 * lam + delta)) > good.n_orbitals**2 * 2e-8:
-                code, _, _, _ = run_captured(
-                    ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
-                assert code == 2
+        if visible_to_validate(good, bad):
+            code, _, _, _ = run_captured(
+                ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
+            assert code == 2
+
+    @pytest.mark.parametrize("mask", [0x01, 0x10, 0x80])
+    @pytest.mark.parametrize("field", ["one_body_eigenvalue", "schatten_norm"])
+    def test_moved_value_fails_validate(self, clean, field, mask):
+        # A flip in the high bytes of the first one-body eigenvalue or Schatten
+        # norm leaves the header intact, so estimate takes the cache as a hit.
+        from qdf.factorization import read_cache
+
+        good = read_cache(clean.fcidump.with_suffix(".qdfcache"))[1]
+        value = good.one_body_eigs[0][0] if field == "one_body_eigenvalue" else good.schatten_norms[0]
+        blob = bytearray(clean.cache)
+        at = blob.find(np.float64(value).tobytes())
+        assert at > 0 and blob.count(np.float64(value).tobytes()) == 1
+        blob[at + 6] ^= mask
+        path = clean.fcidump.with_suffix(".moved.qdfcache")
+        path.write_bytes(bytes(blob))
+        assert visible_to_validate(good, read_cache(path)[1])
+        code, _, err, _ = run_captured(estimate_args(clean.fcidump, path))
+        assert code == 0 and "rebuilding" not in err
+        code, out, err, _ = run_captured(
+            ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
+        assert code == 2
+        failing = "factorization_reconstruction" if field == "one_body_eigenvalue" else (
+            "one_body_norm_identity")
+        assert err == f"validation failed: {failing}\n"
+        assert [line.split()[0] for line in out.splitlines()] == VALIDATE_CHECKS
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -471,6 +495,25 @@ class TestMalformedCache:
         blob = bytearray(clean.cache)
         blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
         self.check(clean, bytes(blob))
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_overflow_names_the_schatten_sum(self, tmp_path, command):
+        # an eigenvalue of 1e307 is finite, so the cache loads and is a hit
+        from qdf.factorization import read_cache
+
+        cache = tmp_path / "h4.qdfcache"
+        assert run_cli(["estimate", "--fcidump", H4, "--cache", str(cache)])[0] == 0
+        value = np.float64(read_cache(cache)[1].eigenvalues[0]).tobytes()
+        blob = cache.read_bytes()
+        assert blob.count(value) == 1
+        cache.write_bytes(blob.replace(value, np.float64(1e307).tobytes()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdf.cli", command, "--fcidump", H4, "--cache", str(cache)],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("numeric error: alpha_DF overflows: the square of Schatten "
+                               "sum 1e+307 is out of float range\n")
 
     @pytest.mark.parametrize("command, bad", [
         ("estimate", "cut"), ("sweep", "directory"), ("validate", "v1"), ("estimate", "garbage"),
@@ -493,6 +536,27 @@ class TestMalformedCache:
         assert proc.stderr.startswith(f"cache {cache} ")
         expected = 3 if bad == "directory" else 0
         assert proc.returncode == expected, proc.stderr
+
+
+def visible_to_validate(good, bad) -> bool:
+    """Whether the one payload float in which the factorizations ``good`` and
+    ``bad`` differ moved too far for validate's 1e-8 bounds to hide, with a
+    margin for the clean cache's own error (below 1e-9)."""
+    if not np.array_equal(good.eigenvalues, bad.eigenvalues):
+        # With the moved eigenvalue's unit eigenvector v, the contraction
+        # sum (g' - g)_ijkl v_i v_j v_k v_l is delta (2 lambda + delta), and
+        # its size is at most N^2 times the sup-norm change of the rebuilt
+        # tensor.
+        m = int(np.flatnonzero(good.eigenvalues != bad.eigenvalues)[0])
+        lam, delta = good.eigenvalues[m], bad.eigenvalues[m] - good.eigenvalues[m]
+        return abs(delta * (2 * lam + delta)) > good.n_orbitals**2 * 2e-8
+    if not np.array_equal(good.one_body_eigs[0], bad.one_body_eigs[0]):
+        # V diag(w) V^T moves by delta v v^T, whose largest entry is at least
+        # delta / N for a unit vector v.
+        delta = np.abs(good.one_body_eigs[0] - bad.one_body_eigs[0]).max()
+        return delta > good.n_orbitals * 2e-8
+    # A stored Schatten norm is compared with the spectral norm of G_L.
+    return np.abs(good.schatten_norms - bad.schatten_norms).max() > 2e-8
 
 
 def estimate_args(fcidump, cache):

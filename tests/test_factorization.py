@@ -11,11 +11,10 @@ from qdf.factorization import (
     EIGENVALUE_CUTOFF,
     CacheHeader,
     NotPositiveSemidefiniteError,
-    alpha_cd,
     alpha_df,
+    alpha_from_rank_sums,
     double_factorize,
     entrywise_norm,
-    eri_supermatrix,
     load_cache,
     read_cache,
     reconstruct_two_body,
@@ -24,9 +23,8 @@ from qdf.factorization import (
     single_factorize,
 )
 from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
-from qdf.oracle import random_molecular_integrals
 from qdf.truncation import score_eigenpairs, truncate
-from tests.conftest import factorize, fixture_path, without_pair
+from tests.conftest import factorize, fixture_path, random_molecular_integrals, without_pair
 
 
 def _tensor_from_factors(factors):
@@ -42,20 +40,27 @@ def _instance(n, factors, h1=None):
     return MolecularIntegrals(n, n, 0.0, h1, _tensor_from_factors(factors))
 
 
+def _supermatrix(m):
+    """The ERI supermatrix W[(i*N + j), (k*N + l)] = (ij|kl) that the
+    pivoted Cholesky factorizes."""
+    n = m.n_orbitals
+    return m.two_body.reshape(n * n, n * n)
+
+
 class TestSupermatrix:
     def test_single_orbital(self):
         m = MolecularIntegrals(1, 1, 0.0, np.zeros((1, 1)), np.full((1, 1, 1, 1), 0.37))
-        w = eri_supermatrix(m)
+        w = _supermatrix(m)
         assert w.shape == (1, 1)
         assert w[0, 0] == 0.37
 
     def test_symmetric_for_random_tensor(self, rng):
         m = random_molecular_integrals(2, rng=rng)
-        w = eri_supermatrix(m)
+        w = _supermatrix(m)
         np.testing.assert_array_equal(w, w.T)
 
     def test_h2_supermatrix_psd(self, h2):
-        w = eri_supermatrix(h2)
+        w = _supermatrix(h2)
         assert np.linalg.eigvalsh(w).min() >= -1e-10
 
 
@@ -212,14 +217,6 @@ class TestAlphas:
         )
         assert two_body_part == pytest.approx(1.0, abs=1e-12)
 
-    def test_alpha_cd_trivial_cases(self):
-        from qdf.integrals import AdjustedOneBody
-
-        m = MolecularIntegrals(2, 2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
-        sf = single_factorize(m, tol=1e-10)
-        adj = AdjustedOneBody(h_tilde=np.eye(2), l_minus1=np.eye(2), scalar_shift=2.0)
-        assert alpha_cd(sf, adj) == pytest.approx(4.0)
-
     def test_alpha_cd_single_identity_factor(self):
         m = _instance(2, [np.eye(2)])
         sf = single_factorize(m, tol=1e-12)
@@ -242,7 +239,14 @@ class TestAlphas:
             adj = adjusted_one_body(m)
             sf = single_factorize(m, tol=1e-10)
             df = double_factorize(sf, adj)
-            assert alpha_cd(sf, adj) >= alpha_df(df) - 1e-10
+            # alpha_CD = 2 ||h_tilde||_EW + 2 sum_r ||L^(r)||_EW^2 (entrywise norms)
+            alpha_cd = 2 * entrywise_norm(adj.h_tilde) + 2 * sum(
+                entrywise_norm(f) ** 2 for f in sf.factors)
+            assert alpha_cd >= alpha_df(df) - 1e-10
+
+    def test_alpha_overflow_names_the_schatten_sum(self):
+        with pytest.raises(OverflowError, match=r"Schatten sum 1e\+200 is out of float range"):
+            alpha_from_rank_sums(np.ones(2), np.array([1.0, 1e200, 2.0]))
 
     def test_alpha_df_monotone_under_removal(self, h4_df):
         previous = alpha_df(h4_df)

@@ -8,12 +8,13 @@ from qdf.integrals import (
     MolecularIntegrals,
     adjusted_one_body,
     canonical_orbit,
-    count_nonzero_after_truncation,
-    orbit_members,
+    load_fcidump,
     parse_fcidump,
     validate_symmetry,
     write_fcidump,
 )
+from tests.conftest import fixture_path, random_molecular_integrals
+from tests.reference import orbit_members
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -48,6 +49,13 @@ def test_roundtrip_h2_exact(h2):
     assert again == h2
     # and once more: the writer's 17-significant-digit output is stable
     assert write_fcidump(again) == write_fcidump(h2)
+
+
+@pytest.mark.parametrize("name", ["h2_sto3g.fcidump", "h4_sto3g.fcidump"])
+def test_rewrite_reproduces_committed_bytes(name):
+    with open(fixture_path(name), "rb") as fh:
+        committed = fh.read()
+    assert write_fcidump(load_fcidump(fixture_path(name))).encode("ascii") == committed
 
 
 def test_missing_norb_rejected():
@@ -161,8 +169,6 @@ class TestAdjustedOneBody:
         assert adj.scalar_shift == pytest.approx(a, abs=1e-15)
 
     def test_coulomb_difference_against_loop_oracle(self, rng):
-        from qdf.oracle import random_molecular_integrals
-
         m = random_molecular_integrals(3, rng=rng)
         adj = adjusted_one_body(m)
         n = m.n_orbitals
@@ -183,49 +189,3 @@ class TestAdjustedOneBody:
         adj = adjusted_one_body(h4)
         assert np.abs(adj.h_tilde - adj.h_tilde.T).max() < 1e-12
         assert np.abs(adj.l_minus1 - adj.l_minus1.T).max() < 1e-12
-
-
-class TestCountNonzeroAfterTruncation:
-    def test_zero_budget_keeps_all(self, h2):
-        from qdf.integrals import _orbit_values
-
-        n_nonzero = int(np.count_nonzero(_orbit_values(h2.two_body)))
-        assert count_nonzero_after_truncation(h2, 0.0) == n_nonzero
-
-    def test_single_small_orbit_removed(self):
-        g = np.zeros((1, 1, 1, 1))
-        g[0, 0, 0, 0] = 1e-5
-        m = MolecularIntegrals(1, 1, 0.0, np.zeros((1, 1)), g)
-        assert count_nonzero_after_truncation(m, 1e-3) == 0
-
-    def test_matches_sort_and_accumulate_oracle(self, rng):
-        from qdf.integrals import _orbit_values
-        from qdf.oracle import random_molecular_integrals
-
-        m = random_molecular_integrals(3, rank=2, rng=rng)
-        # sparsify so several magnitude scales coexist
-        g = m.two_body.copy()
-        g[np.abs(g) < 0.3] = 0.0
-        g = 0.125 * sum(
-            g.transpose(p)
-            for p in [
-                (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-                (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
-            ]
-        )
-        m = MolecularIntegrals(3, 3, 0.0, m.one_body, g)
-        for eps in (0.0, 1e-3, 0.1, 0.5, 10.0):
-            values = sorted(abs(v) for v in _orbit_values(g) if v != 0.0)
-            removed_sq = 0.0
-            kept = len(values)
-            for v in values:
-                if (removed_sq + v * v) <= eps * eps:
-                    removed_sq += v * v
-                    kept -= 1
-                else:
-                    break
-            assert count_nonzero_after_truncation(m, eps) == kept
-
-    def test_negative_budget_rejected(self, h2):
-        with pytest.raises(ValueError):
-            count_nonzero_after_truncation(h2, -1.0)

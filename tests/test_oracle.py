@@ -12,11 +12,10 @@ from qdf.oracle import (
     majorana_pair_matrix,
     one_body_norm_check,
     particle_number_commutator_norm,
-    random_molecular_integrals,
     spectral_norm,
 )
 from qdf.truncation import truncate
-from tests.conftest import factorize
+from tests.conftest import factorize, random_molecular_integrals
 
 
 class TestBuildFromIntegrals:

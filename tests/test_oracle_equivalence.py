@@ -12,11 +12,10 @@ from qdf.oracle import (
     ground_energy,
     majorana_pair_matrix,
     one_body_norm_check,
-    random_molecular_integrals,
     spectral_norm,
 )
 from qdf.truncation import score_eigenpairs, truncate
-from tests.conftest import factorize
+from tests.conftest import factorize, random_molecular_integrals
 from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,
