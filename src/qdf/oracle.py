@@ -4,13 +4,14 @@ Builds the many-body matrix of a molecular Hamiltonian (or of its
 double-factorized form) under the Jordan-Wigner encoding, with spin-up
 orbitals on qubits 0..N-1 and spin-down on N..2N-1; qubit 0 is the most
 significant bit of a basis-state index.  Every operator built from real
-integrals is real, so matrices are float64.  Each operator is one weighted
-gather of cached basis-state actions (spin-summed excitations or Majorana
-pairs) into a sparse matrix.  Both Hamiltonians conserve (N_up, N_down), so
-spectra are taken sector block by sector block.  Capped at N = 6 spatial
-orbitals (4096-dimensional, largest sector block C(6,3)^2 = 400).  Used to
-verify the factorization identity, the one-body norm identity, and the
-truncation error bounds.
+integrals is real, so matrices are float64.  Both Hamiltonians conserve
+(N_up, N_down), so they are built sector block by sector block: each block is
+a numpy gather of the spin-summed excitations F_ij = sum_s a+_{is} a_{js}
+inside the sector, and sectors of one block size are stacked and handled by
+one call.  Spectra are taken on the same stacked blocks.  Capped at N = 6
+spatial orbitals (4096-dimensional, largest sector block C(6,3)^2 = 400).
+Used to verify the factorization identity, the one-body norm identity, and
+the truncation error bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from qdf.factorization import DoubleFactorization
 from qdf.integrals import MolecularIntegrals
@@ -27,7 +27,6 @@ __all__ = [
     "FockOperator",
     "build_from_df",
     "build_from_integrals",
-    "df_fragments",
     "ground_energy",
     "majorana_pair_matrix",
     "one_body_norm_check",
@@ -58,6 +57,15 @@ def _real(matrix) -> np.ndarray:
     return np.ascontiguousarray(matrix, dtype=float)
 
 
+def _check_hermitian(matrix: np.ndarray):
+    """Raise ValueError unless the (stacked) square matrices are symmetric
+    within HERMITICITY_TOLERANCE."""
+    herm = matrix - matrix.swapaxes(-1, -2)
+    herm = np.abs(herm, out=herm).max(initial=0.0)
+    if herm > HERMITICITY_TOLERANCE:
+        raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
+
+
 class FockOperator:
     """Dense real symmetric many-body matrix over 2N Jordan-Wigner qubits."""
 
@@ -67,11 +75,24 @@ class FockOperator:
         dim = 1 << (2 * n_spatial)
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} != ({dim}, {dim})")
-        herm = np.abs(matrix - matrix.T).max()
-        if herm > HERMITICITY_TOLERANCE:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
+        _check_hermitian(matrix)
         self.n_spatial = n_spatial
         self.matrix = matrix
+
+    @classmethod
+    def _from_blocks(cls, n_spatial: int, blocks, shift: float) -> "FockOperator":
+        """shift * I plus the given (sectors, (S, d, d) blocks) pairs on the
+        sector diagonal.  Such a matrix is Hermitian iff its blocks are, so
+        only they are checked."""
+        dim = 1 << (2 * n_spatial)
+        matrix = np.zeros((dim, dim))
+        for sectors, block in blocks:
+            _check_hermitian(block)
+            matrix[sectors.index[:, :, None], sectors.index[:, None, :]] = block
+        matrix.flat[:: dim + 1] += shift
+        op = cls.__new__(cls)
+        op.n_spatial, op.matrix = n_spatial, matrix
+        return op
 
     @property
     def dim(self) -> int:
@@ -86,23 +107,33 @@ def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
     return counts
 
 
-class _Stack(NamedTuple):
-    """COO entries of a family of N x N operators X_ij: entry e belongs to
-    X_ij with i * N + j = ``owner[e]``."""
+class _Sectors(NamedTuple):
+    """S (N_up, N_down) sectors that share the block size d and the hop count c.
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    Sector s, labelled ``keys[s]``, holds the basis states ``index[s]`` in
+    ascending order.  Inside it F_ij is diagonal for i = j, with the electron
+    count ``occ[s, x, i]`` of orbital i in local state x.  For i != j it moves
+    one electron: row x holds c such entries, ``sign[s, x, k]`` at local column
+    ``col[s, x, k]`` of F_ij with i * N + j = ``owner[s, x, k]``.  Each (row,
+    column) pair holds at most one of these entries.
+    """
+
+    keys: list[tuple[int, int]]
+    index: np.ndarray
+    occ: np.ndarray
     owner: np.ndarray
+    col: np.ndarray
+    sign: np.ndarray
 
 
 class _JordanWigner:
-    """Basis-state actions and (N_up, N_down) sectors for N spatial orbitals.
+    """Basis-state actions and (N_up, N_down) sector data for N spatial orbitals.
 
-    ``excitation`` holds F_ij = sum_s a+_{is} a_{js}, and ``majorana_pair``
-    holds (i/2) sum_s gamma_{is,0} gamma_{js,1} = 1/2 sum_s (a_{is} + a+_{is})
-    (a_{js} - a+_{js}), with gamma_{p,0} = a_p + a+_p and gamma_{p,1} =
-    -i (a_p - a+_p).  ``sectors`` maps (N_up, N_down) to its basis indices.
+    ``groups`` lists the sectors, stacked by block size.  ``majorana_pair``
+    holds the COO entries (row, column, value, owner i * N + j) on the whole
+    space of (i/2) sum_s gamma_{is,0} gamma_{js,1} = 1/2 sum_s (a_{is} +
+    a+_{is}) (a_{js} - a+_{js}), with gamma_{p,0} = a_p + a+_p and gamma_{p,1}
+    = -i (a_p - a+_p).
     """
 
     _cache: dict[int, "_JordanWigner"] = {}
@@ -112,17 +143,45 @@ class _JordanWigner:
         self.n = n
         self.dim = 1 << (2 * n)
         self._states = states = np.arange(self.dim, dtype=np.int64)
-        self.excitation = self._stack([(1.0, True, False)])
         self.majorana_pair = self._stack(
             [(0.5, False, False), (-0.5, False, True), (0.5, True, False), (-0.5, True, True)]
         )
         up = _popcount(states >> n, n)
         down = _popcount(states, n)
-        self.sectors = {
-            (n_up, n_down): np.flatnonzero((up == n_up) & (down == n_down))
-            for n_up in range(n + 1)
-            for n_down in range(n + 1)
-        }
+        sector = up * (n + 1) + down
+        members = [np.flatnonzero(sector == k) for k in range((n + 1) ** 2)]
+        local = np.empty(self.dim, dtype=np.int64)
+        for index in members:
+            local[index] = np.arange(index.size)
+        orbitals = 2 * n - 1 - np.arange(n)
+        occ = ((states[:, None] >> orbitals) & 1) + ((states[:, None] >> (orbitals - n)) & 1)
+        rows, cols, vals, owner = self._stack([(1.0, True, False)])
+        # The hops, row by row: a sector lists its states in ascending order,
+        # so its entries then reshape to (d, c).
+        hop = np.flatnonzero(rows != cols)
+        hop = hop[np.argsort(rows[hop], kind="stable")]
+        rows, cols, vals, owner = rows[hop], cols[hop], vals[hop], owner[hop]
+
+        by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for n_up in range(n + 1):
+            for n_down in range(n + 1):
+                d = members[n_up * (n + 1) + n_down].size
+                c = n_up * (n - n_up) + n_down * (n - n_down)
+                by_shape.setdefault((d, c), []).append((n_up, n_down))
+        self.groups = []
+        for (d, c), keys in by_shape.items():
+            ids = [n_up * (n + 1) + n_down for n_up, n_down in keys]
+            index = np.stack([members[k] for k in ids])
+            entries = np.concatenate([np.flatnonzero(sector[rows] == k) for k in ids])
+            shape = (len(keys), d, c)
+            self.groups.append(_Sectors(
+                keys=keys,
+                index=index,
+                occ=occ[index].astype(float),
+                owner=owner[entries].reshape(shape),
+                col=local[cols[entries]].reshape(shape),
+                sign=vals[entries].reshape(shape),
+            ))
 
     @classmethod
     def get(cls, n: int) -> "_JordanWigner":
@@ -141,9 +200,10 @@ class _JordanWigner:
         sign = (1 - 2 * parity) * (occupied != create)
         return self._states ^ (1 << shift), sign
 
-    def _stack(self, terms: list[tuple[float, bool, bool]]) -> _Stack:
-        """Entries of X_ij = sum_s sum_(c, p, q) c * b_{is} b'_{js} over
-        ``terms`` (c, p, q), where b is a+ if p else a, and b' likewise."""
+    def _stack(self, terms: list[tuple[float, bool, bool]]):
+        """(rows, cols, vals, owner) of X_ij = sum_s sum_(c, p, q) c * b_{is}
+        b'_{js} over ``terms`` (c, p, q), where b is a+ if p else a, and b'
+        likewise; entry e belongs to X_ij with i * N + j = ``owner[e]``."""
         n = self.n
         ladders = {(mode, create): self._ladder(mode, create)
                    for mode in range(2 * n) for create in (False, True)}
@@ -160,12 +220,32 @@ class _JordanWigner:
                         cols.append(nz)
                         vals.append(coeff * sign[nz])
                         owner.append(np.full(nz.size, i * n + j))
-        return _Stack(*(np.concatenate(part) for part in (rows, cols, vals, owner)))
+        return tuple(np.concatenate(part) for part in (rows, cols, vals, owner))
 
-    def gather(self, stack: _Stack, coeffs: np.ndarray) -> sp.csr_matrix:
-        """sum_ij coeffs[i, j] X_ij over the family in ``stack``."""
-        vals = stack.vals * _real(coeffs).reshape(-1)[stack.owner]
-        return sp.csr_matrix((vals, (stack.rows, stack.cols)), shape=(self.dim, self.dim))
+
+def _excitation_blocks(sectors: _Sectors, coeffs: np.ndarray, majorana: bool = False):
+    """Blocks (S, R, d, d) of sum_ij coeffs[r, i, j] F_ij in each sector or,
+    with ``majorana``, of the Majorana-pair operator G_L of each L = coeffs[r].
+
+    G_L is sum_ij L_ij 1/2 sum_s (a_is + a+_is)(a_js - a+_js).  With
+    a_i a+_j = delta_ij - a+_j a_i that is L.F - tr(L) plus a_i a_j and
+    a+_i a+_j terms, and those cancel for a symmetric L, so an asymmetric
+    one is refused.
+    """
+    n_coeffs, n = coeffs.shape[0], coeffs.shape[-1]
+    s, d, _ = sectors.col.shape
+    occ = sectors.occ
+    if majorana:
+        asym = np.abs(coeffs - coeffs.transpose(0, 2, 1)).max(initial=0.0)
+        if asym > HERMITICITY_TOLERANCE:
+            raise ValueError(f"G_L = L.F - tr(L) needs a symmetric L: asymmetry {asym:.3e}")
+        occ = occ - 1.0
+    blocks = np.zeros((s, n_coeffs, d * d))
+    flat = coeffs.reshape(n_coeffs, n * n)
+    pos = np.arange(d)[:, None] * d + sectors.col
+    blocks[np.arange(s)[:, None, None], :, pos] = flat.T[sectors.owner] * sectors.sign[..., None]
+    blocks[:, :, :: d + 1] = (occ @ np.diagonal(coeffs, axis1=1, axis2=2).T).transpose(0, 2, 1)
+    return blocks.reshape(s, n_coeffs, d, d)
 
 
 def build_from_integrals(m: MolecularIntegrals) -> FockOperator:
@@ -180,34 +260,36 @@ def build_from_integrals(m: MolecularIntegrals) -> FockOperator:
         1/2 sum_ij F_ij K_ij - 1/2 sum_il (sum_j (ij|jl)) F_il,
         K_ij = sum_kl (ij|kl) F_kl,
 
-    built from the raw integrals, independent of any factorization.
+    built from the raw integrals, independent of any factorization.  In each
+    sector, row x of F_ij K_ij is a signed sum of rows of K_ij: the rows at
+    the hop columns of x, and row x itself weighted by the count of i in x.
     """
     n = m.n_orbitals
     jw = _JordanWigner.get(n)
-    f, dim, pairs = jw.excitation, jw.dim, n * n
     g = m.two_body
-    # The F_ij side by side times the K_ij stacked: one product sums F_ij K_ij.
-    f_row = sp.csr_matrix((f.vals, (f.rows, f.owner * dim + f.cols)), shape=(dim, pairs * dim))
-    k_vals = g.reshape(pairs, pairs)[:, f.owner] * f.vals
-    k_rows = np.arange(pairs)[:, None] * dim + f.rows
-    k_col = sp.csr_matrix(
-        (k_vals.ravel(), (k_rows.ravel(), np.tile(f.cols, pairs))), shape=(pairs * dim, dim)
-    )
-    one_body = jw.gather(f, m.one_body - 0.5 * np.einsum("ijjl->il", g))
-    dense = (one_body + 0.5 * (f_row @ k_col)).toarray()
-    dense += m.core_energy * np.eye(dim)
-    return FockOperator(n, dense)
-
-
-def _majorana_pair_sparse(l_matrix: np.ndarray) -> sp.csr_matrix:
-    jw = _JordanWigner.get(l_matrix.shape[0])
-    return jw.gather(jw.majorana_pair, l_matrix)
+    one_body = (m.one_body - 0.5 * np.einsum("ijjl->il", g))[None]
+    diagonal = np.arange(n) * (n + 1)
+    blocks = []
+    for sectors in jw.groups:
+        k = _excitation_blocks(sectors, g.reshape(n * n, n, n))
+        hops = k[np.arange(k.shape[0])[:, None, None], sectors.owner, sectors.col]
+        two_body = np.einsum("sxc,sxcy->sxy", sectors.sign, hops)
+        two_body += np.einsum("sxi,sixy->sxy", sectors.occ, k[:, diagonal])
+        blocks.append((sectors, _excitation_blocks(sectors, one_body)[:, 0] + 0.5 * two_body))
+    return FockOperator._from_blocks(n, blocks, m.core_energy)
 
 
 def majorana_pair_matrix(l_matrix: np.ndarray) -> np.ndarray:
     """Dense real matrix of G_L = (i/2) sum_{ij,s} L_ij gamma_{i,s,0}
-    gamma_{j,s,1} on 2N Jordan-Wigner qubits."""
-    return _majorana_pair_sparse(l_matrix).toarray()
+    gamma_{j,s,1} on 2N Jordan-Wigner qubits, for any real L (an asymmetric
+    L leaves pair-creating terms, which couple sectors)."""
+    l_matrix = _real(l_matrix)
+    jw = _JordanWigner.get(l_matrix.shape[0])
+    rows, cols, vals, owner = jw.majorana_pair
+    # bincount returns int64 when the weights are empty; keep the result float.
+    flat = np.bincount(rows * jw.dim + cols, weights=vals * l_matrix.reshape(-1)[owner],
+                       minlength=jw.dim * jw.dim).astype(float, copy=False)
+    return flat.reshape(jw.dim, jw.dim)
 
 
 def build_from_df(df: DoubleFactorization) -> FockOperator:
@@ -217,47 +299,50 @@ def build_from_df(df: DoubleFactorization) -> FockOperator:
 
     where each L^(r) is rebuilt from the retained eigenpairs.  For an
     untruncated factorization this equals :func:`build_from_integrals` of the
-    source integrals up to the factorization residual.
+    source integrals up to the factorization residual.  In each sector the
+    G_{L^(r)} blocks are symmetric, so 1/2 sum_r G_r^2 is one product G^T G of
+    the blocks stacked on top of each other.
     """
-    total = _majorana_pair_sparse(df.one_body.l_minus1)
-    for r in range(df.rank):
-        g_r = _majorana_pair_sparse(df.factor_matrix(r))
-        total = total + 0.5 * (g_r @ g_r)
-    dense = total.toarray()
-    dense += (df.one_body.scalar_shift + df.one_body.core_energy) * np.eye(dense.shape[0])
-    return FockOperator(df.n_orbitals, dense)
-
-
-def df_fragments(df: DoubleFactorization) -> list[np.ndarray]:
-    """Hermitian fragments {G_{l_minus1}, 1/2 G_{L^(r)}^2, ...} whose sum plus
-    the scalar shift is the double-factorized Hamiltonian; input for the
-    product-formula step bound."""
-    frags = [majorana_pair_matrix(df.one_body.l_minus1)]
-    for r in range(df.rank):
-        g_r = _majorana_pair_sparse(df.factor_matrix(r))
-        frags.append(0.5 * (g_r @ g_r).toarray())
-    return frags
+    n, rank = df.n_orbitals, df.rank
+    jw = _JordanWigner.get(n)
+    coeffs = np.stack([df.one_body.l_minus1, *(df.factor_matrix(r) for r in range(rank))])
+    blocks = []
+    for sectors in jw.groups:
+        g = _excitation_blocks(sectors, coeffs, majorana=True)
+        s, _, d, _ = g.shape
+        stacked = g[:, 1:].reshape(s, rank * d, d)
+        blocks.append((sectors, g[:, 0] + 0.5 * (stacked.transpose(0, 2, 1) @ stacked)))
+    shift = df.one_body.scalar_shift + df.one_body.core_energy
+    return FockOperator._from_blocks(n, blocks, shift)
 
 
 def _sector_blocks(matrix: np.ndarray, n_electrons: int | None = None):
-    """The (N_up, N_down) diagonal blocks of a 4^N x 4^N matrix, only those
-    with N_up + N_down = ``n_electrons`` if it is given.  Raises ValueError
-    if a row of a block has a non-zero entry outside the block: the block
-    spectra would then not be spectra of the matrix."""
+    """The (N_up, N_down) diagonal blocks of a 4^N x 4^N matrix, stacked by
+    block size, only those with N_up + N_down = ``n_electrons`` if it is
+    given.  Raises ValueError if a row of a block has a non-zero entry
+    outside the block: the block spectra would then not be spectra of the
+    matrix."""
     dim = matrix.shape[0]
     n = (dim.bit_length() - 1) // 2
     if matrix.shape != (1 << (2 * n),) * 2:
         raise ValueError(f"matrix shape {matrix.shape} is not 4^N x 4^N")
-    for (n_up, n_down), index in _JordanWigner.get(n).sectors.items():
-        if n_electrons is not None and n_up + n_down != n_electrons:
-            continue
-        rows = matrix[index]
-        block = rows[:, index]
-        if np.count_nonzero(rows) != np.count_nonzero(block):
+    row_nonzeros = np.count_nonzero(matrix, axis=1)
+    for sectors in _JordanWigner.get(n).groups:
+        keys, index = sectors.keys, sectors.index
+        if n_electrons is not None:
+            keep = [s for s, (n_up, n_down) in enumerate(keys) if n_up + n_down == n_electrons]
+            if not keep:
+                continue
+            keys, index = [keys[s] for s in keep], index[keep]
+        blocks = matrix[index[:, :, None], index[:, None, :]]
+        coupled = np.flatnonzero(row_nonzeros[index].sum(axis=1)
+                                 != np.count_nonzero(blocks, axis=(1, 2)))
+        if coupled.size:
+            n_up, n_down = keys[coupled[0]]
             raise ValueError(
                 f"matrix couples the (N_up, N_down) = ({n_up}, {n_down}) sector to another"
             )
-        yield block
+        yield blocks
 
 
 def ground_energy(op: FockOperator, n_electrons: int) -> float:
@@ -266,7 +351,8 @@ def ground_energy(op: FockOperator, n_electrons: int) -> float:
     n_modes = 2 * op.n_spatial
     if not (0 <= n_electrons <= n_modes):
         raise ValueError(f"no {n_electrons}-electron sector in {n_modes} spin-orbitals")
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in _sector_blocks(op.matrix, n_electrons))
+    return min(float(np.linalg.eigvalsh(b)[:, 0].min())
+               for b in _sector_blocks(op.matrix, n_electrons))
 
 
 def particle_number_commutator_norm(op: FockOperator) -> float:
@@ -291,4 +377,3 @@ def one_body_norm_check(l_matrix: np.ndarray) -> tuple[float, float]:
 
     g = majorana_pair_matrix(l_matrix)
     return spectral_norm(g), schatten_norm(l_matrix)
-

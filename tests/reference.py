@@ -17,7 +17,9 @@ The dense-oracle reference is the complex Jordan-Wigner backend: mode
 operators as Kronecker chains of 2x2 matrices, every term of the Hamiltonian
 added as its own sparse product, full-matrix spectra.  The package's real,
 gathered, sector-blocked oracle sums in another order, so it is compared to
-this one within a tolerance, not bit for bit.
+this one within a tolerance, not bit for bit.  ``df_fragments``, the input of
+the product-formula bound, is built here from the package's public
+``majorana_pair_matrix``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from qdf.factorization import (
     NotPositiveSemidefiniteError,
     SingleFactorization,
 )
+from qdf.oracle import majorana_pair_matrix
 from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
@@ -515,3 +518,14 @@ def ground_energy_full(matrix: np.ndarray, n_electrons: int) -> float:
     counts = sum((states >> q) & 1 for q in range(n_modes))
     sector = np.flatnonzero(counts == n_electrons)
     return float(np.linalg.eigvalsh(matrix[np.ix_(sector, sector)])[0])
+
+
+def df_fragments(df: DoubleFactorization) -> list[np.ndarray]:
+    """Hermitian fragments {G_{l_minus1}, 1/2 G_{L^(r)}^2, ...} whose sum plus
+    the scalar shift is the double-factorized Hamiltonian; input for the
+    product-formula step bound."""
+    frags = [majorana_pair_matrix(df.one_body.l_minus1)]
+    for r in range(df.rank):
+        g_r = majorana_pair_matrix(df.factor_matrix(r))
+        frags.append(0.5 * (g_r @ g_r))
+    return frags

@@ -33,12 +33,12 @@ from qdf.factorization import entrywise_norm, reconstruct_two_body, schatten_nor
 from qdf.oracle import (
     build_from_df,
     build_from_integrals,
-    df_fragments,
     ground_energy,
     spectral_norm,
 )
 from qdf.truncation import default_grid, truncate
 from tests.conftest import factorize, fixture_path, random_molecular_integrals
+from tests.reference import df_fragments
 
 REFERENCE_ROWS = [
     # label, N, R, M, alpha_df, qubits, toffoli
@@ -139,7 +139,8 @@ def test_criterion_03_norm_inequality_suite():
 
 def test_criterion_04_factorization_identity(h2, h4):
     """Tensor reconstruction and many-body representation identity within
-    1e-8 on 100 random PSD instances (N=2..4) and the committed fixtures."""
+    1e-8 on 111 random PSD instances (100 with N=2..4, ten with N=5, one with
+    N=6) and the committed fixtures."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
     worst_recon = 0.0
@@ -147,6 +148,8 @@ def test_criterion_04_factorization_identity(h2, h4):
     cases = [(h2, None), (h4, None)]
     for _ in range(100):
         n = int(rng.integers(2, 5))
+        cases.append((random_molecular_integrals(n, rng=rng, scale=0.7), None))
+    for n in [5] * 10 + [6]:
         cases.append((random_molecular_integrals(n, rng=rng, scale=0.7), None))
     for mol, _ in cases:
         df = factorize(mol)
@@ -157,7 +160,7 @@ def test_criterion_04_factorization_identity(h2, h4):
         worst_ident = max(worst_ident, float(np.abs(a.matrix - b.matrix).max()))
     elapsed = time.perf_counter() - t0
     report(
-        "criterion 4 (factorization identity, 102 instances)",
+        "criterion 4 (factorization identity, 113 instances)",
         worst_recon <= 1e-8 and worst_ident <= 1e-8 and elapsed < 60.0,
         f"recon {worst_recon:.2e}, identity {worst_ident:.2e}, {elapsed:.1f}s",
     )
@@ -165,15 +168,16 @@ def test_criterion_04_factorization_identity(h2, h4):
 
 def test_criterion_05_truncation_soundness():
     """Coherent truncation: dense ||H - H~|| <= budget at all 16 sweep points
-    of 50 random instances (zero violations).  Incoherent truncation:
-    |dE0| <= score for at least 95% of instances (logged statistic)."""
+    of 55 random instances (50 with N=2..4, five with N=5; zero violations).
+    Incoherent truncation: |dE0| <= score for at least 95% of instances
+    (logged statistic)."""
     rng = np.random.default_rng(5)
     grid = default_grid()
     coherent_violations = 0
     incoherent_ok = 0
-    n_instances = 50
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 5))
+    n_instances = 55
+    for i in range(n_instances):
+        n = int(rng.integers(2, 5)) if i < 50 else 5
         mol = random_molecular_integrals(n, rng=rng, scale=0.5)
         df = factorize(mol)
         h_full = build_from_df(df)

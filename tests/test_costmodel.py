@@ -460,7 +460,7 @@ class TestTrotterBound:
             trotter_step_bound([np.eye(2), np.eye(4)])
 
     def test_h2_fragments_positive_and_pinned(self, h2_df):
-        from qdf.oracle import df_fragments
+        from tests.reference import df_fragments
 
         val = trotter_step_bound(df_fragments(h2_df))
         assert val > 0

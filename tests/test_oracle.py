@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from qdf.oracle import (
     spectral_norm,
 )
 from qdf.truncation import truncate
-from tests.conftest import factorize, random_molecular_integrals
+from tests.conftest import factorize, random_molecular_integrals, without_pair
+from tests.reference import (
+    build_from_df_kron,
+    build_from_integrals_kron,
+    ground_energy_full,
+    majorana_pair_matrix_kron,
+)
 
 
 class TestBuildFromIntegrals:
@@ -63,7 +71,7 @@ class TestBuildFromDf:
 
     def test_two_body_emptied_leaves_one_body(self, h2_df):
         reduced, _ = truncate(h2_df, "coherent", 1e9)
-        assert reduced.total_eigenpairs == 0
+        assert reduced.total_eigenpairs == 0 and reduced.rank == 0
         op = build_from_df(reduced)
         expected = majorana_pair_matrix(h2_df.one_body.l_minus1)
         expected = expected + (
@@ -180,6 +188,44 @@ class TestSpectralNorm:
             )
             shifted = op.matrix - shift * np.eye(op.dim)
             assert spectral_norm(shifted) <= alpha_df(df) + 1e-8
+
+
+class TestSectorBlockEdges:
+    """Inputs where a sector block or a rank is empty, and the
+    symmetric-coefficient shortcut G_L = L.F - tr(L) of build_from_df."""
+
+    def test_single_orbital_matches_reference(self, rng):
+        # At N=1 the sector (0, 0) holds no F entry and (1, 1) no hop.
+        mol = random_molecular_integrals(1, rng=rng, scale=0.6)
+        df = factorize(mol)
+        op = build_from_integrals(mol)
+        assert op.matrix.dtype == np.float64 and op.matrix[0, 0] == mol.core_energy
+        for op, ref in ((op, build_from_integrals_kron(mol)),
+                        (build_from_df(df), build_from_df_kron(df))):
+            for n_electrons in (0, 1, 2):
+                assert abs(ground_energy(op, n_electrons)
+                           - ground_energy_full(ref, n_electrons)) <= 1e-10
+
+    def test_rank_with_every_pair_removed_matches_reference(self, h4_df):
+        reduced = h4_df
+        lo, hi = h4_df.offsets[1], h4_df.offsets[2]
+        for _ in range(hi - lo):
+            reduced = without_pair(reduced, lo)
+        assert reduced.rank == h4_df.rank and reduced.offsets[1] == reduced.offsets[2]
+        assert np.abs(build_from_df(reduced).matrix - build_from_df_kron(reduced)).max() <= 1e-10
+
+    def test_asymmetric_one_body_refused_by_shortcut(self, h2_df):
+        l_matrix = h2_df.one_body.l_minus1.copy()
+        l_matrix[0, 1] += 1e-6
+        bad = dataclasses.replace(
+            h2_df, one_body=dataclasses.replace(h2_df.one_body, l_minus1=l_matrix))
+        with pytest.raises(ValueError, match="symmetric"):
+            build_from_df(bad)
+
+    def test_asymmetric_majorana_pair_matches_reference(self, rng):
+        l_matrix = rng.normal(size=(3, 3))
+        g = majorana_pair_matrix(l_matrix)
+        assert np.abs(g - majorana_pair_matrix_kron(l_matrix)).max() <= 1e-10
 
 
 def test_dense_cap_constant():
