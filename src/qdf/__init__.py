@@ -26,7 +26,6 @@ from qdf.factorization import (
     SingleFactorization,
     alpha_df,
     double_factorize,
-    entrywise_norm,
     load_cache,
     read_cache,
     reconstruct_two_body,
@@ -81,7 +80,6 @@ __all__ = [
     "build_from_integrals",
     "default_grid",
     "double_factorize",
-    "entrywise_norm",
     "estimate",
     "ground_energy",
     "load_cache",

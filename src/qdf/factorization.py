@@ -24,7 +24,6 @@ __all__ = [
     "SingleFactorization",
     "alpha_df",
     "double_factorize",
-    "entrywise_norm",
     "load_cache",
     "read_cache",
     "reconstruct_two_body",
@@ -55,13 +54,13 @@ class NotPositiveSemidefiniteError(ValueError):
 class SingleFactorization:
     """Rank-R Cholesky factorization of the two-electron tensor.
 
-    ``factors[r]`` is the symmetric N x N matrix L^(r) (Hartree^1/2), in
-    pivot-selection order.  ``residual_sup_norm`` is the largest absolute
+    ``factors`` (R, N, N) holds the symmetric matrices L^(r) (Hartree^1/2),
+    in pivot-selection order.  ``residual_sup_norm`` is the largest absolute
     residual diagonal at termination; the residual is PSD, so it bounds every
     entry, |w_ij| <= sqrt(w_ii w_jj).
     """
 
-    factors: list[np.ndarray]
+    factors: np.ndarray
     residual_sup_norm: float
 
     @property
@@ -129,19 +128,26 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     """Greedy pivoted-Cholesky factorization of the ERI supermatrix.
 
     Repeatedly selects the largest remaining diagonal of W, forms the
-    corresponding symmetric factor (the Cholesky column reshaped N x N and
-    symmetrized), and stops once the largest remaining diagonal is at most
-    ``tol``.  Only the residual diagonal and the computed columns are kept
-    (Koch, Sanchez de Meras & Pedersen, JCP 118, 9481 (2003)): column q of
-    the residual is W[:, q] minus each earlier column times its entry q, in
-    pivot order, which is the same floating-point sequence as deflating a
-    full copy of W by one rank-1 update per pivot.  Memory is O(N^2 R) and
-    time O(N^2 R^2).
+    corresponding symmetric factor, and stops once the largest remaining
+    diagonal is at most ``tol`` or after N^2 pivots.  Only the residual
+    diagonal and the computed columns are kept (Koch, Sanchez de Meras &
+    Pedersen, JCP 118, 9481 (2003)), on the N(N+1)/2 orbital pairs i <= j in
+    row-major order: memory O(N^2 R / 2), time O(N^2 R^2 / 2).
+
+    Requires the exact 8-fold symmetry of MolecularIntegrals (the parser
+    writes an orbit's eight slots from one value).  Then every column is
+    exactly pair-symmetric, twin diagonals stay equal and the first largest
+    packed pair is the first of all N^2, so the factors are bit for bit those
+    of deflating a full copy of W by one rank-1 update per pivot: residual
+    column q is W[:, q] minus each earlier column times its entry q, in pivot
+    order, in one ``np.subtract.reduce`` (numpy reduces pairwise only for
+    ``np.add``).  A pivot's rounding residual can exceed ``tol`` at large
+    scales; the pair is then picked again, and R can pass N(N+1)/2.
 
     Raises
     ------
     NotPositiveSemidefiniteError
-        A residual diagonal drops below ``-PSD_TOLERANCE``.
+        A residual diagonal, at pair index i * N + j, is below ``-PSD_TOLERANCE``.
     ValueError
         ``tol <= 0``.
     """
@@ -149,32 +155,33 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n_orbitals
     w = m.two_body.reshape(n * n, n * n)
-    diag = np.diagonal(w).copy()
-    columns: list[np.ndarray] = []
-    factors: list[np.ndarray] = []
-
-    for _ in range(n * n):
+    rows, cols = np.triu_indices(n)
+    flat = rows * n + cols
+    diag = w[flat, flat]
+    # buf: W's pivot column, then each earlier column times its pivot entry
+    chol, buf = np.empty((2, flat.size, flat.size))
+    k = 0
+    while k < n * n:
         if diag.min() < -PSD_TOLERANCE:
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
-                f"residual diagonal {diag.min():.3e} at pair index {q} "
+                f"residual diagonal {diag.min():.3e} at pair index {flat[q]} "
                 f"is below -{PSD_TOLERANCE:.1e}; ERI supermatrix is not PSD"
             )
         q = int(np.argmax(diag))
-        pivot = diag[q]
-        if pivot <= tol:
+        if diag[q] <= tol:
             break
-        col = w[:, q].copy()
-        for c in columns:
-            col -= c * c[q]
-        col /= np.sqrt(pivot)
-        columns.append(col)
-        factor = col.reshape(n, n)
-        factors.append(0.5 * (factor + factor.T))
-        diag -= col * col
+        if k == len(chol):  # a pair was picked again
+            chol, buf = np.concatenate((chol, chol)), np.concatenate((buf, buf))
+        buf[0] = w[flat, flat[q]]
+        np.multiply(chol[:k], chol[:k, q, None], out=buf[1:k + 1])
+        chol[k] = np.subtract.reduce(buf[:k + 1], axis=0) / np.sqrt(diag[q])
+        diag -= chol[k] * chol[k]
+        k += 1
 
-    residual = float(np.abs(diag).max()) if diag.size else 0.0
-    return SingleFactorization(factors=factors, residual_sup_norm=residual)
+    pair_of = np.empty((n, n), dtype=np.intp)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(flat.size)
+    return SingleFactorization(chol[:k, pair_of], float(np.abs(diag).max()))
 
 
 def _eigh_sorted(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -247,11 +254,6 @@ def alpha_from_rank_sums(one_body_eigenvalues: np.ndarray, sums: np.ndarray) -> 
 def schatten_norm(a: np.ndarray) -> float:
     """Schatten 1-norm of a symmetric matrix: sum of absolute eigenvalues."""
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
-def entrywise_norm(a: np.ndarray) -> float:
-    """Entrywise 1-norm: sum of absolute entries."""
-    return float(np.abs(a).sum())
 
 
 def alpha_df(df: DoubleFactorization) -> float:

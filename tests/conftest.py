@@ -36,6 +36,11 @@ def reference_energies():
         return json.load(fh)
 
 
+def entrywise_norm(a: np.ndarray) -> float:
+    """Entrywise 1-norm: sum of absolute entries."""
+    return float(np.abs(a).sum())
+
+
 def factorize(mol, tol=1e-10):
     return double_factorize(single_factorize(mol, tol=tol), adjusted_one_body(mol))
 

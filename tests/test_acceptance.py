@@ -29,7 +29,7 @@ from qdf.costmodel import (
     state_prep_cost,
     trotter_step_bound,
 )
-from qdf.factorization import entrywise_norm, reconstruct_two_body, schatten_norm
+from qdf.factorization import reconstruct_two_body, schatten_norm
 from qdf.oracle import (
     build_from_df,
     build_from_integrals,
@@ -37,7 +37,7 @@ from qdf.oracle import (
     spectral_norm,
 )
 from qdf.truncation import default_grid, truncate
-from tests.conftest import factorize, fixture_path, random_molecular_integrals
+from tests.conftest import entrywise_norm, factorize, fixture_path, random_molecular_integrals
 from tests.reference import df_fragments
 
 REFERENCE_ROWS = [

@@ -14,7 +14,6 @@ from qdf.factorization import (
     alpha_df,
     alpha_from_rank_sums,
     double_factorize,
-    entrywise_norm,
     load_cache,
     read_cache,
     reconstruct_two_body,
@@ -24,7 +23,13 @@ from qdf.factorization import (
 )
 from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
 from qdf.truncation import score_eigenpairs, truncate
-from tests.conftest import factorize, fixture_path, random_molecular_integrals, without_pair
+from tests.conftest import (
+    entrywise_norm,
+    factorize,
+    fixture_path,
+    random_molecular_integrals,
+    without_pair,
+)
 
 
 def _tensor_from_factors(factors):

@@ -52,39 +52,64 @@ def _tensor(factors: np.ndarray) -> np.ndarray:
 
 
 def _assert_same_factorization(m, tol=1e-10):
+    """Both factorizations of ``m`` for one ``tol``; None if both raise the
+    same NotPositiveSemidefiniteError."""
     try:
         ref = single_factorize_deflation(m, tol=tol)
-    except NotPositiveSemidefiniteError:
-        with pytest.raises(NotPositiveSemidefiniteError):
+    except NotPositiveSemidefiniteError as exc:
+        with pytest.raises(NotPositiveSemidefiniteError) as info:
             single_factorize(m, tol=tol)
-        return
+        assert str(info.value) == str(exc)
+        return None
     new = single_factorize(m, tol=tol)
     assert new.rank == ref.rank
     for a, b in zip(new.factors, ref.factors):
         assert np.array_equal(a, b)
     # The residual diagonal is part of the residual matrix, bit for bit.
     assert new.residual_sup_norm <= ref.residual_sup_norm
+    return new, ref
 
 
-@st.composite
-def psd_instances(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    rank = draw(st.integers(min_value=0, max_value=n * (n + 1) // 2 + 2))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+def _psd_instance(n: int, rank: int, seed: int, integers: bool, scale: float) -> MolecularIntegrals:
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    if integers:
         # Small integers make equal diagonals, so argmax breaks pivot ties.
         raw = rng.integers(-2, 3, size=(rank, n, n)).astype(float)
     else:
         raw = rng.normal(size=(rank, n, n))
     factors = 0.5 * (raw + raw.transpose(0, 2, 1))
-    return MolecularIntegrals(n, n, 0.0, np.zeros((n, n)), _tensor(factors))
+    return MolecularIntegrals(n, n, 0.0, np.zeros((n, n)), _tensor(factors) * scale)
+
+
+@st.composite
+def psd_instances(draw, log10_scale=(-6.0, 9.0)):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rank = draw(st.integers(min_value=0, max_value=n * (n + 1) // 2 + 2))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    # At large scales the rounding residual d - (sqrt d)^2 of a pivot can
+    # exceed tol, so a pair is picked again and the rank passes N(N+1)/2.
+    scale = 10.0 ** draw(st.floats(*log10_scale))
+    return _psd_instance(n, rank, seed, draw(st.booleans()), scale)
+
+
+# Rank 4 = N^2 at N=2 (the pivot cap) and rank 7 of at most 9 at N=3: both
+# above the N(N+1)/2 orbital pairs.
+REPEATED_PIVOTS = [_psd_instance(2, 2, 0, False, 1e7), _psd_instance(3, 3, 8, False, 1e7)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(psd_instances(), st.sampled_from([1e-12, 1e-10, 1e-3]))
+@example(REPEATED_PIVOTS[0], 1e-10)
 def test_cholesky_matches_deflation(m, tol):
     _assert_same_factorization(m, tol)
+
+
+@pytest.mark.parametrize("m", REPEATED_PIVOTS)
+def test_repeated_pivots_match_deflation(m):
+    new, ref = _assert_same_factorization(m)
+    n = m.n_orbitals
+    assert n * (n + 1) // 2 < ref.rank <= n * n
+    assert new.residual_sup_norm == ref.residual_sup_norm
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,7 +406,7 @@ def _assert_same_double_factorization(m) -> None:
 
 
 @settings(max_examples=60, deadline=None)
-@given(psd_instances())
+@given(psd_instances(log10_scale=(0.0, 0.0)))  # large scales can leave W not PSD
 def test_double_factorize_matches_loop(m):
     _assert_same_double_factorization(m)
 
