@@ -56,8 +56,9 @@ class SingleFactorization:
 
     ``factors`` (R, N, N) holds the symmetric matrices L^(r) (Hartree^1/2),
     in pivot-selection order.  ``residual_sup_norm`` is the largest absolute
-    residual diagonal at termination; the residual is PSD, so it bounds every
-    entry, |w_ij| <= sqrt(w_ii w_jj).
+    residual diagonal at termination.  In exact arithmetic the residual is
+    PSD, so this bounds every entry, |w_ij| <= sqrt(w_ii w_jj); in floating
+    point an off-diagonal entry of the residual can exceed it.
     """
 
     factors: np.ndarray
@@ -115,13 +116,17 @@ class DoubleFactorization:
         return out
 
     def factor_matrix(self, r: int) -> np.ndarray:
-        """Rebuild L^(r) from its retained eigenpairs, added one at a time."""
-        n = self.n_orbitals
-        out = np.zeros((n, n))
+        """Rebuild L^(r) from its retained eigenpairs, exactly symmetric."""
         lo, hi = self.offsets[r], self.offsets[r + 1]
-        for lam, vec in zip(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi]):
-            out += lam * np.outer(vec, vec)
-        return out
+        return _from_eigenpairs(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi])
+
+
+def _from_eigenpairs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """U^T diag(lambda) U of eigenvalues (..., k) and eigenvector rows U
+    (..., k, N), made exactly symmetric: the product alone is off by up to
+    about eps * max|lambda|, and halving first cannot overflow."""
+    product = (np.swapaxes(vectors, -1, -2) * values[..., None, :]) @ vectors
+    return 0.5 * product + 0.5 * np.swapaxes(product, -1, -2)
 
 
 def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> SingleFactorization:
@@ -268,13 +273,15 @@ def alpha_df(df: DoubleFactorization) -> float:
 
 def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
     """Rebuild the chemist-notation tensor sum_r L^(r)_ij L^(r)_kl from the
-    retained eigenpairs."""
-    n = df.n_orbitals
-    out = np.zeros((n, n, n, n))
-    for r in range(df.rank):
-        factor = df.factor_matrix(r)
-        out += np.einsum("ij,kl->ijkl", factor, factor)
-    return out
+    retained eigenpairs.  All factors are rebuilt at once from the eigenpairs
+    zero-padded to (R, max_eigenpairs_per_rank) slots; stacked as the rows of
+    F (R, N^2), they give the tensor as the one product F^T F."""
+    n, slot = df.n_orbitals, df.pair_index
+    values = np.zeros((df.rank, df.max_eigenpairs_per_rank))
+    vectors = np.zeros(values.shape + (n,))
+    values[slot], vectors[slot] = df.eigenvalues, df.eigenvectors
+    factors = _from_eigenpairs(values, vectors).reshape(df.rank, n * n)
+    return (factors.T @ factors).reshape(n, n, n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ the truncation error bounds.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from qdf.factorization import DoubleFactorization
+from qdf.factorization import DoubleFactorization, schatten_norm
 from qdf.integrals import MolecularIntegrals
 
 __all__ = [
@@ -129,11 +130,7 @@ class _Sectors(NamedTuple):
 class _JordanWigner:
     """Basis-state actions and (N_up, N_down) sector data for N spatial orbitals.
 
-    ``groups`` lists the sectors, stacked by block size.  ``majorana_pair``
-    holds the COO entries (row, column, value, owner i * N + j) on the whole
-    space of (i/2) sum_s gamma_{is,0} gamma_{js,1} = 1/2 sum_s (a_{is} +
-    a+_{is}) (a_{js} - a+_{js}), with gamma_{p,0} = a_p + a+_p and gamma_{p,1}
-    = -i (a_p - a+_p).
+    ``groups`` lists the sectors, stacked by block size.
     """
 
     _cache: dict[int, "_JordanWigner"] = {}
@@ -141,26 +138,20 @@ class _JordanWigner:
     def __init__(self, n: int):
         _check_cap(n)
         self.n = n
-        self.dim = 1 << (2 * n)
-        self._states = states = np.arange(self.dim, dtype=np.int64)
-        self.majorana_pair = self._stack(
-            [(0.5, False, False), (-0.5, False, True), (0.5, True, False), (-0.5, True, True)]
-        )
+        self._states = states = np.arange(1 << (2 * n), dtype=np.int64)
         up = _popcount(states >> n, n)
         down = _popcount(states, n)
         sector = up * (n + 1) + down
         members = [np.flatnonzero(sector == k) for k in range((n + 1) ** 2)]
-        local = np.empty(self.dim, dtype=np.int64)
+        local = np.empty(states.size, dtype=np.int64)
         for index in members:
             local[index] = np.arange(index.size)
         orbitals = 2 * n - 1 - np.arange(n)
         occ = ((states[:, None] >> orbitals) & 1) + ((states[:, None] >> (orbitals - n)) & 1)
-        rows, cols, vals, owner = self._stack([(1.0, True, False)])
         # The hops, row by row: a sector lists its states in ascending order,
         # so its entries then reshape to (d, c).
-        hop = np.flatnonzero(rows != cols)
-        hop = hop[np.argsort(rows[hop], kind="stable")]
-        rows, cols, vals, owner = rows[hop], cols[hop], vals[hop], owner[hop]
+        hops = self._hops()
+        rows, cols, vals, owner = hops[:, np.argsort(hops[0], kind="stable")]
 
         by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for n_up in range(n + 1):
@@ -180,7 +171,7 @@ class _JordanWigner:
                 occ=occ[index].astype(float),
                 owner=owner[entries].reshape(shape),
                 col=local[cols[entries]].reshape(shape),
-                sign=vals[entries].reshape(shape),
+                sign=vals[entries].reshape(shape).astype(float),
             ))
 
     @classmethod
@@ -200,27 +191,23 @@ class _JordanWigner:
         sign = (1 - 2 * parity) * (occupied != create)
         return self._states ^ (1 << shift), sign
 
-    def _stack(self, terms: list[tuple[float, bool, bool]]):
-        """(rows, cols, vals, owner) of X_ij = sum_s sum_(c, p, q) c * b_{is}
-        b'_{js} over ``terms`` (c, p, q), where b is a+ if p else a, and b'
-        likewise; entry e belongs to X_ij with i * N + j = ``owner[e]``."""
+    def _hops(self):
+        """The entries of the hops F_ij = sum_s a+_{is} a_{js}, i != j, on the
+        whole space, as the rows (row, column, value, owner) of a (4, E) array;
+        entry e belongs to F_ij with i * N + j = ``owner[e]``."""
         n = self.n
-        ladders = {(mode, create): self._ladder(mode, create)
-                   for mode in range(2 * n) for create in (False, True)}
-        rows, cols, vals, owner = [], [], [], []
-        for i in range(n):
-            for j in range(n):
-                for s in (0, n):
-                    for coeff, create_i, create_j in terms:
-                        image_j, sign_j = ladders[j + s, create_j]
-                        image_i, sign_i = ladders[i + s, create_i]
-                        sign = sign_j * sign_i[image_j]
-                        (nz,) = np.nonzero(sign)
-                        rows.append(image_i[image_j[nz]])
-                        cols.append(nz)
-                        vals.append(coeff * sign[nz])
-                        owner.append(np.full(nz.size, i * n + j))
-        return tuple(np.concatenate(part) for part in (rows, cols, vals, owner))
+        create = [self._ladder(mode, True) for mode in range(2 * n)]
+        annihilate = [self._ladder(mode, False) for mode in range(2 * n)]
+        entries = [np.empty((4, 0), dtype=np.int64)]  # N = 1 has no hops
+        for i, j in permutations(range(n), 2):
+            for s in (0, n):
+                image_j, sign_j = annihilate[j + s]
+                image_i, sign_i = create[i + s]
+                sign = sign_j * sign_i[image_j]
+                (nz,) = np.nonzero(sign)
+                entries.append(np.stack(
+                    [image_i[image_j[nz]], nz, sign[nz], np.full(nz.size, i * n + j)]))
+        return np.concatenate(entries, axis=1)
 
 
 def _excitation_blocks(sectors: _Sectors, coeffs: np.ndarray, majorana: bool = False):
@@ -279,17 +266,19 @@ def build_from_integrals(m: MolecularIntegrals) -> FockOperator:
     return FockOperator._from_blocks(n, blocks, m.core_energy)
 
 
+def _majorana_pair_blocks(l_matrix: np.ndarray):
+    """(sectors, (S, d, d) blocks) of G_L for each block size."""
+    l_matrix = _real(l_matrix)
+    return [(sectors, _excitation_blocks(sectors, l_matrix[None], majorana=True)[:, 0])
+            for sectors in _JordanWigner.get(l_matrix.shape[0]).groups]
+
+
 def majorana_pair_matrix(l_matrix: np.ndarray) -> np.ndarray:
     """Dense real matrix of G_L = (i/2) sum_{ij,s} L_ij gamma_{i,s,0}
-    gamma_{j,s,1} on 2N Jordan-Wigner qubits, for any real L (an asymmetric
-    L leaves pair-creating terms, which couple sectors)."""
-    l_matrix = _real(l_matrix)
-    jw = _JordanWigner.get(l_matrix.shape[0])
-    rows, cols, vals, owner = jw.majorana_pair
-    # bincount returns int64 when the weights are empty; keep the result float.
-    flat = np.bincount(rows * jw.dim + cols, weights=vals * l_matrix.reshape(-1)[owner],
-                       minlength=jw.dim * jw.dim).astype(float, copy=False)
-    return flat.reshape(jw.dim, jw.dim)
+    gamma_{j,s,1} on 2N Jordan-Wigner qubits, assembled from its sector
+    blocks.  ValueError for an asymmetric L, whose pair-creating terms
+    couple sectors."""
+    return FockOperator._from_blocks(len(l_matrix), _majorana_pair_blocks(l_matrix), 0.0).matrix
 
 
 def build_from_df(df: DoubleFactorization) -> FockOperator:
@@ -371,9 +360,9 @@ def spectral_norm(op) -> float:
 
 
 def one_body_norm_check(l_matrix: np.ndarray) -> tuple[float, float]:
-    """(spectral norm of G_L, Schatten norm of L); the two agree for any
-    symmetric L, which pins the Majorana-pair normalization."""
-    from qdf.factorization import schatten_norm
-
-    g = majorana_pair_matrix(l_matrix)
-    return spectral_norm(g), schatten_norm(l_matrix)
+    """(spectral norm of G_L, Schatten norm of L), the first from the sector
+    blocks of G_L.  The two agree for any symmetric L, which pins the
+    Majorana-pair normalization; an asymmetric L raises ValueError."""
+    g_norm = max(float(np.abs(np.linalg.eigvalsh(b)).max())
+                 for _, b in _majorana_pair_blocks(l_matrix))
+    return g_norm, schatten_norm(l_matrix)

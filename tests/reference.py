@@ -11,7 +11,10 @@ time, filtered through a set) and the full lambda scan of
 ``costmodel.estimate``.  The package must reproduce them exactly (the same
 numbers and bytes, bit for bit, and the same errors with the same line
 numbers).  Sums are explicit left-to-right loops, the order of Python's
-``sum`` before 3.12.
+``sum`` before 3.12.  The exception is the rebuild of each factor L^(r) one
+eigenpair outer product at a time and of the two-electron tensor one rank at
+a time: the package forms both as matrix products, which sum in another
+order, so they are compared within a tolerance.
 
 The dense-oracle reference is the complex Jordan-Wigner backend: mode
 operators as Kronecker chains of 2x2 matrices, every term of the Hamiltonian
@@ -250,6 +253,26 @@ def groups_of(df: DoubleFactorization) -> list[list[tuple[float, np.ndarray]]]:
         [(float(lam), vec) for lam, vec in zip(df.eigenvalues[lo:hi], df.eigenvectors[lo:hi])]
         for lo, hi in zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())
     ]
+
+
+def factor_matrix_loop(df: DoubleFactorization, r: int) -> np.ndarray:
+    """L^(r) from its retained eigenpairs, one outer product at a time."""
+    n = df.n_orbitals
+    out = np.zeros((n, n))
+    lo, hi = df.offsets[r], df.offsets[r + 1]
+    for lam, vec in zip(df.eigenvalues[lo:hi], df.eigenvectors[lo:hi]):
+        out += lam * np.outer(vec, vec)
+    return out
+
+
+def reconstruct_two_body_loop(df: DoubleFactorization) -> np.ndarray:
+    """sum_r L^(r)_ij L^(r)_kl, one rank at a time."""
+    n = df.n_orbitals
+    out = np.zeros((n, n, n, n))
+    for r in range(df.rank):
+        factor = factor_matrix_loop(df, r)
+        out += np.einsum("ij,kl->ijkl", factor, factor)
+    return out
 
 
 def _abs_sum(group) -> float:
@@ -494,7 +517,7 @@ def build_from_df_kron(df: DoubleFactorization) -> np.ndarray:
     n = df.n_orbitals
     total = _majorana_pair_kron(df.one_body.l_minus1).astype(complex)
     for r in range(df.rank):
-        g_r = _majorana_pair_kron(df.factor_matrix(r))
+        g_r = _majorana_pair_kron(factor_matrix_loop(df, r))
         total = total + 0.5 * (g_r @ g_r)
     dense = total.toarray()
     dense += (df.one_body.scalar_shift + df.one_body.core_energy) * np.eye(1 << (2 * n))

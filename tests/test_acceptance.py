@@ -66,29 +66,50 @@ def report(name: str, passed: bool, detail: str = ""):
 def test_criterion_01_cost_table_reproduction():
     """Direct-mode reproduction of the nine reference rows: qubit counts from
     the small-footprint configuration within 10%, Toffoli counts from the
-    Toffoli-optimal configuration within a factor of 1.35."""
+    Toffoli-optimal configuration within a factor of 1.35.
+
+    Each row's published Toffoli count divided by our pe_repetitions(alpha)
+    is the walk cost the table implies.  A walk cost that does not fall as N,
+    R, M and alpha rise gives row a at least row b's when a is at least b in
+    all four; if a's implied walk cost is nevertheless smaller, one of the two
+    rows is off by a factor of at least sqrt(implied_b / implied_a).  The
+    largest such factor is the table's own floor for the worst factor."""
     budget = ErrorBudget(delta_e=1e-3)
     t0 = time.perf_counter()
     worst_q = 0.0
     worst_t = 1.0
+    implied = {}
     for label, n, r, m, alpha, q_ref, t_ref in REFERENCE_ROWS:
         rq = estimate(n=n, rank=r, m_total=m, alpha=alpha, budget=budget, mode="min_qubits")
         rt = estimate(n=n, rank=r, m_total=m, alpha=alpha, budget=budget, mode="min_toffoli")
         dq = abs(rq.logical_qubits - q_ref) / q_ref
         ratio = rt.total_toffoli / t_ref
+        implied[label] = t_ref / pe_repetitions(alpha, budget)
         print(
             f"  {label:8s} qubits {rq.logical_qubits:5d} vs {q_ref:5d} ({dq:+.1%})  "
-            f"toffoli {rt.total_toffoli:.3e} vs {t_ref:.2e} (x{ratio:.3f})"
+            f"toffoli {rt.total_toffoli:.3e} vs {t_ref:.2e} (x{ratio:.3f})  "
+            f"walk {rt.walk_toffoli:6d} vs implied {implied[label]:8.1f}"
         )
         worst_q = max(worst_q, dq)
         worst_t = max(worst_t, ratio, 1.0 / ratio)
         assert dq <= QUBIT_RTOL, f"{label}: qubit deviation {dq:.1%}"
         assert 1.0 / TOFFOLI_FACTOR <= ratio <= TOFFOLI_FACTOR, f"{label}: ratio {ratio:.3f}"
+    floor, floor_rows = 1.0, "no dominated pair"
+    for a in REFERENCE_ROWS:
+        for b in REFERENCE_ROWS:
+            if all(x >= y for x, y in zip(a[1:5], b[1:5])) and implied[a[0]] < implied[b[0]]:
+                factor = math.sqrt(implied[b[0]] / implied[a[0]])
+                if factor > floor:
+                    floor, floor_rows = factor, f"{a[0]} dominates {b[0]}"
+    print(f"  implied walk-cost floor x{floor:.3f} ({floor_rows})")
+    assert floor <= TOFFOLI_FACTOR, f"the table's floor {floor:.3f} exceeds the gate"
+    assert worst_t >= floor, f"worst factor {worst_t:.3f} below the table's floor {floor:.3f}"
     elapsed = time.perf_counter() - t0
     report(
         "criterion 1 (cost tables, 9 rows)",
         elapsed < 1.0,
-        f"worst qubit dev {worst_q:.1%}, worst factor {worst_t:.3f}, {elapsed:.2f}s",
+        f"worst qubit dev {worst_q:.1%}, worst factor {worst_t:.3f}, "
+        f"floor {floor:.3f}, {elapsed:.2f}s",
     )
 
 

@@ -22,7 +22,6 @@ from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,
     ground_energy_full,
-    majorana_pair_matrix_kron,
 )
 
 
@@ -160,12 +159,6 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="sector"):
             ground_energy(FockOperator(1, matrix), 0)
 
-    def test_pair_creating_majorana_operator_refused(self):
-        # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L.
-        g = majorana_pair_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="sector"):
-            spectral_norm(g)
-
     def test_non_fock_dimension_refused(self):
         with pytest.raises(ValueError, match="4\\^N"):
             spectral_norm(np.eye(8))
@@ -192,7 +185,8 @@ class TestSpectralNorm:
 
 class TestSectorBlockEdges:
     """Inputs where a sector block or a rank is empty, and the
-    symmetric-coefficient shortcut G_L = L.F - tr(L) of build_from_df."""
+    symmetric-coefficient shortcut G_L = L.F - tr(L), the one construction of
+    G_L."""
 
     def test_single_orbital_matches_reference(self, rng):
         # At N=1 the sector (0, 0) holds no F entry and (1, 1) no hop.
@@ -222,10 +216,14 @@ class TestSectorBlockEdges:
         with pytest.raises(ValueError, match="symmetric"):
             build_from_df(bad)
 
-    def test_asymmetric_majorana_pair_matches_reference(self, rng):
-        l_matrix = rng.normal(size=(3, 3))
-        g = majorana_pair_matrix(l_matrix)
-        assert np.abs(g - majorana_pair_matrix_kron(l_matrix)).max() <= 1e-10
+    def test_asymmetric_majorana_pair_refused(self):
+        # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L, which
+        # couple sectors and have no sector blocks.
+        l_matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            majorana_pair_matrix(l_matrix)
+        with pytest.raises(ValueError, match="symmetric"):
+            one_body_norm_check(l_matrix)
 
 
 def test_dense_cap_constant():

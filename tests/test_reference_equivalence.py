@@ -1,7 +1,9 @@
 """The vectorised FCIDUMP parser and writer, the column-wise pivoted Cholesky,
 the eigendecomposition step, the truncation kernel and the lambda scan against
 the loop references kept in ``tests/reference.py``: equal results, the same
-numbers and bytes bit for bit, and the same errors on the same lines."""
+numbers and bytes bit for bit, and the same errors on the same lines.  The
+factor and tensor rebuilds, matrix products in the package, match their loops
+within a tolerance."""
 
 import math
 import warnings
@@ -17,6 +19,7 @@ from qdf.factorization import (
     NotPositiveSemidefiniteError,
     alpha_df,
     double_factorize,
+    reconstruct_two_body,
     single_factorize,
 )
 from qdf.integrals import (
@@ -33,8 +36,10 @@ from tests.reference import (
     alpha_df_loop,
     eigenpair_groups_loop,
     estimate_full_scan,
+    factor_matrix_loop,
     orbit_members,
     parse_fcidump_lines,
+    reconstruct_two_body_loop,
     score_eigenpairs_loop,
     single_factorize_deflation,
     truncate_loop,
@@ -413,6 +418,66 @@ def test_double_factorize_matches_loop(m):
 
 def test_h4_double_factorize_matches_loop(h4):
     _assert_same_double_factorization(h4)
+
+
+def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
+    """Each factor_matrix is exactly symmetric and within 1e-13 max|lambda|
+    of the outer-product loop; reconstruct_two_body is within 1e-12 of the
+    per-rank loop, scaled by the loop's largest |entry| where that exceeds 1
+    (|lambda| ~ 1e8 gives entries ~ 1e16)."""
+    for r in range(df.rank):
+        lo, hi = df.offsets[r], df.offsets[r + 1]
+        factor = df.factor_matrix(r)
+        assert np.array_equal(factor, factor.T)
+        scale = np.abs(df.eigenvalues[lo:hi]).max(initial=0.0)
+        assert np.abs(factor - factor_matrix_loop(df, r)).max() <= 1e-13 * scale
+    ref = reconstruct_two_body_loop(df)
+    tensor = reconstruct_two_body(df)
+    assert tensor.shape == ref.shape
+    assert np.abs(tensor - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def _eigenpair_factorization(n: int, counts: list[int], seed: int,
+                             scale: float) -> DoubleFactorization:
+    """Ranks of min(count, n) eigenpairs each (0 for an emptied rank), with
+    orthonormal eigenvectors and |lambda| up to ``scale``."""
+    rng = np.random.default_rng(seed)
+    counts = [min(c, n) for c in counts]
+    values, vectors = [np.empty(0)], [np.empty((0, n))]
+    for count in counts:
+        lams = rng.uniform(-scale, scale, count)
+        values.append(lams[np.argsort(-np.abs(lams), kind="stable")])
+        vectors.append(np.linalg.qr(rng.normal(size=(n, n)))[0].T[:count])
+    return DoubleFactorization(
+        one_body=AdjustedOneBody(np.zeros((n, n)), np.zeros((n, n)), 0.0),
+        one_body_eigs=(np.zeros(n), np.eye(n)),
+        eigenvalues=np.concatenate(values),
+        eigenvectors=np.concatenate(vectors),
+        offsets=np.cumsum([0] + counts),
+        schatten_norms=np.array([np.abs(v).sum() for v in values[1:]]),
+        n_orbitals=n,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    counts=st.lists(st.integers(min_value=0, max_value=6), max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_scale=st.floats(min_value=-3.0, max_value=8.0),
+)
+@example(n=3, counts=[], seed=0, log10_scale=0.0)  # R = 0
+@example(n=4, counts=[3, 0, 4], seed=1, log10_scale=8.0)  # an emptied rank, |lambda| ~ 1e8
+def test_rebuilds_match_loops(n, counts, seed, log10_scale):
+    _assert_rebuilds_match_loops(
+        _eigenpair_factorization(n, counts, seed, 10.0 ** log10_scale))
+
+
+def test_n20_rank120_rebuilds_match_loops():
+    m = _seeded_integrals(20, 120, seed=7)
+    df = double_factorize(single_factorize(m), adjusted_one_body(m))
+    assert df.rank == 120
+    _assert_rebuilds_match_loops(df)
 
 
 # A few magnitudes, both signs: +-lambda pairs tie inside a rank, repeated
