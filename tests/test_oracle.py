@@ -22,6 +22,7 @@ from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,
     ground_energy_full,
+    majorana_pair_matrix_kron,
 )
 
 
@@ -159,6 +160,18 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="sector"):
             ground_energy(FockOperator(1, matrix), 0)
 
+    def test_pair_creating_majorana_operator_refused(self):
+        # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L, which
+        # couple sectors: spectral_norm refuses the reference G_L, and the
+        # sector-block construction refuses the L itself.
+        l_matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="sector"):
+            spectral_norm(majorana_pair_matrix_kron(l_matrix))
+        with pytest.raises(ValueError, match="symmetric"):
+            majorana_pair_matrix(l_matrix)
+        with pytest.raises(ValueError, match="symmetric"):
+            one_body_norm_check(l_matrix)
+
     def test_non_fock_dimension_refused(self):
         with pytest.raises(ValueError, match="4\\^N"):
             spectral_norm(np.eye(8))
@@ -216,14 +229,21 @@ class TestSectorBlockEdges:
         with pytest.raises(ValueError, match="symmetric"):
             build_from_df(bad)
 
-    def test_asymmetric_majorana_pair_refused(self):
-        # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L, which
-        # couple sectors and have no sector blocks.
-        l_matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
+    def test_asymmetric_majorana_pair_matches_reference(self, rng):
+        # On the sector diagonal the reference G_L of an asymmetric L is G of
+        # its symmetric part; the rest is the pair-creating part, which the
+        # construction refuses.
+        n = 3
+        l_matrix = rng.normal(size=(n, n))
+        ref = majorana_pair_matrix_kron(l_matrix)
+        # A basis state holds its spin-up occupations in the high n bits.
+        sector = [(bin(s >> n).count("1"), bin(s % 2**n).count("1")) for s in range(4**n)]
+        same = np.array([[a == b for b in sector] for a in sector])
+        g = majorana_pair_matrix(0.5 * (l_matrix + l_matrix.T))
+        assert np.abs(np.where(same, ref, 0.0) - g).max() <= 1e-10
+        assert np.abs(ref[~same]).max() > 0.1
         with pytest.raises(ValueError, match="symmetric"):
             majorana_pair_matrix(l_matrix)
-        with pytest.raises(ValueError, match="symmetric"):
-            one_body_norm_check(l_matrix)
 
 
 def test_dense_cap_constant():
