@@ -32,9 +32,10 @@ __all__ = [
     "single_factorize",
 ]
 
-#: Residual supermatrix diagonals below -PSD_TOLERANCE reject the input as
-#: not positive semidefinite (finite-precision integral files sit slightly
-#: below zero).
+#: Residual supermatrix diagonals below -PSD_TOLERANCE times the largest
+#: diagonal of W reject the input as not positive semidefinite
+#: (finite-precision integral files, and the rounding residual of a pivot,
+#: sit slightly below zero).
 PSD_TOLERANCE = 1e-8
 
 #: Pivoted Cholesky stops once the largest residual diagonal is at most this.
@@ -152,7 +153,8 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     Raises
     ------
     NotPositiveSemidefiniteError
-        A residual diagonal, at pair index i * N + j, is below ``-PSD_TOLERANCE``.
+        A residual diagonal, at pair index i * N + j, is below
+        ``-PSD_TOLERANCE`` times the largest diagonal of W.
     ValueError
         ``tol <= 0``.
     """
@@ -163,15 +165,16 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     rows, cols = np.triu_indices(n)
     flat = rows * n + cols
     diag = w[flat, flat]
+    bound = PSD_TOLERANCE * max(float(diag.max()), 0.0)
     # buf: W's pivot column, then each earlier column times its pivot entry
     chol, buf = np.empty((2, flat.size, flat.size))
     k = 0
     while k < n * n:
-        if diag.min() < -PSD_TOLERANCE:
+        if diag.min() < -bound:
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
                 f"residual diagonal {diag.min():.3e} at pair index {flat[q]} "
-                f"is below -{PSD_TOLERANCE:.1e}; ERI supermatrix is not PSD"
+                f"is below -{bound:.3e}; ERI supermatrix is not PSD"
             )
         q = int(np.argmax(diag))
         if diag[q] <= tol:
@@ -193,13 +196,16 @@ def _eigh_sorted(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompositions of a stack of symmetric (N, N) matrices: the
     eigenvalues (B, N) by descending |eigenvalue| and the eigenvectors as rows
     (B, N, N), each with its first component of magnitude > 1e-12 positive."""
-    vals = np.empty(mats.shape[:2])
-    vecs = np.empty(mats.shape)
-    for b, a in enumerate(mats):
-        try:
-            vals[b], vecs[b] = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"eigendecomposition failed for {what} {b}: {exc}") from exc
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        # Only the first matrix that fails, found one by one, is named.
+        for b, a in enumerate(mats):
+            try:
+                np.linalg.eigh(a)
+            except np.linalg.LinAlgError as one:
+                raise ArithmeticError(f"eigendecomposition failed for {what} {b}: {one}") from one
+        raise ArithmeticError(f"eigendecomposition failed for a {what}: {exc}") from exc
     order = np.argsort(-np.abs(vals), axis=1, kind="stable")
     rows = np.take_along_axis(vecs, order[:, None, :], axis=2).transpose(0, 2, 1)
     rows = rows.reshape(-1, mats.shape[-1])

@@ -195,10 +195,11 @@ def _parse_header(lines) -> tuple[int, int, int]:
 
 # Whitespace as ``str.split`` sees it becomes b" " and line boundaries as
 # ``str.splitlines`` sees them become b"\n" (after b"\r\n" -> b"\n"), so line
-# numbers and tokens match a line-by-line reading of the text.
+# numbers and tokens match a line-by-line reading of the text.  In the body,
+# translated in one pass, Fortran double-precision exponents also become E.
 _NORMALIZE = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1e", b"  \n\n\n\n\n\n")
-# Fortran double-precision exponents, mapped on the whole body at once.
-_FORTRAN_EXPONENT = bytes.maketrans(b"Dd", b"Ee")
+_NORMALIZE_BODY = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1eDd", b"  \n\n\n\n\n\nEe")
+_LINE_END = re.compile(b"[\n\r\x0b\x0c\x1c\x1d\x1e]")
 # Bytes a valid record may contain once underscores are stripped: the
 # separators, and what ``float`` accepts (digits, sign, point, exponent and
 # the letters of inf, infinity and nan).  Any other byte fails the record.
@@ -206,18 +207,20 @@ _RECORD_BYTES = b" \n0123456789+-.eEinftyaINFTYA"
 _BAD_BYTE = re.compile(b"[^" + re.escape(_RECORD_BYTES) + b"]")
 # An underscore ``float``/``int`` reject: not between two digits.
 _BAD_UNDERSCORE = re.compile(rb"(?<![0-9])_|_(?![0-9])")
-# Bytes ``float`` accepts but ``int`` does not.
-_NOT_INTEGER = np.zeros(256, dtype=bool)
-_NOT_INTEGER[np.frombuffer(b".eEinftyaINFTYA", dtype=np.uint8)] = True
+# Index tokens of at most this many digits are decoded by array arithmetic
+# (int64 holds every 18-digit number); longer ones by ``int``.
+_INDEX_DIGITS = 18
+_INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_TOKEN = re.compile(rb"[^ \n]+")
 
 
 def _split_lines(buf: bytes):
-    """Lines of normalized content, decoded one at a time."""
+    """Lines of the content, normalized and decoded one at a time."""
     start = 0
     while start < len(buf):
-        end = buf.find(b"\n", start)
-        end = len(buf) if end < 0 else end
-        yield buf[start:end].decode("ascii")
+        end = _LINE_END.search(buf, start)
+        end = len(buf) if end is None else end.start()
+        yield buf[start:end].translate(_NORMALIZE).decode("ascii")
         start = end + 1
 
 
@@ -243,22 +246,29 @@ def _record_error(stripped: str) -> str:
     return f"non-integer index in {stripped!r}"
 
 
-def _parses(text: bytes) -> bool:
-    try:
-        np.fromstring(text, sep=" ")
-    except ValueError:
-        return False
-    return True
+def _floats(text: bytes) -> np.ndarray | None:
+    """The whitespace-separated numbers of ``text``, or None if a token is
+    not one.  Older numpy warns about such a token instead of raising."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 class _Body:
     """The FCIDUMP body as arrays, cut back to the first failing record.
 
-    Each check looks only at the records before the current cut and may move
-    the cut earlier, so after all checks the cut is at the first record that
-    a line-by-line reading would reject, and ``error`` holds its line number
-    and message.  ``body`` starts with the newline that ends the header: body
-    line 0 is the header's last line, and every token follows whitespace.
+    The checks run in the order of a line-by-line reading: the token count
+    of each line, then the value (parsed as a float from the value tokens
+    only), then the four indices (decoded by digit arithmetic).  Each check
+    looks only at the records before the current cut and may move the cut
+    earlier, so after all checks the cut is at the first record that a
+    line-by-line reading would reject, and ``error`` holds its line number
+    and message.  ``body`` starts with the newline that ends the header and
+    ends with a newline: body line 0 is the header's last line, and every
+    token follows and is followed by whitespace.
     """
 
     def __init__(self, data: bytes, body: bytes, first_line: int):
@@ -298,51 +308,89 @@ class _Body:
         starts = np.flatnonzero(ws[:-1] > ws[1:])
         starts += 1
         del ws
-        tok_line = np.searchsorted(np.flatnonzero(b == 10), starts)
-        counts = np.bincount(tok_line)
+        # The tokens before each newline, hence in each line (the body ends
+        # with a newline, so no token follows the last).
+        counts = np.diff(np.searchsorted(starts, np.flatnonzero(b == 10)), prepend=0)
         bad = np.flatnonzero((counts != 0) & (counts != 5))
-        del counts
-        self.end = len(self.body)
         if bad.size:
-            keep = int(np.searchsorted(tok_line, bad[0]))
+            counts = counts[: bad[0]]
             self._reject(int(bad[0]), None)
-            self.end = int(starts[keep])
-            starts, tok_line = starts[:keep], tok_line[:keep]
+            starts = starts[: counts.sum()]
         self.starts = starts
-        self.rec_line = tok_line[::5].copy()
+        self.rec_line = np.flatnonzero(counts)
         self.n = self.rec_line.size
 
-    def _span(self, lo: int, hi: int) -> bytes:
-        """The text of records lo..hi-1."""
-        end = self.starts[5 * hi] if 5 * hi < self.starts.size else self.end
-        return self.body[self.starts[5 * lo]: end]
-
     def _values(self) -> np.ndarray:
-        """The numbers of the records, shape (n, 5); rejects the first record
-        holding a token ``float`` does not accept."""
-        if self.n == 0:
-            return np.empty((0, 5))
-        try:
-            return np.fromstring(self._span(0, self.n), sep=" ").reshape(-1, 5)
-        except ValueError:
-            pass
+        """The value token of each record as a float; rejects the first
+        record whose value ``float`` does not accept."""
+        # Only the bytes from each value token to the record's next token,
+        # the value and the whitespace after it, are parsed.
+        rec = self.starts.reshape(-1, 5)
+        span = np.diff(rec[:, :2].ravel(), prepend=0, append=len(self.body))
+        inside = np.zeros(span.size, dtype=bool)
+        inside[1::2] = True
+        text = np.frombuffer(self.body, dtype=np.uint8)[np.repeat(inside, span)].tobytes()
+        values = _floats(text)
+        if values is not None:
+            return values
         # Records parse independently, so bisect for the first that fails.
+        end = np.cumsum(rec[:, 1] - rec[:, 0])
         lo, hi = 0, self.n
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _parses(self._span(lo, mid)):
+            if _floats(text[end[lo - 1] if lo else 0: end[mid - 1]]) is not None:
                 lo = mid
             else:
                 hi = mid
         self.cut_record(lo)
-        if lo == 0:
-            return np.empty((0, 5))
-        return np.fromstring(self._span(0, lo), sep=" ").reshape(-1, 5)
+        return _floats(text[: end[lo - 1]]) if lo else np.empty(0)
 
-    def records(self) -> np.ndarray:
-        """The (value, i, j, k, l) rows of the well-formed records before the
-        first line that is not one: a line with other than five tokens, a
-        value ``float`` rejects or an index ``int`` rejects."""
+    def _indices(self) -> np.ndarray:
+        """The four index tokens of each record as int64 (n, 4), decoded as
+        ``int`` reads them: an optional sign, then ASCII digits.  Rejects the
+        first record holding another index token."""
+        b = np.frombuffer(self.body, dtype=np.uint8)
+        pos = self.starts[: 5 * self.n].reshape(-1, 5)[:, 1:].ravel()
+        self.starts = None  # its last use: free it before the decoding arrays
+        c = b[pos]
+        negative = c == 45  # b"-"
+        signed = negative | (c == 43)  # b"+"
+        pos += signed
+        index = np.zeros(pos.size, dtype=np.int64)
+        bad = np.zeros(pos.size, dtype=bool)
+        live = np.ones(pos.size, dtype=bool)  # still reading digits
+        for width in range(_INDEX_DIGITS + 1):
+            c = b[pos]
+            digit = c - np.uint8(48)  # wraps above 9 for any other byte
+            more = live & (digit < 10)
+            ended = live ^ more
+            # A token ends at whitespace after at least one digit.
+            bad |= (ended & (c > 32)) if width else ended
+            live = more
+            if width == _INDEX_DIGITS or not live.any():
+                break
+            np.multiply(index, 10, out=index, where=live)
+            np.add(index, digit, out=index, where=live)
+            pos += live
+        np.negative(index, out=index, where=negative)
+        # Longer tokens, rare, are read by int() itself, which also refuses
+        # more digits than it converts; values past int64 are out of range.
+        for t in np.flatnonzero(live).tolist():
+            start = int(pos[t]) - _INDEX_DIGITS - int(signed[t])
+            token = _TOKEN.match(self.body, start).group()
+            try:
+                index[t] = min(max(int(token), _INDEX_MIN), _INDEX_MAX)
+            except ValueError:
+                bad[t] = True
+        if bad.any():
+            self.cut_record(int(np.argmax(bad)) // 4)
+        return index.reshape(-1, 4)
+
+    def records(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values (n,) and the 1-based (i, j, k, l) indices (n, 4) of the
+        well-formed records before the first line that is not one: a line
+        with other than five tokens, a value ``float`` rejects or an index
+        ``int`` rejects."""
         if b"_" in self.body:  # float() and int() skip an underscore between digits
             bad = _BAD_UNDERSCORE.search(self.body)
             if bad:
@@ -351,15 +399,10 @@ class _Body:
         if self.body.translate(None, _RECORD_BYTES):
             self._cut_at_byte(_BAD_BYTE.search(self.body).start())
         self._tokenize()
-        rec = self._values()
-        # Index tokens with a point, an exponent or a letter are not integers.
-        b = np.frombuffer(self.body, dtype=np.uint8)[: self.end]
-        token = np.searchsorted(self.starts, np.flatnonzero(_NOT_INTEGER[b]), side="right") - 1
-        token = token[(token % 5 != 0) & (token < 5 * self.n)]
-        if token.size:
-            self.cut_record(int(token[0]) // 5)
-        self.body = self.starts = None
-        return rec[: self.n]
+        values = self._values()
+        index = self._indices()
+        self.body = None
+        return values[: self.n], index[: self.n]
 
 
 def _store_key(i, j, k, l, norb: int) -> np.ndarray:
@@ -375,53 +418,14 @@ def _store_key(i, j, k, l, norb: int) -> np.ndarray:
     return np.where(k == 0, a * norb + b, two_body)
 
 
-def parse_fcidump(text) -> MolecularIntegrals:
-    """Parse FCIDUMP content into :class:`MolecularIntegrals`.
-
-    Parameters
-    ----------
-    text : str, bytes or file-like
-        FCIDUMP content, ASCII.  The body holds ``value i j k l`` records
-        with 1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0``
-        a one-body entry, ``i 0 0 0`` an orbital energy (ignored with a
-        warning), and four nonzero indices a two-body entry (chemist
-        convention).  Each stored two-body value populates all eight
-        symmetry-equivalent slots.
-
-    The body is read with whole-array operations: one ``np.fromstring``
-    parses every number, masks classify the records, and a stable sort on
-    canonical keys finds duplicates.  Errors name the first offending line,
-    as a line-by-line reading would.
-
-    Raises
-    ------
-    FcidumpError
-        Non-ASCII content, missing or invalid NORB/NELEC, a NORB too large
-        for the two-electron tensor to fit in memory, out-of-range indices,
-        non-numeric values, or duplicate entries that conflict by more than
-        ``DUPLICATE_TOLERANCE``.
-    """
-    if hasattr(text, "read"):
-        text = text.read()
-    data = _ascii_bytes(text)
-    del text
-    if not data:
-        raise FcidumpError("empty input")
-
-    norm = data.replace(b"\r\n", b"\n") if b"\r" in data else data
-    norm = norm.translate(_NORMALIZE)
-    norb, nelec, n_header = _parse_header(_split_lines(norm))
-    offset = -1  # the newline that ends the header
-    for _ in range(n_header):
-        offset = norm.find(b"\n", offset + 1)
-        if offset < 0:
-            offset = len(norm)
-            break
-    state = _Body(data, norm[offset:].translate(_FORTRAN_EXPONENT), n_header)
-    del norm
-    rec = state.records()
-
-    out_of_range = np.flatnonzero(((rec[:, 1:] < 0) | (rec[:, 1:] > norb)).any(axis=1))
+def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The core-energy values in file order, the distinct ``_store_key`` keys
+    of the one- and two-body records with the last value of each, and the
+    number of repeated records.  Warns about each orbital-energy record and
+    raises FcidumpError at the first offending line.  The record arrays are
+    freed on return, before the tensor is filled."""
+    value, index = state.records()
+    out_of_range = np.flatnonzero(((index < 0) | (index > norb)).any(axis=1))
     if out_of_range.size:
         r = int(out_of_range[0])
         stripped = state.source_line(state.line_of(r))
@@ -431,10 +435,8 @@ def parse_fcidump(text) -> MolecularIntegrals:
         except ValueError:  # more digits than int() converts
             message = _record_error(stripped)
         state.cut_record(r, message)
-        rec = rec[:r]
-    value = rec[:, 0].copy()
-    i, j, k, l = rec[:, 1:].astype(np.intp).T
-    del rec
+        value, index = value[:r], index[:r]
+    i, j, k, l = index.T
 
     core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
     pair_only = (i != 0) & (k == 0) & (l == 0)
@@ -470,7 +472,6 @@ def parse_fcidump(text) -> MolecularIntegrals:
     key, stored = key[order], stored[order]
     del order
     repeat = key[1:] == key[:-1]
-    del key
     stored_value = value[stored]
     with np.errstate(invalid="ignore"):
         clash = np.flatnonzero(
@@ -497,32 +498,90 @@ def parse_fcidump(text) -> MolecularIntegrals:
         )
     if state.error is not None:
         raise FcidumpError(state.error[1], line=state.error[0])
+    last = np.append(~repeat, True)[: key.size]
+    return core_value, key[last], stored_value[last], int(repeat.sum())
+
+
+def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h_ij and (ij|kl) from the stored values at their distinct ``_store_key``
+    keys.  The two-body values go to both (pair, pair) entries of the packed
+    pair matrix, which one gather expands to the 8-fold symmetric tensor."""
+    n_pairs = norb * (norb + 1) // 2
+    h1 = np.zeros((norb, norb))
+    pair_matrix = np.zeros((n_pairs, n_pairs))
+    one = key < norb * norb
+    a, b = np.divmod(key[one], norb)
+    h1[a, b] = h1[b, a] = value[one]
+    ab, cd = np.divmod(key[~one] - norb * norb, n_pairs)
+    pair_matrix[ab, cd] = pair_matrix[cd, ab] = value[~one]
+    rows, cols = np.tril_indices(norb)
+    pair_of = np.empty((norb, norb), dtype=np.intp)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(n_pairs)
+    flat = pair_of.reshape(-1)
+    return h1, pair_matrix[np.ix_(flat, flat)].reshape(norb, norb, norb, norb)
+
+
+def parse_fcidump(text) -> MolecularIntegrals:
+    """Parse FCIDUMP content into :class:`MolecularIntegrals`.
+
+    Parameters
+    ----------
+    text : str, bytes or file-like
+        FCIDUMP content, ASCII.  The body holds ``value i j k l`` records
+        with 1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0``
+        a one-body entry, ``i 0 0 0`` an orbital energy (ignored with a
+        warning), and four nonzero indices a two-body entry (chemist
+        convention).  Each stored two-body value populates all eight
+        symmetry-equivalent slots.
+
+    The body is read with whole-array operations.  One ``np.fromstring``
+    parses the value tokens alone, cut out of the body by one boolean mask;
+    the index tokens are decoded from their bytes by digit arithmetic, as
+    ``int`` reads them.  Masks classify the records, a stable sort on
+    canonical keys finds duplicates, and one gather expands the packed
+    (pair, pair) matrix of the stored values into the tensor.  Errors name
+    the first offending line, as a line-by-line reading would.
+
+    Raises
+    ------
+    FcidumpError
+        Non-ASCII content, missing or invalid NORB/NELEC, a NORB too large
+        for the two-electron tensor to fit in memory, out-of-range indices,
+        non-numeric values, or duplicate entries that conflict by more than
+        ``DUPLICATE_TOLERANCE``.
+    """
+    if hasattr(text, "read"):
+        text = text.read()
+    data = _ascii_bytes(text)
+    del text
+    if not data:
+        raise FcidumpError("empty input")
+
+    norm = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    norb, nelec, n_header = _parse_header(_split_lines(norm))
+    offset = -1  # the line boundary that ends the header
+    for _ in range(n_header):
+        end = _LINE_END.search(norm, offset + 1)
+        if end is None:
+            offset = len(norm)
+            break
+        offset = end.start()
+    state = _Body(data, b"".join((memoryview(norm)[offset:], b"\n")).translate(_NORMALIZE_BODY),
+                  n_header)
+    del norm
+    core_value, key, value, duplicates = _entries(state, norb)
     # The text is needed only for error messages; freeing it before the
     # tensor is filled keeps it out of the process's peak memory.
     del state, data
 
-    duplicates = int(repeat.sum())
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
-
-    last = stored[np.append(~repeat, True)] if stored.size else stored
-    one_last = last[k[last] == 0]
-    two_last = last[k[last] != 0]
     try:
-        h1 = np.zeros((norb, norb))
-        h2 = np.zeros((norb, norb, norb, norb))
+        h1, h2 = _fill(norb, key, value)
     except (MemoryError, ValueError):  # ValueError: larger than numpy can index
         raise FcidumpError(
             f"NORB={norb} is too large: (ij|kl) needs {8 * norb**4} bytes", line=1
         ) from None
-    a, b = i[one_last] - 1, j[one_last] - 1
-    h1[a, b] = value[one_last]
-    h1[b, a] = value[one_last]
-    a, b, c, d = i[two_last] - 1, j[two_last] - 1, k[two_last] - 1, l[two_last] - 1
-    v = value[two_last]
-    for member in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                   (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-        h2[member] = v
     core_energy = float(core_value[-1]) if core_value.size else 0.0
 
     m = MolecularIntegrals(norb, nelec, core_energy, h1, h2)

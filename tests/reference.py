@@ -69,14 +69,14 @@ def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, in
     }
 
 
-def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10,
-                               psd_tol: float = PSD_TOLERANCE) -> SingleFactorization:
+def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10) -> SingleFactorization:
     """Pivoted Cholesky by rank-1 deflation of a full N^2 x N^2 copy."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n_orbitals
     w = m.two_body.reshape(n * n, n * n).copy()
     factors: list[np.ndarray] = []
+    psd_tol = PSD_TOLERANCE * max(float(np.diagonal(w).max()), 0.0)
 
     for _ in range(n * n):
         diag = np.diagonal(w)
@@ -84,7 +84,7 @@ def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10,
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
                 f"residual diagonal {diag.min():.3e} at pair index {q} "
-                f"is below -{psd_tol:.1e}; ERI supermatrix is not PSD"
+                f"is below -{psd_tol:.3e}; ERI supermatrix is not PSD"
             )
         q = int(np.argmax(diag))
         pivot = diag[q]

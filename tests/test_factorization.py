@@ -156,6 +156,28 @@ class TestDoubleFactorize:
             leading = vec[np.abs(vec) > 1e-12][0]
             assert leading > 0
 
+    @pytest.mark.parametrize("failing, message", [
+        ([2, 3], "eigendecomposition failed for factor 2: did not converge"),
+        ([], "eigendecomposition failed for one-body matrix 0: did not converge"),
+    ])
+    def test_failed_eigendecomposition_names_first_matrix(self, h4, monkeypatch, failing, message):
+        # All factors go to one batched eigh; when it fails, the error still
+        # names the first matrix that fails on its own.
+        sf = single_factorize(h4, tol=1e-10)
+        adj = adjusted_one_body(h4)
+        marked = [sf.factors[r] for r in failing] or [adj.l_minus1]
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            stack = np.reshape(a, (-1,) + a.shape[-2:])
+            if any(np.array_equal(m, x) for m in marked for x in stack):
+                raise np.linalg.LinAlgError("did not converge")
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ArithmeticError, match=message):
+            double_factorize(sf, adj)
+
 
 def df_factor_reference(df, r):
     n = df.n_orbitals

@@ -142,6 +142,41 @@ def test_h4_residual_matches_deflation(h4):
     assert abs(new.residual_sup_norm - ref.residual_sup_norm) <= 1e-12
 
 
+def _scaled_to(m: MolecularIntegrals, top: float) -> MolecularIntegrals:
+    return m.scaled(top / np.abs(m.two_body).max())
+
+
+# An exactly PSD rank-2 tensor with entries up to 6.5e7.  The rounding
+# residual of its pivots reaches -1.49e-8: below an absolute 1e-8, far above
+# 1e-8 times its largest diagonal.
+LARGE_PSD = _scaled_to(_psd_instance(2, 2, 41, False, 1.0), 6.5e7)
+
+
+def test_large_exactly_psd_tensor_accepted_by_both():
+    new, ref = _assert_same_factorization(LARGE_PSD)
+    assert new.rank == ref.rank >= 2
+
+
+def test_large_indefinite_tensor_refused_by_both():
+    a = np.array([[1.0, 0.5], [0.5, -1.0]])
+    g = LARGE_PSD.two_body - 6.5e7 * np.einsum("ij,kl->ijkl", a, a)
+    m = MolecularIntegrals(2, 2, 0.0, np.zeros((2, 2)), g)
+    assert _assert_same_factorization(m) is None
+
+
+@pytest.mark.parametrize("negative, refused", [(-0.9, False), (-1.1, True)])
+def test_psd_bound_is_relative_to_largest_diagonal(negative, refused):
+    # W is diagonal: (11|11) = 1e8 and (22|22) = negative, so the refusal
+    # bound is -1e-8 * 1e8 = -1.
+    g = np.zeros((2, 2, 2, 2))
+    g[0, 0, 0, 0], g[1, 1, 1, 1] = 1e8, negative
+    m = MolecularIntegrals(2, 2, 0.0, np.zeros((2, 2)), g)
+    outcome = _assert_same_factorization(m)
+    assert (outcome is None) == refused
+    if not refused:
+        assert outcome[0].rank == 1
+
+
 def _seeded_integrals(n: int, rank: int, seed: int) -> MolecularIntegrals:
     """A rank-``rank`` PSD tensor from decaying random factors on the orbital
     pairs, scattered to the full 8-fold symmetric tensor."""
@@ -355,6 +390,46 @@ def _value(token: str):
 @settings(max_examples=400, deadline=None)
 @given(mutated_fcidump_texts())
 def test_parser_errors_match_line_reference(text):
+    _assert_same_outcome(text)
+
+
+_HEAD = "&FCI NORB=3,NELEC=2,\n&END\n0.5 1 1 1 1\n"
+
+
+# Index tokens go through digit arithmetic, values through a float parser of
+# their own: spellings int() accepts or refuses, indices of 19 digits and
+# more, and the last record, with and without a final newline.
+@pytest.mark.parametrize("text", [
+    _HEAD + "0.25 +3 1 1 1\n",
+    _HEAD + "0.25 003 1 1 1\n",
+    _HEAD + "0.25 2 -0 0 0\n0.75 2 1 -0 0\n",
+    _HEAD + "0.25 -1 1 1 1\n",
+    _HEAD + "0.25 1 1 " + "1" * 30 + " 1\n",
+    _HEAD + "0.25 1 -" + "9" * 30 + " 1 1\n",
+    _HEAD + "0.25 1 1 " + "0" * 29 + "2 1\n",
+    _HEAD + "0.25 1 1 " + "0" * 17 + "3 1\n",
+    _HEAD + "0.25 1 1 1 " + "1" * 5000 + "\n",
+    _HEAD + "0.25 1e0 1 1 1\n",
+    _HEAD + "0.25 1 1.0 1 1\n",
+    _HEAD + "0.25 1 1 inf 1\n",
+    _HEAD + "0.25 1 1 1 1_0\n",
+    _HEAD + "0.25 1 1 1 1_\n",
+    _HEAD + "0.25 1 1 1 +\n",
+    _HEAD + "0.25 1 1 1 " + "1" * 25 + "x\n",
+    _HEAD + "0.25 1 1 1 2\n0.5 1 1 1 x\n0.25 1 1 1 9\n",
+    _HEAD + "0.25 1 1 1 9\n0.5 1 1 1 x\n",
+    _HEAD + "0.25 2 2 2 2\nabc 1 1 1 1\n",
+    _HEAD + "0.25 2 2 2 2\n1.5.5 1 1 1 1",
+    _HEAD + "0.25 2 1 1 1\n0.5 2 1 1 1.5\n1e 2 2 1 1\n",
+    _HEAD + "1e 2 1 1 1\n0.5 2 1 1 1.5\n",
+    "&FCI NORB=2,NELEC=2,\r\n&END\r\n0.25D-01 2 2 2 2\r\n-1.5d+00 1 1 0 0\r\n0.5D0 0 0 0 0\r\n",
+    "&FCI NORB=2,NELEC=2,\r\n&END\r\n0.25D-01 2 2 2 2\r\n-1.5d+0x 1 1 0 0\r\n",
+    _HEAD + "0.25 2 2 2 2",
+    _HEAD + "0.25 2 2 2 12",
+    _HEAD + "0.25 2 2 2 2x",
+    _HEAD + "0.25 2 2 2",
+])
+def test_index_and_value_decoding_match_line_reference(text):
     _assert_same_outcome(text)
 
 
