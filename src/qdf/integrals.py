@@ -310,7 +310,7 @@ class _Body:
         del ws
         # The tokens before each newline, hence in each line (the body ends
         # with a newline, so no token follows the last).
-        counts = np.diff(np.searchsorted(starts, np.flatnonzero(b == 10)), prepend=0)
+        counts = np.diff(np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(b == 10)))))
         bad = np.flatnonzero((counts != 0) & (counts != 5))
         if bad.size:
             counts = counts[: bad[0]]
@@ -326,7 +326,7 @@ class _Body:
         # Only the bytes from each value token to the record's next token,
         # the value and the whitespace after it, are parsed.
         rec = self.starts.reshape(-1, 5)
-        span = np.diff(rec[:, :2].ravel(), prepend=0, append=len(self.body))
+        span = np.diff(np.concatenate(([0], rec[:, :2].ravel(), [len(self.body)])))
         inside = np.zeros(span.size, dtype=bool)
         inside[1::2] = True
         text = np.frombuffer(self.body, dtype=np.uint8)[np.repeat(inside, span)].tobytes()
@@ -514,11 +514,11 @@ def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np
     h1[a, b] = h1[b, a] = value[one]
     ab, cd = np.divmod(key[~one] - norb * norb, n_pairs)
     pair_matrix[ab, cd] = pair_matrix[cd, ab] = value[~one]
-    rows, cols = np.tril_indices(norb)
-    pair_of = np.empty((norb, norb), dtype=np.intp)
-    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(n_pairs)
-    flat = pair_of.reshape(-1)
-    return h1, pair_matrix[np.ix_(flat, flat)].reshape(norb, norb, norb, norb)
+    # The pair of orbitals i and j, numbered as in ``_store_key``.
+    orbital = np.arange(norb)
+    hi, lo = np.maximum.outer(orbital, orbital), np.minimum.outer(orbital, orbital)
+    pair_of = (hi * (hi + 1) // 2 + lo).reshape(-1)
+    return h1, pair_matrix[np.ix_(pair_of, pair_of)].reshape(norb, norb, norb, norb)
 
 
 def parse_fcidump(text) -> MolecularIntegrals:
