@@ -408,6 +408,7 @@ _HEAD = "&FCI NORB=3,NELEC=2,\n&END\n0.5 1 1 1 1\n"
     _HEAD + "0.25 1 -" + "9" * 30 + " 1 1\n",
     _HEAD + "0.25 1 1 " + "0" * 29 + "2 1\n",
     _HEAD + "0.25 1 1 " + "0" * 17 + "3 1\n",
+    _HEAD + "0.25 1 1 -" + "0" * 21 + "1 1\n",
     _HEAD + "0.25 1 1 1 " + "1" * 5000 + "\n",
     _HEAD + "0.25 1e0 1 1 1\n",
     _HEAD + "0.25 1 1.0 1 1\n",
