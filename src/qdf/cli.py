@@ -320,17 +320,21 @@ def cmd_validate(args) -> int:
 
     h_ref = oracle.build_from_integrals(mol)
     h_df = oracle.build_from_df(df)
-    ident_err = float(np.abs(h_ref.matrix - h_df.matrix).max())
+    diff = h_ref - h_df
+    ident_err = max(float(np.abs(stack + diff.shift * np.eye(stack.shape[-1])).max())
+                    for _, stack in diff.blocks)
     check("representation_identity", ident_err <= 1e-8, f"sup-norm error {ident_err:.3e}")
 
     number_comm = oracle.particle_number_commutator_norm(h_ref)
     check("particle_number_symmetry", number_comm <= 1e-10, f"[H, N] max entry {number_comm:.3e}")
+    del h_ref, diff
 
     # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
-    norm_dev = 0.0
-    for r in range(df.rank):
-        g_norm, s_norm = oracle.one_body_norm_check(df.factor_matrix(r))
-        norm_dev = max(norm_dev, abs(g_norm - s_norm), abs(g_norm - df.schatten_norms[r]))
+    factors = np.reshape([df.factor_matrix(r) for r in range(df.rank)],
+                         (df.rank, mol.n_orbitals, mol.n_orbitals))
+    g_norms, s_norms = oracle.one_body_norm_check(factors)
+    norm_dev = float(max(np.abs(g_norms - s_norms).max(initial=0.0),
+                         np.abs(g_norms - df.schatten_norms).max(initial=0.0)))
     check("one_body_norm_identity", norm_dev <= 1e-8, f"max |deviation| {norm_dev:.3e}")
 
     alpha = factorization.alpha_df(df)
@@ -338,33 +342,43 @@ def cmd_validate(args) -> int:
     # stored norm fails one_body_norm_identity alone.
     t2_const = 0.25 * float(np.sum(factorization.rank_sums(df.padded_abs_eigenvalues())**2))
     shift = df.one_body.scalar_shift + df.one_body.core_energy + t2_const
-    shifted = h_df.matrix - shift * np.eye(h_df.dim)
-    norm_shifted = oracle.spectral_norm(shifted)
+    norm_shifted = oracle.spectral_norm(h_df - shift)
     check(
         "alpha_dominates_spectral_norm",
         norm_shifted <= alpha + 1e-8,
         f"||H - shift|| = {norm_shifted:.6g} vs alpha_df = {alpha:.6g}",
     )
 
+    # Each grid point's truncation error H_df - H_trunc is built from the
+    # ranks it removes eigenpairs from.  A scheme removes eigenpairs in one
+    # fixed order, so the number removed names the set, and points that
+    # remove the same set share one error (none removed: zero).
     grid = truncation.default_grid()
     sound = True
     worst = 0.0
-    if args.sweep_scheme == "incoherent":
-        e_full = oracle.ground_energy(h_df, mol.n_electrons)
+    coherent = args.sweep_scheme == "coherent"
+    if coherent:
+        known = {0: 0.0}
+    else:
+        h_df = oracle.build_from_df(df, n_electrons=mol.n_electrons)
+        known = {0: oracle.ground_energy(h_df, mol.n_electrons)}
     for eps in grid:
-        reduced, plan = truncation.truncate(df, args.sweep_scheme, float(eps))
-        h_trunc = oracle.build_from_df(reduced)
-        err = oracle.spectral_norm(h_df.matrix - h_trunc.matrix)
-        bound = plan.coherent_score if plan.scheme is truncation.TruncationScheme.COHERENT else None
-        if bound is not None:
-            sound &= err <= bound + 1e-10
-            worst = max(worst, err - bound)
+        _, plan = truncation.truncate(df, args.sweep_scheme, float(eps))
+        count = len(plan.removed)
+        if count not in known:
+            known[count] = (
+                oracle.spectral_norm(oracle.build_from_df(df, plan.removed)) if coherent
+                else oracle.ground_energy(
+                    h_df - oracle.build_from_df(df, plan.removed, mol.n_electrons),
+                    mol.n_electrons))
+        if coherent:
+            sound &= known[count] <= plan.coherent_score + 1e-10
+            worst = max(worst, known[count] - plan.coherent_score)
         else:
-            e_trunc = oracle.ground_energy(h_trunc, mol.n_electrons)
             # Informational for the incoherent scheme: the score is not a
             # rigorous bound, so record the worst exceedance without failing.
-            worst = max(worst, abs(e_full - e_trunc) - plan.incoherent_score)
-    if args.sweep_scheme == "coherent":
+            worst = max(worst, abs(known[0] - known[count]) - plan.incoherent_score)
+    if coherent:
         check("truncation_soundness", sound, f"worst (error - bound) = {worst:.3e}")
     else:
         check("truncation_sweep", True, f"worst (|dE0| - score) = {worst:.3e} (informational)")

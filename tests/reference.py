@@ -19,10 +19,12 @@ order, so they are compared within a tolerance.
 The dense-oracle reference is the complex Jordan-Wigner backend: mode
 operators as Kronecker chains of 2x2 matrices, every term of the Hamiltonian
 added as its own sparse product, full-matrix spectra.  The package's real,
-gathered, sector-blocked oracle sums in another order, so it is compared to
-this one within a tolerance, not bit for bit.  ``df_fragments``, the input of
-the product-formula bound, is built here from the package's public
-``majorana_pair_matrix``.
+sector-blocked oracle sums in another order, so it is compared to this one
+within a tolerance, not bit for bit.  The package never forms a 4^N matrix;
+``dense_matrix`` places an operator's sector blocks in one for these
+comparisons, and ``max_entry`` takes the largest |entry| from the blocks.
+``df_fragments``, the input of the product-formula bound, is built here from
+the package's public ``majorana_pair_matrix``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from qdf.factorization import (
     NotPositiveSemidefiniteError,
     SingleFactorization,
 )
-from qdf.oracle import majorana_pair_matrix
+from qdf.oracle import FockOperator, majorana_pair_matrix
 from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
@@ -543,12 +545,33 @@ def ground_energy_full(matrix: np.ndarray, n_electrons: int) -> float:
     return float(np.linalg.eigvalsh(matrix[np.ix_(sector, sector)])[0])
 
 
+def dense_matrix(op: FockOperator) -> np.ndarray:
+    """The 4^N x 4^N matrix of a FockOperator: each sector block at its basis
+    states, whose index holds the spin-up string in the high N bits, in
+    ascending order, plus the shift on the diagonal."""
+    n = op.n_spatial
+    strings = np.arange(1 << n)
+    count = np.array([bin(s).count("1") for s in strings])
+    dense = op.shift * np.eye(op.dim)
+    for keys, stack in op.blocks:
+        for block, (n_up, n_down) in zip(stack, keys):
+            index = ((strings[count == n_up][:, None] << n) | strings[count == n_down]).ravel()
+            dense[np.ix_(index, index)] += block
+    return dense
+
+
+def max_entry(op: FockOperator) -> float:
+    """Largest |entry| of a FockOperator's matrix, from its blocks."""
+    return max(float(np.abs(stack + op.shift * np.eye(stack.shape[-1])).max())
+               for _, stack in op.blocks)
+
+
 def df_fragments(df: DoubleFactorization) -> list[np.ndarray]:
     """Hermitian fragments {G_{l_minus1}, 1/2 G_{L^(r)}^2, ...} whose sum plus
     the scalar shift is the double-factorized Hamiltonian; input for the
     product-formula step bound."""
-    frags = [majorana_pair_matrix(df.one_body.l_minus1)]
+    frags = [dense_matrix(majorana_pair_matrix(df.one_body.l_minus1))]
     for r in range(df.rank):
-        g_r = majorana_pair_matrix(df.factor_matrix(r))
+        g_r = dense_matrix(majorana_pair_matrix(df.factor_matrix(r)))
         frags.append(0.5 * (g_r @ g_r))
     return frags

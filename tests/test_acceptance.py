@@ -38,7 +38,7 @@ from qdf.oracle import (
 )
 from qdf.truncation import default_grid, truncate
 from tests.conftest import entrywise_norm, factorize, fixture_path, random_molecular_integrals
-from tests.reference import df_fragments
+from tests.reference import df_fragments, max_entry
 
 REFERENCE_ROWS = [
     # label, N, R, M, alpha_df, qubits, toffoli
@@ -178,7 +178,7 @@ def test_criterion_04_factorization_identity(h2, h4):
         worst_recon = max(worst_recon, float(np.abs(recon - mol.two_body).max()))
         a = build_from_integrals(mol)
         b = build_from_df(df)
-        worst_ident = max(worst_ident, float(np.abs(a.matrix - b.matrix).max()))
+        worst_ident = max(worst_ident, max_entry(a - b))
     elapsed = time.perf_counter() - t0
     report(
         "criterion 4 (factorization identity, 113 instances)",
@@ -207,7 +207,7 @@ def test_criterion_05_truncation_soundness():
         for eps in grid:
             reduced, plan = truncate(df, "coherent", float(eps))
             h_trunc = build_from_df(reduced)
-            err = spectral_norm(h_full.matrix - h_trunc.matrix)
+            err = spectral_norm(h_full - h_trunc)
             if err > plan.coherent_score + 1e-9:
                 coherent_violations += 1
             reduced_in, plan_in = truncate(df, "incoherent", float(eps))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qdf import oracle
 from qdf.factorization import alpha_df, schatten_norm
 from qdf.integrals import MolecularIntegrals
 from qdf.oracle import (
@@ -21,9 +22,14 @@ from tests.conftest import factorize, random_molecular_integrals, without_pair
 from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,
+    dense_matrix,
     ground_energy_full,
     majorana_pair_matrix_kron,
+    max_entry,
 )
+
+# The one group of sectors at N=1: every sector block is 1 x 1.
+N1_SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class TestBuildFromIntegrals:
@@ -31,7 +37,7 @@ class TestBuildFromIntegrals:
         eps = 0.37
         m = MolecularIntegrals(1, 1, 0.0, np.array([[eps]]), np.zeros((1, 1, 1, 1)))
         op = build_from_integrals(m)
-        levels = np.sort(np.linalg.eigvalsh(op.matrix))
+        levels = np.sort(np.linalg.eigvalsh(dense_matrix(op)))
         np.testing.assert_allclose(levels, [0.0, eps, eps, 2 * eps], atol=1e-12)
 
     def test_h2_ground_energy_matches_independent_ci(self, h2, reference_energies):
@@ -49,7 +55,7 @@ class TestBuildFromIntegrals:
         assert particle_number_commutator_norm(op) <= 1e-10
 
     def test_cap_enforced(self):
-        m = MolecularIntegrals(7, 7, 0.0, np.zeros((7, 7)), np.zeros((7, 7, 7, 7)))
+        m = MolecularIntegrals(8, 8, 0.0, np.zeros((8, 8)), np.zeros((8, 8, 8, 8)))
         with pytest.raises(ValueError, match="capped"):
             build_from_integrals(m)
 
@@ -59,7 +65,7 @@ class TestBuildFromDf:
         for mol, df in [(h2, h2_df), (h4, h4_df)]:
             a = build_from_integrals(mol)
             b = build_from_df(df)
-            assert np.abs(a.matrix - b.matrix).max() <= 1e-8
+            assert max_entry(a - b) <= 1e-8
 
     def test_identity_on_random_instances(self, rng):
         for n in (2, 3, 4):
@@ -67,17 +73,16 @@ class TestBuildFromDf:
             df = factorize(mol)
             a = build_from_integrals(mol)
             b = build_from_df(df)
-            assert np.abs(a.matrix - b.matrix).max() <= 1e-8
+            assert max_entry(a - b) <= 1e-8
 
     def test_two_body_emptied_leaves_one_body(self, h2_df):
         reduced, _ = truncate(h2_df, "coherent", 1e9)
         assert reduced.total_eigenpairs == 0 and reduced.rank == 0
         op = build_from_df(reduced)
         expected = majorana_pair_matrix(h2_df.one_body.l_minus1)
-        expected = expected + (
-            h2_df.one_body.scalar_shift + h2_df.one_body.core_energy
-        ) * np.eye(op.dim)
-        np.testing.assert_allclose(op.matrix, expected, atol=1e-12)
+        shift = h2_df.one_body.scalar_shift + h2_df.one_body.core_energy
+        assert op.shift == shift
+        assert max_entry(op - expected - shift) <= 1e-12
 
     def test_single_removed_pair_respects_score_bound(self, h4_df):
         from qdf.truncation import score_eigenpairs
@@ -87,8 +92,10 @@ class TestBuildFromDf:
         order, scores = score_eigenpairs(h4_df)
         score = scores[3]
         reduced = without_pair(h4_df, order[3])
-        err = spectral_norm(full.matrix - build_from_df(reduced).matrix)
+        err = spectral_norm(full - build_from_df(reduced))
         assert err <= score + 1e-10
+        changed = build_from_df(h4_df, [tuple(int(x) for x in np.array(h4_df.pair_index)[:, order[3]])])
+        assert abs(spectral_norm(changed) - err) <= 1e-12
 
 
 class TestNormIdentity:
@@ -137,44 +144,64 @@ class TestGroundEnergy:
 
 class TestSpectralNorm:
     def test_zero_operator(self):
-        op = FockOperator(1, np.zeros((4, 4), dtype=complex))
+        op = FockOperator(1, [(N1_SECTORS, np.zeros((4, 1, 1), dtype=complex))])
         assert spectral_norm(op) == 0.0
 
     def test_non_zero_imaginary_part_refused(self):
-        matrix = np.zeros((4, 4), dtype=complex)
-        matrix[1, 2], matrix[2, 1] = 1j, -1j
+        blocks = np.zeros((4, 1, 1), dtype=complex)
+        blocks[1, 0, 0] = 1j
         with pytest.raises(ValueError, match="imaginary"):
-            FockOperator(1, matrix)
-        with pytest.raises(ValueError, match="imaginary"):
-            spectral_norm(matrix)
+            FockOperator(1, [(N1_SECTORS, blocks)])
         with pytest.raises(ValueError, match="imaginary"):
             majorana_pair_matrix(np.array([[1j]]))
 
-    def test_off_sector_entry_refused(self):
-        # Basis state 0 is empty and state 3 holds one electron of each spin.
-        # The block norms of this matrix are all 0, its norm is 1.
-        matrix = np.zeros((4, 4))
-        matrix[0, 3] = matrix[3, 0] = 1.0
-        with pytest.raises(ValueError, match="sector"):
-            spectral_norm(matrix)
-        with pytest.raises(ValueError, match="sector"):
-            ground_energy(FockOperator(1, matrix), 0)
+    def test_off_sector_entry_refused(self, monkeypatch):
+        # A FockOperator holds no entry between sectors.  What the blocks rest
+        # on is that every hop F_ij keeps (N_up, N_down): a planted entry
+        # from the empty state 0 to state 3, which holds one electron of each
+        # spin, must fail the particle-number check.
+        op = build_from_integrals(
+            MolecularIntegrals(1, 1, 0.0, np.eye(1), np.zeros((1, 1, 1, 1))))
+        assert particle_number_commutator_norm(op) == 0.0
+        hops = oracle._hops
+        monkeypatch.setattr(
+            oracle, "_hops", lambda n: np.concatenate([hops(n), [[3], [0], [1]]], axis=1))
+        assert particle_number_commutator_norm(op) >= 1.0
+
+    def test_off_sector_hop_in_larger_space_refused(self, h2, monkeypatch):
+        # A spin-flipping entry keeps N but not (N_up, N_down): state 0b0100
+        # (one spin-up electron in orbital 1) to 0b0001 (spin-down, orbital 1).
+        op = build_from_integrals(h2)
+        hops = oracle._hops
+        monkeypatch.setattr(
+            oracle, "_hops", lambda n: np.concatenate([hops(n), [[1], [4], [-1]]], axis=1))
+        assert particle_number_commutator_norm(op) >= 1.0
 
     def test_pair_creating_majorana_operator_refused(self):
         # An asymmetric L leaves a_i a_j and a+_i a+_j terms in G_L, which
-        # couple sectors: spectral_norm refuses the reference G_L, and the
-        # sector-block construction refuses the L itself.
+        # couple sectors: the reference G_L has entries between sectors, and
+        # the sector-block construction refuses the L itself.
         l_matrix = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="sector"):
-            spectral_norm(majorana_pair_matrix_kron(l_matrix))
+        ref = majorana_pair_matrix_kron(l_matrix)
+        counts = [bin(s).count("1") for s in range(16)]
+        assert max(abs(ref[x, y]) for x in range(16) for y in range(16)
+                   if counts[x] != counts[y]) > 0.1
         with pytest.raises(ValueError, match="symmetric"):
             majorana_pair_matrix(l_matrix)
         with pytest.raises(ValueError, match="symmetric"):
             one_body_norm_check(l_matrix)
 
     def test_non_fock_dimension_refused(self):
-        with pytest.raises(ValueError, match="4\\^N"):
-            spectral_norm(np.eye(8))
+        # Blocks must fit their sectors: at N=2 the sectors (0, 1) and (1, 1)
+        # are 2 and 4 wide, so they cannot share a stack, and (0, 0) is 1 x 1.
+        with pytest.raises(ValueError, match="do not fit"):
+            FockOperator(2, [(((0, 1), (1, 1)), np.zeros((2, 2, 2)))])
+        with pytest.raises(ValueError, match="do not fit"):
+            FockOperator(2, [(((0, 0),), np.zeros((1, 2, 2)))])
+        a = build_from_integrals(
+            MolecularIntegrals(2, 2, 0.0, np.eye(2), np.zeros((2, 2, 2, 2))))
+        with pytest.raises(ValueError, match="different sectors"):
+            a - FockOperator(2, a.blocks[:1])
 
     def test_squared_majorana_pair_bounded_by_schatten_square(self, rng):
         for _ in range(10):
@@ -182,7 +209,8 @@ class TestSpectralNorm:
             l_matrix = 0.5 * (l_matrix + l_matrix.T)
             g = majorana_pair_matrix(l_matrix)
             s = schatten_norm(l_matrix)
-            assert spectral_norm(g @ g) <= s * s + 1e-8
+            square = FockOperator(3, [(keys, stack @ stack) for keys, stack in g.blocks])
+            assert spectral_norm(square) <= s * s + 1e-8
 
     def test_alpha_dominates_shifted_hamiltonian(self, h2_df, h4_df):
         for df in (h2_df, h4_df):
@@ -192,8 +220,7 @@ class TestSpectralNorm:
                 + df.one_body.core_energy
                 + 0.25 * float(np.sum(df.schatten_norms**2))
             )
-            shifted = op.matrix - shift * np.eye(op.dim)
-            assert spectral_norm(shifted) <= alpha_df(df) + 1e-8
+            assert spectral_norm(op - shift) <= alpha_df(df) + 1e-8
 
 
 class TestSectorBlockEdges:
@@ -206,7 +233,8 @@ class TestSectorBlockEdges:
         mol = random_molecular_integrals(1, rng=rng, scale=0.6)
         df = factorize(mol)
         op = build_from_integrals(mol)
-        assert op.matrix.dtype == np.float64 and op.matrix[0, 0] == mol.core_energy
+        assert all(stack.dtype == np.float64 for _, stack in op.blocks)
+        assert dense_matrix(op)[0, 0] == mol.core_energy
         for op, ref in ((op, build_from_integrals_kron(mol)),
                         (build_from_df(df), build_from_df_kron(df))):
             for n_electrons in (0, 1, 2):
@@ -219,7 +247,7 @@ class TestSectorBlockEdges:
         for _ in range(hi - lo):
             reduced = without_pair(reduced, lo)
         assert reduced.rank == h4_df.rank and reduced.offsets[1] == reduced.offsets[2]
-        assert np.abs(build_from_df(reduced).matrix - build_from_df_kron(reduced)).max() <= 1e-10
+        assert np.abs(dense_matrix(build_from_df(reduced)) - build_from_df_kron(reduced)).max() <= 1e-10
 
     def test_asymmetric_one_body_refused_by_shortcut(self, h2_df):
         l_matrix = h2_df.one_body.l_minus1.copy()
@@ -239,7 +267,7 @@ class TestSectorBlockEdges:
         # A basis state holds its spin-up occupations in the high n bits.
         sector = [(bin(s >> n).count("1"), bin(s % 2**n).count("1")) for s in range(4**n)]
         same = np.array([[a == b for b in sector] for a in sector])
-        g = majorana_pair_matrix(0.5 * (l_matrix + l_matrix.T))
+        g = dense_matrix(majorana_pair_matrix(0.5 * (l_matrix + l_matrix.T)))
         assert np.abs(np.where(same, ref, 0.0) - g).max() <= 1e-10
         assert np.abs(ref[~same]).max() > 0.1
         with pytest.raises(ValueError, match="symmetric"):
