@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default="1e-4:1e-1:16", help="lo:hi:n log grid (Hartree)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="exact-diagonalization validation (N <= 6)")
+    p_val = sub.add_parser("validate", help="exact-diagonalization validation (N <= 7)")
     common(p_val)
     p_val.add_argument("--sweep-scheme", choices=["coherent", "incoherent"],
                        default="coherent", dest="sweep_scheme")

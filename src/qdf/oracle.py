@@ -13,7 +13,7 @@ spin-down hop's Jordan-Wigner string crosses every spin-up mode twice).  So
 blocks are assembled from string matrices, as in string-driven determinant
 CI (Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen et al., JCP 89,
 2185 (1988)), and spectra are taken on the blocks, stacked by size.  Capped
-at N = 6 spatial orbitals (largest sector block C(6,3)^2 = 400).  Used to
+at N = 7 spatial orbitals (largest sector block C(7,3)^2 = 1225).  Used to
 verify the factorization identity, the one-body norm identity, and the
 truncation error bounds.
 """
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Largest spatial-orbital count the dense backend accepts.
-DENSE_ORBITAL_CAP = 6
+DENSE_ORBITAL_CAP = 7
 
 HERMITICITY_TOLERANCE = 1e-10
 

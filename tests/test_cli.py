@@ -362,21 +362,21 @@ class TestValidate:
 
         from qdf.integrals import MolecularIntegrals, write_fcidump
 
-        m = MolecularIntegrals(7, 7, 0.0, np.eye(7), np.zeros((7, 7, 7, 7)))
-        path = tmp_path / "n7.fcidump"
+        m = MolecularIntegrals(8, 8, 0.0, np.eye(8), np.zeros((8, 8, 8, 8)))
+        path = tmp_path / "n8.fcidump"
         path.write_text(write_fcidump(m))
         assert main(["validate", "--fcidump", str(path)]) == 3
-        assert "N <= 6" in capsys.readouterr().err
+        assert "N <= 7" in capsys.readouterr().err
 
     def test_dense_cap_refused_before_factorizing(self, tmp_path, capsys):
         from qdf.integrals import MolecularIntegrals, write_fcidump
 
-        m = MolecularIntegrals(7, 7, 0.0, np.eye(7), np.zeros((7, 7, 7, 7)))
-        path = tmp_path / "n7.fcidump"
+        m = MolecularIntegrals(8, 8, 0.0, np.eye(8), np.zeros((8, 8, 8, 8)))
+        path = tmp_path / "n8.fcidump"
         path.write_text(write_fcidump(m))
-        cache = tmp_path / "n7.qdfcache"
+        cache = tmp_path / "n8.qdfcache"
         assert main(["validate", "--fcidump", str(path), "--cache", str(cache)]) == 3
-        assert "N <= 6" in capsys.readouterr().err
+        assert "N <= 7" in capsys.readouterr().err
         assert not cache.exists()
 
 

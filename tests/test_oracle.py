@@ -75,6 +75,10 @@ class TestBuildFromDf:
             b = build_from_df(df)
             assert max_entry(a - b) <= 1e-8
 
+    def test_identity_at_the_cap(self, rng):
+        mol = random_molecular_integrals(DENSE_ORBITAL_CAP, rng=rng, scale=0.6)
+        assert max_entry(build_from_integrals(mol) - build_from_df(factorize(mol))) <= 1e-8
+
     def test_two_body_emptied_leaves_one_body(self, h2_df):
         reduced, _ = truncate(h2_df, "coherent", 1e9)
         assert reduced.total_eigenpairs == 0 and reduced.rank == 0
@@ -275,4 +279,4 @@ class TestSectorBlockEdges:
 
 
 def test_dense_cap_constant():
-    assert DENSE_ORBITAL_CAP == 6
+    assert DENSE_ORBITAL_CAP == 7
