@@ -158,6 +158,10 @@ def canonical_orbit(i: int, j: int, k: int, l: int) -> tuple[int, int, int, int]
 _HEADER_FIELD = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?=\s*(?:,|$|[A-Za-z0-9_]+\s*=))")
 
 
+def _too_large(norb: int) -> FcidumpError:
+    return FcidumpError(f"NORB={norb} is too large: (ij|kl) needs {8 * norb**4} bytes", line=1)
+
+
 def _parse_header(lines) -> tuple[int, int, int]:
     """Read the namelist header from an iterable of lines; returns (norb,
     nelec, number of header lines).  Only the header lines are consumed."""
@@ -189,6 +193,8 @@ def _parse_header(lines) -> tuple[int, int, int]:
         raise FcidumpError(f"NORB must be positive, got {norb}", line=1)
     if nelec < 0:
         raise FcidumpError(f"NELEC must be non-negative, got {nelec}", line=1)
+    if norb**4 > _INDEX_MAX:  # (ij|kl) could not even be indexed
+        raise _too_large(norb)
     # ORBSYM / ISYM / MS2 are accepted and ignored: no point-group symmetry here.
     return norb, nelec, end_idx + 1
 
@@ -425,7 +431,8 @@ def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     raises FcidumpError at the first offending line.  The record arrays are
     freed on return, before the tensor is filled."""
     value, index = state.records()
-    out_of_range = np.flatnonzero(((index < 0) | (index > norb)).any(axis=1))
+    # A negative index wraps to above any NORB the header accepts.
+    out_of_range = np.flatnonzero((index.view(np.uint64) > np.uint64(norb)).any(axis=1))
     if out_of_range.size:
         r = int(out_of_range[0])
         stripped = state.source_line(state.line_of(r))
@@ -579,15 +586,13 @@ def parse_fcidump(text) -> MolecularIntegrals:
     try:
         h1, h2 = _fill(norb, key, value)
     except (MemoryError, ValueError):  # ValueError: larger than numpy can index
-        raise FcidumpError(
-            f"NORB={norb} is too large: (ij|kl) needs {8 * norb**4} bytes", line=1
-        ) from None
+        raise _too_large(norb) from None
     core_energy = float(core_value[-1]) if core_value.size else 0.0
 
-    m = MolecularIntegrals(norb, nelec, core_energy, h1, h2)
-    if not (np.isfinite(core_energy) and np.isfinite(h1).all() and np.isfinite(h2).all()):
+    # The tensors hold exactly the stored values, and zeros.
+    if not (np.isfinite(core_energy) and np.isfinite(value).all()):
         raise FcidumpError("non-finite integral value")
-    return m
+    return MolecularIntegrals(norb, nelec, core_energy, h1, h2)
 
 
 def load_fcidump(path) -> MolecularIntegrals:
@@ -613,22 +618,24 @@ def write_fcidump(m: MolecularIntegrals) -> str:
     ]
     # The pairs (i, j), i >= j, in lexicographic order (that of np.tril_indices),
     # then the pairs of pairs (ij, kl), kl <= ij, likewise: the canonical
-    # orbits in lexicographic (i, j, k, l) order.
+    # orbits in lexicographic (i, j, k, l) order.  Each record's fields go
+    # into one flat list, formatted by one "%" of the repeated line templates.
     i, j = np.nonzero(np.tri(n, dtype=bool))
+    pairs = np.array([f"{a} {b}" for a, b in zip((i + 1).tolist(), (j + 1).tolist())], dtype=object)
     ij, kl = np.nonzero(np.tri(i.size, dtype=bool))
-    a, b, zero = i + 1, j + 1, np.zeros_like(i)
-    line = "{:.17g} {} {} {} {}".format
-
-    def records(values, *index):
-        keep = values != 0.0
-        return map(line, values[keep].tolist(), *(x[keep].tolist() for x in index))
-
-    return "\n".join([
-        *header,
-        *records(m.two_body[i[ij], j[ij], i[kl], j[kl]], a[ij], b[ij], a[kl], b[kl]),
-        *records(m.one_body[i, j], a, b, zero, zero),
-        line(m.core_energy, 0, 0, 0, 0),
-    ]) + "\n"
+    two = m.two_body[i[ij], j[ij], i[kl], j[kl]]
+    keep = np.flatnonzero(two)
+    one = m.one_body[i, j]
+    kept = np.flatnonzero(one)
+    fields = [None] * (3 * keep.size + 2 * kept.size + 1)
+    fields[0:3 * keep.size:3] = two[keep].tolist()
+    fields[1:3 * keep.size:3] = pairs[ij[keep]].tolist()
+    fields[2:3 * keep.size:3] = pairs[kl[keep]].tolist()
+    fields[3 * keep.size:-1:2] = one[kept].tolist()
+    fields[3 * keep.size + 1:-1:2] = pairs[kept].tolist()
+    fields[-1] = float(m.core_energy)
+    body = "%.17g %s %s\n" * keep.size + "%.17g %s 0 0\n" * kept.size + "%.17g 0 0 0 0\n"
+    return "\n".join(header) + "\n" + body % tuple(fields)
 
 
 def validate_symmetry(m: MolecularIntegrals) -> list[SymmetryViolation]:

@@ -167,6 +167,10 @@ class TestEstimate:
         (b"&FCI NORB=1,NELEC=-2,\n&END\n0.5 1 1 1 1\n", "line 1: NELEC must be non-negative"),
         (b"&FCI NORB=1,NELEC=2,\n&END\n0.5 1 1 1 1\n0.\xe9 0 0 0 0\n", "line 4: non-ASCII byte 0xe9"),
         (b"&FCI NORB=1000000,NELEC=2,\n&END\n0.5 1 1 1 1\n", "line 1: NORB=1000000 is too large"),
+        # Past 55108 orbitals (ij|kl) cannot be indexed in int64: refused at
+        # the header, before the record keys overflow.
+        (b"&FCI NORB=10000000000,NELEC=2,\n&END\n0.5 1 1 1 1\n",
+         "line 1: NORB=10000000000 is too large"),
     ])
     def test_bad_fcidump_exit_one_with_one_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.fcidump"

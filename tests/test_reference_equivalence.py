@@ -429,6 +429,16 @@ _HEAD = "&FCI NORB=3,NELEC=2,\n&END\n0.5 1 1 1 1\n"
     _HEAD + "0.25 2 2 2 12",
     _HEAD + "0.25 2 2 2 2x",
     _HEAD + "0.25 2 2 2",
+    # Only the stored values are checked for finiteness: a non-finite value
+    # that a later record overwrites, or an ignored orbital energy, is not one.
+    _HEAD + "nan 2 2 2 2\n",
+    _HEAD + "nan 2 2 2 2\n0.25 2 2 2 2\n",
+    _HEAD + "0.25 2 2 2 2\nnan 2 2 2 2\n",
+    _HEAD + "-inf 2 1 0 0\n",
+    _HEAD + "inf 0 0 0 0\n",
+    _HEAD + "nan 0 0 0 0\n0.5 0 0 0 0\n",
+    _HEAD + "nan 1 0 0 0\n",
+    _HEAD + "0.25 1 1 1 -9223372036854775808\n",
 ])
 def test_index_and_value_decoding_match_line_reference(text):
     _assert_same_outcome(text)
