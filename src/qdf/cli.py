@@ -327,7 +327,7 @@ def cmd_validate(args) -> int:
 
     number_comm = oracle.particle_number_commutator_norm(h_ref)
     check("particle_number_symmetry", number_comm <= 1e-10, f"[H, N] max entry {number_comm:.3e}")
-    del h_ref, diff
+    del h_ref, diff  # the rest needs h_df alone
 
     # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
     factors = np.reshape([df.factor_matrix(r) for r in range(df.rank)],
@@ -352,7 +352,8 @@ def cmd_validate(args) -> int:
     # Each grid point's truncation error H_df - H_trunc is built from the
     # ranks it removes eigenpairs from.  A scheme removes eigenpairs in one
     # fixed order, so the number removed names the set, and points that
-    # remove the same set share one error (none removed: zero).
+    # remove the same set share one result: the error's norm (coherent) or
+    # the ground energy of H_trunc (incoherent, on its n_electrons sectors).
     grid = truncation.default_grid()
     sound = True
     worst = 0.0

@@ -620,9 +620,11 @@ def write_fcidump(m: MolecularIntegrals) -> str:
     # then the pairs of pairs (ij, kl), kl <= ij, likewise: the canonical
     # orbits in lexicographic (i, j, k, l) order.  Each record's fields go
     # into one flat list, formatted by one "%" of the repeated line templates.
-    i, j = np.nonzero(np.tri(n, dtype=bool))
-    pairs = np.array([f"{a} {b}" for a, b in zip((i + 1).tolist(), (j + 1).tolist())], dtype=object)
-    ij, kl = np.nonzero(np.tri(i.size, dtype=bool))
+    orbital = np.arange(n)
+    i, j = np.nonzero(orbital[:, None] >= orbital)
+    pairs = np.array([f"{a} {b}" for a in range(1, n + 1) for b in range(1, a + 1)], dtype=object)
+    pair = np.arange(pairs.size)
+    ij, kl = np.nonzero(pair[:, None] >= pair)
     two = m.two_body[i[ij], j[ij], i[kl], j[kl]]
     keep = np.flatnonzero(two)
     one = m.one_body[i, j]
