@@ -313,9 +313,9 @@ def cmd_validate(args) -> int:
 
     # The two-electron tensor and l_minus1, each rebuilt from its eigenpairs.
     recon = factorization.reconstruct_two_body(df)
-    ob_vals, ob_vecs = df.one_body_eigs
+    l_minus1 = factorization.from_eigenpairs(*df.one_body_eigs)
     recon_err = max(float(np.abs(recon - mol.two_body).max()),
-                    float(np.abs((ob_vecs * ob_vals) @ ob_vecs.T - df.one_body.l_minus1).max()))
+                    float(np.abs(l_minus1 - df.one_body.l_minus1).max()))
     check("factorization_reconstruction", recon_err <= 1e-8, f"sup-norm error {recon_err:.3e}")
 
     h_ref = oracle.build_from_integrals(mol)
@@ -330,9 +330,7 @@ def cmd_validate(args) -> int:
     del h_ref, diff  # the rest needs h_df alone
 
     # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
-    factors = np.reshape([df.factor_matrix(r) for r in range(df.rank)],
-                         (df.rank, mol.n_orbitals, mol.n_orbitals))
-    g_norms, s_norms = oracle.one_body_norm_check(factors)
+    g_norms, s_norms = oracle.one_body_norm_check(df.factor_matrices())
     norm_dev = float(max(np.abs(g_norms - s_norms).max(initial=0.0),
                          np.abs(g_norms - df.schatten_norms).max(initial=0.0)))
     check("one_body_norm_identity", norm_dev <= 1e-8, f"max |deviation| {norm_dev:.3e}")
@@ -350,11 +348,12 @@ def cmd_validate(args) -> int:
     )
 
     # Each grid point's truncation error H_df - H_trunc is built from the
-    # ranks it removes eigenpairs from.  A scheme removes eigenpairs in one
-    # fixed order, so the number removed names the set, and points that
-    # remove the same set share one result: the error's norm (coherent) or
-    # the ground energy of H_trunc (incoherent, on its n_electrons sectors).
-    grid = truncation.default_grid()
+    # ranks it removes eigenpairs from.  One sweep gives every point's count
+    # of removed eigenpairs and scores; a scheme removes eigenpairs in the one
+    # fixed order of score_eigenpairs, so the count names the set, and points
+    # that remove the same set share one result: the error's norm (coherent)
+    # or the ground energy of H_trunc (incoherent, on its n_electrons sectors).
+    order = truncation.score_eigenpairs(df)[0]
     sound = True
     worst = 0.0
     coherent = args.sweep_scheme == "coherent"
@@ -363,22 +362,22 @@ def cmd_validate(args) -> int:
     else:
         h_df = oracle.build_from_df(df, n_electrons=mol.n_electrons)
         known = {0: oracle.ground_energy(h_df, mol.n_electrons)}
-    for eps in grid:
-        _, plan = truncation.truncate(df, args.sweep_scheme, float(eps))
-        count = len(plan.removed)
+    for _, _, m, _, _, coh, inc in truncation.threshold_sweep(
+            df, args.sweep_scheme, truncation.default_grid()):
+        count = df.total_eigenpairs - m
         if count not in known:
             known[count] = (
-                oracle.spectral_norm(oracle.build_from_df(df, plan.removed)) if coherent
+                oracle.spectral_norm(oracle.build_from_df(df, order[:count])) if coherent
                 else oracle.ground_energy(
-                    h_df - oracle.build_from_df(df, plan.removed, mol.n_electrons),
+                    h_df - oracle.build_from_df(df, order[:count], mol.n_electrons),
                     mol.n_electrons))
         if coherent:
-            sound &= known[count] <= plan.coherent_score + 1e-10
-            worst = max(worst, known[count] - plan.coherent_score)
+            sound &= known[count] <= coh + 1e-10
+            worst = max(worst, known[count] - coh)
         else:
             # Informational for the incoherent scheme: the score is not a
             # rigorous bound, so record the worst exceedance without failing.
-            worst = max(worst, abs(known[0] - known[count]) - plan.incoherent_score)
+            worst = max(worst, abs(known[0] - known[count]) - inc)
     if coherent:
         check("truncation_soundness", sound, f"worst (error - bound) = {worst:.3e}")
     else:
@@ -410,17 +409,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fcidump=True):
+    def common(p, fcidump=True, cost=True):
         if fcidump:
             p.add_argument("--fcidump", help="FCIDUMP input file")
             p.add_argument("--cache", help="binary factorization cache path")
-        p.add_argument("--delta-e", type=_positive, default=1e-3, dest="delta_e",
-                       help="target energy standard deviation, Hartree (default 1e-3)")
-        p.add_argument("--mode", choices=["min-qubits", "min-toffolis", "fixed"],
-                       default="min-qubits")
-        p.add_argument("--lambda", type=_lambda, default=None, dest="lam",
-                       help="ancilla tradeoff parameter for --mode fixed")
-        p.add_argument("--format", choices=["json", "csv", "table"], default="table")
+        if cost:
+            p.add_argument("--delta-e", type=_positive, default=1e-3, dest="delta_e",
+                           help="target energy standard deviation, Hartree (default 1e-3)")
+            p.add_argument("--mode", choices=["min-qubits", "min-toffolis", "fixed"],
+                           default="min-qubits")
+            p.add_argument("--lambda", type=_lambda, default=None, dest="lam",
+                           help="ancilla tradeoff parameter for --mode fixed")
+            p.add_argument("--format", choices=["json", "csv", "table"], default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_est = sub.add_parser("estimate", help="full pipeline from an FCIDUMP file")
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="exact-diagonalization validation (N <= 7)")
-    common(p_val)
+    common(p_val, cost=False)
     p_val.add_argument("--sweep-scheme", choices=["coherent", "incoherent"],
                        default="coherent", dest="sweep_scheme")
     p_val.set_defaults(func=cmd_validate)

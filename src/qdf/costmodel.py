@@ -19,7 +19,7 @@ applications.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -453,28 +453,7 @@ class CostReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "qdf-cost/1",
-            "n_orbitals": self.n_orbitals,
-            "rank_R": self.rank_R,
-            "eigvec_M": self.eigvec_M,
-            "alpha_df": self.alpha_df,
-            "beta": self.beta,
-            "mu": self.mu,
-            "lambda_ancilla": self.lambda_ancilla,
-            "mode": self.mode,
-            "delta_e": self.delta_e,
-            "walk_toffoli": self.walk_toffoli,
-            "walk_toffoli_breakdown": dict(self.walk_toffoli_breakdown),
-            "logical_qubits": self.logical_qubits,
-            "logical_qubit_breakdown": dict(self.logical_qubit_breakdown),
-            "pe_repetitions": self.pe_repetitions,
-            "total_toffoli": self.total_toffoli,
-            "closed_form_toffoli": self.closed_form_toffoli,
-            "closed_form_total": self.closed_form_total,
-            "runtime_seconds_fast": self.runtime_seconds_fast,
-            "runtime_seconds_slow": self.runtime_seconds_slow,
-        }
+        return {"schema": "qdf-cost/1", **asdict(self)}
 
 
 def estimate(

@@ -81,7 +81,8 @@ class DoubleFactorization:
     ``schatten_norms[r]`` freezes sum_m |lambda_m| of the factor at
     construction time; truncation never updates it (the truncation error
     scores are defined against the untruncated factors).  ``one_body_eigs``
-    are the eigenpairs of l_minus1, which are never truncated.
+    are the eigenvalues and eigenvector rows of l_minus1, which are never
+    truncated.
     """
 
     one_body: AdjustedOneBody
@@ -119,10 +120,20 @@ class DoubleFactorization:
     def factor_matrix(self, r: int) -> np.ndarray:
         """Rebuild L^(r) from its retained eigenpairs, exactly symmetric."""
         lo, hi = self.offsets[r], self.offsets[r + 1]
-        return _from_eigenpairs(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi])
+        return from_eigenpairs(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi])
+
+    def factor_matrices(self) -> np.ndarray:
+        """Rebuild every L^(r) at once, exactly symmetric, as an (R, N, N)
+        stack from the eigenpairs zero-padded to (R, max_eigenpairs_per_rank)
+        slots."""
+        slot = self.pair_index
+        values = np.zeros((self.rank, self.max_eigenpairs_per_rank))
+        vectors = np.zeros(values.shape + (self.n_orbitals,))
+        values[slot], vectors[slot] = self.eigenvalues, self.eigenvectors
+        return from_eigenpairs(values, vectors)
 
 
-def _from_eigenpairs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def from_eigenpairs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """U^T diag(lambda) U of eigenvalues (..., k) and eigenvector rows U
     (..., k, N), made exactly symmetric: the product alone is off by up to
     about eps * max|lambda|, and halving first cannot overflow."""
@@ -228,7 +239,7 @@ def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFac
     ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1[None], "one-body matrix")
     return DoubleFactorization(
         one_body=adj,
-        one_body_eigs=(ob_vals[0], ob_vecs[0].T),
+        one_body_eigs=(ob_vals[0], ob_vecs[0]),
         eigenvalues=vals[keep],
         eigenvectors=vecs[keep],
         offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
@@ -279,14 +290,10 @@ def alpha_df(df: DoubleFactorization) -> float:
 
 def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
     """Rebuild the chemist-notation tensor sum_r L^(r)_ij L^(r)_kl from the
-    retained eigenpairs.  All factors are rebuilt at once from the eigenpairs
-    zero-padded to (R, max_eigenpairs_per_rank) slots; stacked as the rows of
-    F (R, N^2), they give the tensor as the one product F^T F."""
-    n, slot = df.n_orbitals, df.pair_index
-    values = np.zeros((df.rank, df.max_eigenpairs_per_rank))
-    vectors = np.zeros(values.shape + (n,))
-    values[slot], vectors[slot] = df.eigenvalues, df.eigenvectors
-    factors = _from_eigenpairs(values, vectors).reshape(df.rank, n * n)
+    retained eigenpairs.  The factors, stacked as the rows of F (R, N^2),
+    give the tensor as the one product F^T F."""
+    n = df.n_orbitals
+    factors = df.factor_matrices().reshape(df.rank, n * n)
     return (factors.T @ factors).reshape(n, n, n, n)
 
 
@@ -360,7 +367,7 @@ def _v1_parts(df: DoubleFactorization) -> list[bytes]:
         struct.pack("<IIII", _VERSION, n, df.rank, ob_vals.size),
         struct.pack("<dd", df.one_body.scalar_shift, df.one_body.core_energy),
         *(np.ascontiguousarray(a, dtype="<f8").tobytes()
-          for a in (df.one_body.h_tilde, df.one_body.l_minus1, ob_vals, ob_vecs.T)),
+          for a in (df.one_body.h_tilde, df.one_body.l_minus1, ob_vals, ob_vecs)),
     ]
     values = np.ascontiguousarray(df.eigenvalues, dtype="<f8")
     vectors = np.ascontiguousarray(df.eigenvectors, dtype="<f8")
@@ -424,7 +431,7 @@ def _from_v1_bytes(data: bytes, pos: int) -> DoubleFactorization:
     h_tilde = take("<f8", n * n).reshape(n, n).copy()
     l_minus1 = take("<f8", n * n).reshape(n, n).copy()
     ob_vals = take("<f8", k).copy()
-    ob_vecs = take("<f8", k * n).reshape(k, n).T.copy()
+    ob_vecs = take("<f8", k * n).reshape(k, n).copy()
     norms, values, vectors = [], [np.empty(0)], [np.empty(0)]
     for r in range(rank):
         index, count = take("<u4", 2).tolist()

@@ -20,6 +20,7 @@ truncation error bounds.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from functools import lru_cache
 from itertools import groupby, permutations
@@ -110,14 +111,17 @@ class FockOperator:
         return 1 << (2 * self.n_spatial)
 
     def __sub__(self, other) -> "FockOperator":
-        """Minus another operator on the same sectors, or minus a scalar."""
-        if not isinstance(other, FockOperator):
-            return FockOperator(self.n_spatial, self.blocks, self.shift - other)
-        if [keys for keys, _ in self.blocks] != [keys for keys, _ in other.blocks]:
-            raise ValueError("the operators hold different sectors")
-        return FockOperator(self.n_spatial,
-                            [(keys, a - b) for (keys, a), (_, b) in zip(self.blocks, other.blocks)],
-                            self.shift - other.shift)
+        """Minus another operator on the same sectors, or minus a scalar.  Both
+        operands passed the checks of ``__init__``, so the result is not
+        checked again; minus a scalar shares this operator's stacks."""
+        out = copy.copy(self)
+        if isinstance(other, FockOperator):
+            if [keys for keys, _ in self.blocks] != [keys for keys, _ in other.blocks]:
+                raise ValueError("the operators hold different sectors")
+            out.blocks = [(keys, a - b) for (keys, a), (_, b) in zip(self.blocks, other.blocks)]
+            other = other.shift
+        out.shift = float(self.shift - other)
+        return out
 
 
 def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
@@ -269,25 +273,24 @@ def build_from_df(df: DoubleFactorization, removed=None,
     untruncated factorization this equals :func:`build_from_integrals` of the
     source integrals up to the factorization residual.
 
-    With ``removed``, a list of eigenpairs (r, m) as in
-    ``TruncationPlan.removed``, it is instead the truncation error H - H'
-    of removing them.  Truncation leaves the one-body part and the shift
-    alone, so H - H' = 1/2 sum_r (G_{L^(r)}^2 - G_{L'^(r)}^2) over only the
-    ranks those eigenpairs belong to.  With ``n_electrons``, only the sectors
-    N_up + N_down = ``n_electrons`` are built.
+    With ``removed``, rows of ``df.eigenvalues`` as in
+    ``TruncationPlan.removed``, it is instead the truncation error H - H' of
+    removing those eigenpairs.  Truncation leaves the one-body part and the
+    shift alone, so H - H' = 1/2 sum_r (G_{L^(r)}^2 - G_{L'^(r)}^2) over only
+    the ranks those eigenpairs belong to.  With ``n_electrons``, only the
+    sectors N_up + N_down = ``n_electrons`` are built.
     """
     n = df.n_orbitals
     _check_cap(n)
     if removed is None:
-        factors = np.reshape([df.factor_matrix(r) for r in range(df.rank)], (df.rank, n, n))
-        blocks = _df_blocks(df.one_body.l_minus1, factors, np.ones(df.rank), n_electrons)
+        blocks = _df_blocks(df.one_body.l_minus1, df.factor_matrices(), np.ones(df.rank),
+                            n_electrons)
         return FockOperator(n, blocks, df.one_body.scalar_shift + df.one_body.core_energy)
-    ranks = sorted({r for r, _ in removed})
-    gone = np.zeros(df.total_eigenpairs, dtype=bool)
-    gone[[df.offsets[r] + m for r, m in removed]] = True
-    kept = dataclasses.replace(df, eigenvalues=np.where(gone, 0.0, df.eigenvalues))
-    factors = np.reshape([f.factor_matrix(r) for f in (df, kept) for r in ranks],
-                         (2 * len(ranks), n, n))
+    ranks = np.flatnonzero(np.bincount(df.pair_index[0][removed], minlength=df.rank))
+    values = df.eigenvalues.copy()
+    values[removed] = 0.0
+    kept = dataclasses.replace(df, eigenvalues=values)
+    factors = np.concatenate([f.factor_matrices()[ranks] for f in (df, kept)])
     weights = np.repeat([1.0, -1.0], len(ranks))
     return FockOperator(n, _df_blocks(np.zeros((n, n)), factors, weights, n_electrons))
 

@@ -37,7 +37,8 @@ class TruncationScheme(str, enum.Enum):
 class TruncationPlan:
     """Result of one truncation: what was removed and the predicted errors.
 
-    ``removed`` is sorted ascending by score (ties by (r, m));
+    ``removed`` holds the rows of ``df.eigenvalues`` removed, ascending by
+    score (ties by row; ``df.pair_index`` gives their (r, m));
     ``coherent_score`` is the linear sum of removed scores and
     ``incoherent_score`` the root-sum-square, both in Hartree regardless of
     which scheme drove the removal.
@@ -45,7 +46,7 @@ class TruncationPlan:
 
     scheme: TruncationScheme
     epsilon: float
-    removed: list[tuple[int, int]]
+    removed: np.ndarray
     coherent_score: float
     incoherent_score: float
     surviving_R: int
@@ -107,8 +108,7 @@ def truncate(
     keep = np.ones(df.total_eigenpairs, dtype=bool)
     keep[removed] = False
 
-    rank_of, local = df.pair_index
-    kept_counts = np.bincount(rank_of[keep], minlength=df.rank)
+    kept_counts = np.bincount(df.pair_index[0][keep], minlength=df.rank)
     alive = kept_counts > 0
     reduced = replace(
         df,
@@ -120,7 +120,7 @@ def truncate(
     plan = TruncationPlan(
         scheme=scheme,
         epsilon=epsilon,
-        removed=list(zip(rank_of[removed].tolist(), local[removed].tolist())),
+        removed=removed,
         coherent_score=float(coherent[0]),
         incoherent_score=float(incoherent[0]),
         surviving_R=reduced.rank,

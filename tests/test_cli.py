@@ -294,6 +294,10 @@ class TestSweep:
     (["sweep", "--grid", "1e-2:1e-3:3"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--grid", "1e-3:1e-2:0"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--delta-e", "nan"], "argument --delta-e: expected a finite number > 0"),
+    (["validate", "--delta-e", "1e-3"], "unrecognized arguments: --delta-e 1e-3"),
+    (["validate", "--mode", "fixed"], "unrecognized arguments: --mode fixed"),
+    (["validate", "--lambda", "2"], "unrecognized arguments: --lambda 2"),
+    (["validate", "--format", "json"], "unrecognized arguments: --format json"),
 ])
 def test_bad_flag_exit_three_with_one_line(capsys, args, message):
     assert main([*args, "--fcidump", H2]) == 3

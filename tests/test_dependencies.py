@@ -27,7 +27,9 @@ print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy
 @pytest.mark.parametrize("args", [
     ["validate", "--fcidump", fixture_path("h4_sto3g.fcidump")],
     ["estimate", "--fcidump", fixture_path("h2_sto3g.fcidump")],
-], ids=["validate-h4", "estimate-h2"])
+    ["sweep", "--fcidump", fixture_path("h4_sto3g.fcidump")],
+    ["cost", "--n", "4", "--r", "8", "--m", "24", "--alpha", "8.077006824338111"],
+], ids=["validate-h4", "estimate-h2", "sweep-h4", "cost-h4"])
 def test_cli_run_imports_no_scipy(args):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,

@@ -98,8 +98,20 @@ class TestBuildFromDf:
         reduced = without_pair(h4_df, order[3])
         err = spectral_norm(full - build_from_df(reduced))
         assert err <= score + 1e-10
-        changed = build_from_df(h4_df, [tuple(int(x) for x in np.array(h4_df.pair_index)[:, order[3]])])
+        changed = build_from_df(h4_df, order[3:4])
         assert abs(spectral_norm(changed) - err) <= 1e-12
+
+
+    def test_difference_rules(self, h2_df):
+        # minus a scalar shares the stacks and moves the shift; minus an
+        # operator subtracts the stacks and the shifts
+        op = build_from_df(h2_df)
+        shifted = op - 1.5
+        assert shifted.shift == op.shift - 1.5
+        assert all(a is b for (_, a), (_, b) in zip(shifted.blocks, op.blocks))
+        zero = op - shifted
+        assert zero.shift == 1.5
+        assert all(not stack.any() for _, stack in zero.blocks)
 
 
 class TestNormIdentity:

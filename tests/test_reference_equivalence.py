@@ -507,16 +507,19 @@ def test_h4_double_factorize_matches_loop(h4):
 
 
 def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
-    """Each factor_matrix is exactly symmetric and within 1e-13 max|lambda|
-    of the outer-product loop; reconstruct_two_body is within 1e-12 of the
-    per-rank loop, scaled by the loop's largest |entry| where that exceeds 1
-    (|lambda| ~ 1e8 gives entries ~ 1e16)."""
+    """Each factor_matrix, and each factor of factor_matrices, is exactly
+    symmetric and within 1e-13 max|lambda| of the outer-product loop;
+    reconstruct_two_body is within 1e-12 of the per-rank loop, scaled by the
+    loop's largest |entry| where that exceeds 1 (|lambda| ~ 1e8 gives entries
+    ~ 1e16)."""
+    factors = df.factor_matrices()
+    assert factors.shape == (df.rank, df.n_orbitals, df.n_orbitals)
     for r in range(df.rank):
         lo, hi = df.offsets[r], df.offsets[r + 1]
-        factor = df.factor_matrix(r)
-        assert np.array_equal(factor, factor.T)
         scale = np.abs(df.eigenvalues[lo:hi]).max(initial=0.0)
-        assert np.abs(factor - factor_matrix_loop(df, r)).max() <= 1e-13 * scale
+        for factor in (df.factor_matrix(r), factors[r]):
+            assert np.array_equal(factor, factor.T)
+            assert np.abs(factor - factor_matrix_loop(df, r)).max() <= 1e-13 * scale
     ref = reconstruct_two_body_loop(df)
     tensor = reconstruct_two_body(df)
     assert tensor.shape == ref.shape
@@ -627,7 +630,8 @@ def _budget_boundaries(df) -> list[float]:
 def _assert_truncation_matches_loop(df, scheme, eps):
     ref = truncate_loop(df, scheme, eps)
     reduced, plan = truncate(df, scheme, eps)
-    assert plan.removed == ref["removed"]
+    rank_of, local = df.pair_index
+    assert list(zip(rank_of[plan.removed].tolist(), local[plan.removed].tolist())) == ref["removed"]
     assert plan.coherent_score == ref["coherent_score"]
     assert plan.incoherent_score == ref["incoherent_score"]
     assert plan.surviving_R == len(ref["groups"])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from perfbench.inputs import make_integrals
+from qdf import integrals
 from qdf.factorization import DoubleFactorization, alpha_df
-from qdf.integrals import AdjustedOneBody
+from qdf.integrals import AdjustedOneBody, parse_fcidump, write_fcidump
 from qdf.truncation import (
     TruncationScheme,
     default_grid,
@@ -12,6 +14,7 @@ from qdf.truncation import (
     threshold_sweep,
     truncate,
 )
+from tests.conftest import factorize
 
 
 def make_df(groups, n=2, l_minus1=None):
@@ -30,6 +33,19 @@ def make_df(groups, n=2, l_minus1=None):
         schatten_norms=np.asarray([sum(abs(x) for x in lams) for lams in groups], dtype=float),
         n_orbitals=n,
     )
+
+
+@pytest.fixture(scope="module")
+def validate_n4_dfs():
+    """The factorizations of the eight seed-0 inputs of the ``validate_n4``
+    benchmark, read back from their FCIDUMP text as the CLI reads them."""
+    return [factorize(parse_fcidump(write_fcidump(make_integrals(integrals, 4, 10, 0, i))))
+            for i in range(8)]
+
+
+def removed_pairs(df, plan):
+    """The plan's removed rows as (r, m) pairs."""
+    return list(zip(*(a[plan.removed].tolist() for a in df.pair_index)))
 
 
 def scored(df):
@@ -74,13 +90,13 @@ class TestTruncate:
         # an exactly-zero eigenvalue would be dropped at construction in the
         # real pipeline; placed here it has score zero and is removable
         reduced, plan = truncate(df, "coherent", 0.0)
-        assert plan.removed == [(0, 1)]
+        assert removed_pairs(df, plan) == [(0, 1)]
         assert reduced.total_eigenpairs == 2
 
     def test_boundary_inclusive(self):
         df = make_df([[3.0, 1.0]])
         _, plan = truncate(df, "coherent", 4.0)
-        assert plan.removed == [(0, 1)]
+        assert removed_pairs(df, plan) == [(0, 1)]
         assert plan.coherent_score == pytest.approx(4.0)
 
     def test_incoherent_hand_accumulation(self):
@@ -89,7 +105,7 @@ class TestTruncate:
         df = make_df([[1e-4, 2e-4, 5e-4]], n=3)
         object.__setattr__(df, "schatten_norms", np.array([1.0]))
         _, plan = truncate(df, "incoherent", 3e-4)
-        assert plan.removed == [(0, 0), (0, 1)]
+        assert removed_pairs(df, plan) == [(0, 0), (0, 1)]
         assert plan.incoherent_score == pytest.approx(math.sqrt(5e-8))
 
     def test_empty_ranks_dropped(self):
@@ -123,14 +139,14 @@ class TestTruncate:
     def test_determinism(self, h4_df):
         _, p1 = truncate(h4_df, "incoherent", 1e-2)
         _, p2 = truncate(h4_df, "incoherent", 1e-2)
-        assert p1.removed == p2.removed
+        np.testing.assert_array_equal(p1.removed, p2.removed)
 
     def test_plan_invariants(self, h4_df):
         scores = dict(scored(h4_df))
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
             _, plan = truncate(h4_df, "coherent", eps)
             assert plan.coherent_score <= eps
-            removed_scores = [scores[key] for key in plan.removed]
+            removed_scores = [scores[key] for key in removed_pairs(h4_df, plan)]
             assert removed_scores == sorted(removed_scores)
             _, plan = truncate(h4_df, "incoherent", eps)
             assert plan.incoherent_score <= eps
@@ -155,6 +171,21 @@ class TestSweep:
                 assert m_max == reduced.max_eigenpairs_per_rank
                 assert alpha == alpha_df(reduced)
                 assert (coherent, incoherent) == (plan.coherent_score, plan.incoherent_score)
+
+    @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
+    def test_rows_name_the_removed_rows(self, h4_df, validate_n4_dfs, scheme):
+        # What validate reads from one sweep: at each default-grid point the
+        # first total_eigenpairs - M rows of the score order are truncate's
+        # removed rows, and the row's scores are the plan's.
+        removed_any = False
+        for df in (h4_df, *validate_n4_dfs):
+            order = score_eigenpairs(df)[0]
+            for eps, _, m, _, _, coherent, incoherent in threshold_sweep(df, scheme, default_grid()):
+                _, plan = truncate(df, scheme, eps)
+                np.testing.assert_array_equal(order[:df.total_eigenpairs - m], plan.removed)
+                assert (coherent, incoherent) == (plan.coherent_score, plan.incoherent_score)
+                removed_any |= plan.removed.size > 0
+        assert removed_any
 
     def test_monotone_along_grid(self, h4_df):
         rows = threshold_sweep(h4_df, "coherent", default_grid())
