@@ -101,7 +101,6 @@ class TestBuildFromDf:
         changed = build_from_df(h4_df, order[3:4])
         assert abs(spectral_norm(changed) - err) <= 1e-12
 
-
     def test_difference_rules(self, h2_df):
         # minus a scalar shares the stacks and moves the shift; minus an
         # operator subtracts the stacks and the shifts
