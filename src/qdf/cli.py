@@ -311,10 +311,10 @@ def cmd_validate(args) -> int:
         "no violations" if not violations else "; ".join(str(v) for v in violations[:5]),
     )
 
-    # The two-electron tensor and l_minus1, each rebuilt from its eigenpairs.
+    # W and l_minus1, each rebuilt from its eigenpairs.
     recon = factorization.reconstruct_two_body(df)
     l_minus1 = factorization.from_eigenpairs(*df.one_body_eigs)
-    recon_err = max(float(np.abs(recon - mol.two_body).max()),
+    recon_err = max(float(np.abs(recon - mol.pair_matrix).max()),
                     float(np.abs(l_minus1 - df.one_body.l_minus1).max()))
     check("factorization_reconstruction", recon_err <= 1e-8, f"sup-norm error {recon_err:.3e}")
 

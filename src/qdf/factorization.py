@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdf.integrals import AdjustedOneBody, MolecularIntegrals
+from qdf.integrals import AdjustedOneBody, MolecularIntegrals, pair_index
 
 __all__ = [
     "CHOLESKY_TOL",
@@ -151,15 +151,15 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     Pedersen, JCP 118, 9481 (2003)), on the N(N+1)/2 orbital pairs i <= j in
     row-major order: memory O(N^2 R / 2), time O(N^2 R^2 / 2).
 
-    Requires the exact 8-fold symmetry of MolecularIntegrals (the parser
-    writes an orbit's eight slots from one value).  Then every column is
-    exactly pair-symmetric, twin diagonals stay equal and the first largest
-    packed pair is the first of all N^2, so the factors are bit for bit those
-    of deflating a full copy of W by one rank-1 update per pivot: residual
-    column q is W[:, q] minus each earlier column times its entry q, in pivot
-    order, in one ``np.subtract.reduce`` (numpy reduces pairwise only for
-    ``np.add``).  A pivot's rounding residual can exceed ``tol`` at large
-    scales; the pair is then picked again, and R can pass N(N+1)/2.
+    W's diagonal and pivot columns are read from its packed form in
+    MolecularIntegrals, which holds each orbit in one value.  So every column
+    is exactly pair-symmetric, twin diagonals stay equal and the first
+    largest packed pair is the first of all N^2: the factors are bit for bit
+    those of deflating a full copy of W by one rank-1 update per pivot.
+    Residual column q is W[:, q] minus each earlier column times its entry q,
+    in pivot order, in one ``np.subtract.reduce`` (numpy reduces pairwise
+    only for ``np.add``).  A pivot's rounding residual can exceed ``tol`` at
+    large scales; the pair is then picked again, and R can pass N(N+1)/2.
 
     Raises
     ------
@@ -172,19 +172,19 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n_orbitals
-    w = m.two_body.reshape(n * n, n * n)
+    w = m.pair_matrix
     rows, cols = np.triu_indices(n)
-    flat = rows * n + cols
-    diag = w[flat, flat]
+    packed = pair_index(n)[rows, cols]  # the row of W of each i <= j
+    diag = w[packed, packed]
     bound = PSD_TOLERANCE * max(float(diag.max()), 0.0)
     # buf: W's pivot column, then each earlier column times its pivot entry
-    chol, buf = np.empty((2, flat.size, flat.size))
+    chol, buf = np.empty((2, packed.size, packed.size))
     k = 0
     while k < n * n:
         if diag.min() < -bound:
             q = int(np.argmin(diag))
             raise NotPositiveSemidefiniteError(
-                f"residual diagonal {diag.min():.3e} at pair index {flat[q]} "
+                f"residual diagonal {diag.min():.3e} at pair index {rows[q] * n + cols[q]} "
                 f"is below -{bound:.3e}; ERI supermatrix is not PSD"
             )
         q = int(np.argmax(diag))
@@ -192,14 +192,14 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
             break
         if k == len(chol):  # a pair was picked again
             chol, buf = np.concatenate((chol, chol)), np.concatenate((buf, buf))
-        buf[0] = w[flat, flat[q]]
+        buf[0] = w[packed, packed[q]]
         np.multiply(chol[:k], chol[:k, q, None], out=buf[1:k + 1])
         chol[k] = np.subtract.reduce(buf[:k + 1], axis=0) / np.sqrt(diag[q])
         diag -= chol[k] * chol[k]
         k += 1
 
     pair_of = np.empty((n, n), dtype=np.intp)
-    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(flat.size)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(packed.size)
     return SingleFactorization(chol[:k, pair_of], float(np.abs(diag).max()))
 
 
@@ -289,12 +289,11 @@ def alpha_df(df: DoubleFactorization) -> float:
 
 
 def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
-    """Rebuild the chemist-notation tensor sum_r L^(r)_ij L^(r)_kl from the
-    retained eigenpairs.  The factors, stacked as the rows of F (R, N^2),
-    give the tensor as the one product F^T F."""
-    n = df.n_orbitals
-    factors = df.factor_matrices().reshape(df.rank, n * n)
-    return (factors.T @ factors).reshape(n, n, n, n)
+    """Rebuild W[ij, kl] = sum_r L^(r)_ij L^(r)_kl, packed as in
+    MolecularIntegrals, from the retained eigenpairs: with each factor's
+    entries i >= j, row by row (the pair order), as the rows of F, W = F^T F."""
+    factors = df.factor_matrices()[:, np.tri(df.n_orbitals, dtype=bool)]
+    return factors.T @ factors
 
 
 # ---------------------------------------------------------------------------

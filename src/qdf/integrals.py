@@ -3,17 +3,19 @@ the adjusted one-body matrices used by the factorized representations.
 
 Conventions
 -----------
-The two-electron tensor is stored in chemist notation, ``two_body[i, j, k, l]
-= (ij|kl)`` in Hartree, with the full 8-fold permutational symmetry of real
-orbitals:
+The two-electron integrals are in chemist notation, (ij|kl) in Hartree, with
+the full 8-fold permutational symmetry of real orbitals:
 
     (ij|kl) = (ji|kl) = (ij|lk) = (ji|lk) = (kl|ij) = (kl|ji) = (lk|ij) = (lk|ji)
 
+They are stored in one form, the packed matrix W[ij, kl] on the pairs of
+``pair_index``; ``two_body`` expands the (N, N, N, N) tensor on request.
 Indices are 0-based internally; FCIDUMP files are 1-based.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ __all__ = [
     "adjusted_one_body",
     "canonical_orbit",
     "load_fcidump",
+    "pair_index",
     "parse_fcidump",
     "validate_symmetry",
     "write_fcidump",
@@ -54,6 +57,46 @@ class FcidumpError(ValueError):
         super().__init__(message)
 
 
+@functools.lru_cache(maxsize=4)
+def pair_index(n: int) -> np.ndarray:
+    """The read-only (N, N) map of orbitals i and j to their pair, i(i+1)/2 + j
+    for i >= j: pair p is the p-th (i, j) of ``np.tril_indices(n)``."""
+    orbital = np.arange(n)
+    hi, lo = np.maximum.outer(orbital, orbital), np.minimum.outer(orbital, orbital)
+    pair_of = hi * (hi + 1) // 2 + lo
+    pair_of.flags.writeable = False
+    return pair_of
+
+
+def _expand(w: np.ndarray, n: int) -> np.ndarray:
+    """The (N, N, N, N) tensor of W, rows then columns (faster than both at once)."""
+    pair_of = pair_index(n).reshape(-1)
+    return w.take(pair_of, 0).take(pair_of, 1).reshape(n, n, n, n)
+
+
+@functools.lru_cache(maxsize=2)
+def _canonical_slots(n: int) -> np.ndarray:
+    """The flat index in an (N, N, N, N) tensor of each entry of W's canonical slot."""
+    position = np.flatnonzero(np.tri(n, dtype=bool))  # i * N + j of each pair
+    slots = np.add.outer(position * (n * n), position)
+    return np.maximum(slots, slots.T)  # of the slots of (ij|kl) and (kl|ij), the canonical
+
+
+def _pack(g: np.ndarray) -> np.ndarray:
+    """W from the canonical slot of each orbit of an (N, N, N, N) tensor; ValueError if
+    a slot is more than SYMMETRY_TOLERANCE off it (a NaN or inf must fill its orbit)."""
+    n = g.shape[0]
+    w = g.reshape(-1).take(_canonical_slots(n))
+    expanded = _expand(w, n)
+    if not np.array_equal(expanded, g):  # exact equality is the usual case, and faster
+        close = np.isclose(expanded, g, rtol=0.0, atol=SYMMETRY_TOLERANCE, equal_nan=True)
+        if not close.all():
+            slot = tuple(int(x) for x in np.unravel_index(np.argmin(close), g.shape))
+            raise ValueError(f"two_body is not 8-fold symmetric: {slot} differs from "
+                             f"{canonical_orbit(*slot)} by {abs(g[slot] - expanded[slot]):.3e}")
+    return w
+
+
 @dataclass(frozen=True)
 class MolecularIntegrals:
     """One- and two-electron integrals of a molecular Hamiltonian.
@@ -68,15 +111,15 @@ class MolecularIntegrals:
         Scalar core/nuclear-repulsion energy in Hartree.
     one_body : (N, N) ndarray
         Symmetric one-electron integrals h_ij, Hartree.
-    two_body : (N, N, N, N) ndarray
-        Chemist-notation (ij|kl) tensor, Hartree, 8-fold symmetric.
+    pair_matrix : (P, P) ndarray, P = N(N+1)/2
+        W[ij, kl] = (ij|kl), Hartree, on ``pair_index`` pairs; a tensor is packed.
     """
 
     n_orbitals: int
     n_electrons: int
     core_energy: float
     one_body: np.ndarray
-    two_body: np.ndarray
+    pair_matrix: np.ndarray
 
     def __post_init__(self):
         n = self.n_orbitals
@@ -86,8 +129,15 @@ class MolecularIntegrals:
             raise ValueError(f"n_electrons must be non-negative, got {self.n_electrons}")
         if self.one_body.shape != (n, n):
             raise ValueError(f"one_body shape {self.one_body.shape} != ({n}, {n})")
-        if self.two_body.shape != (n, n, n, n):
-            raise ValueError(f"two_body shape {self.two_body.shape} != ({n},)*4")
+        if self.pair_matrix.shape == (n, n, n, n):
+            object.__setattr__(self, "pair_matrix", _pack(self.pair_matrix))
+        elif self.pair_matrix.shape != (n * (n + 1) // 2,) * 2:
+            raise ValueError(f"pair_matrix shape {self.pair_matrix.shape} != (P, P) or ({n},)*4")
+
+    @property
+    def two_body(self) -> np.ndarray:
+        """The (N, N, N, N) tensor (ij|kl), expanded from W on each access."""
+        return _expand(self.pair_matrix, self.n_orbitals)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MolecularIntegrals):
@@ -97,33 +147,16 @@ class MolecularIntegrals:
             and self.n_electrons == other.n_electrons
             and self.core_energy == other.core_energy
             and np.array_equal(self.one_body, other.one_body)
-            and np.array_equal(self.two_body, other.two_body)
-        )
-
-    def scaled(self, factor: float) -> "MolecularIntegrals":
-        """All integrals (including the core energy) multiplied by ``factor``."""
-        return MolecularIntegrals(
-            self.n_orbitals,
-            self.n_electrons,
-            factor * self.core_energy,
-            factor * self.one_body,
-            factor * self.two_body,
+            and np.array_equal(self.pair_matrix, other.pair_matrix)
         )
 
 
 @dataclass(frozen=True)
 class AdjustedOneBody:
-    """One-body matrices entering the factorized Hamiltonian forms.
-
-    ``h_tilde[i,j] = h_ij - 1/2 sum_l (il|lj)`` absorbs the exchange-like
-    contraction of the two-electron tensor; ``l_minus1`` additionally absorbs
-    the Coulomb-like contraction, ``l_minus1[i,j] = h_tilde[i,j] +
-    sum_l (ll|ij)``; ``scalar_shift`` is the accompanying identity
-    coefficient, ``sum_i h_ii - 1/2 sum_il (il|li) + 1/2 sum_il (ll|ii)``.
-    ``core_energy`` is carried through from the source integrals so the
-    factorized forms stay self-contained representations of the full
-    Hamiltonian.
-    """
+    """One-body matrices entering the factorized Hamiltonian forms (see
+    ``adjusted_one_body``).  ``core_energy`` is carried through from the
+    source integrals so the factorized forms stay self-contained
+    representations of the full Hamiltonian."""
 
     h_tilde: np.ndarray
     l_minus1: np.ndarray
@@ -159,7 +192,8 @@ _HEADER_FIELD = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=,]*?)(?=\s*(?:,|$|[A-Za-z
 
 
 def _too_large(norb: int) -> FcidumpError:
-    return FcidumpError(f"NORB={norb} is too large: (ij|kl) needs {8 * norb**4} bytes", line=1)
+    n_pairs = norb * (norb + 1) // 2
+    return FcidumpError(f"NORB={norb} is too large: (ij|kl) needs {8 * n_pairs**2} bytes", line=1)
 
 
 def _parse_header(lines) -> tuple[int, int, int]:
@@ -429,7 +463,7 @@ def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     of the one- and two-body records with the last value of each, and the
     number of repeated records.  Warns about each orbital-energy record and
     raises FcidumpError at the first offending line.  The record arrays are
-    freed on return, before the tensor is filled."""
+    freed on return, before W is filled."""
     value, index = state.records()
     # A negative index wraps to above any NORB the header accepts.
     out_of_range = np.flatnonzero((index.view(np.uint64) > np.uint64(norb)).any(axis=1))
@@ -510,9 +544,8 @@ def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h_ij and (ij|kl) from the stored values at their distinct ``_store_key``
-    keys.  The two-body values go to both (pair, pair) entries of the packed
-    pair matrix, which one gather expands to the 8-fold symmetric tensor."""
+    """h_ij and W from the stored values at their distinct ``_store_key``
+    keys.  Each two-body value goes to both (pair, pair) entries of W."""
     n_pairs = norb * (norb + 1) // 2
     h1 = np.zeros((norb, norb))
     pair_matrix = np.zeros((n_pairs, n_pairs))
@@ -521,11 +554,7 @@ def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np
     h1[a, b] = h1[b, a] = value[one]
     ab, cd = np.divmod(key[~one] - norb * norb, n_pairs)
     pair_matrix[ab, cd] = pair_matrix[cd, ab] = value[~one]
-    # The pair of orbitals i and j, numbered as in ``_store_key``.
-    orbital = np.arange(norb)
-    hi, lo = np.maximum.outer(orbital, orbital), np.minimum.outer(orbital, orbital)
-    pair_of = (hi * (hi + 1) // 2 + lo).reshape(-1)
-    return h1, pair_matrix[np.ix_(pair_of, pair_of)].reshape(norb, norb, norb, norb)
+    return h1, pair_matrix
 
 
 def parse_fcidump(text) -> MolecularIntegrals:
@@ -538,22 +567,21 @@ def parse_fcidump(text) -> MolecularIntegrals:
         with 1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0``
         a one-body entry, ``i 0 0 0`` an orbital energy (ignored with a
         warning), and four nonzero indices a two-body entry (chemist
-        convention).  Each stored two-body value populates all eight
-        symmetry-equivalent slots.
+        convention).  Each stored two-body value populates the entry of
+        its orbit in W and that entry's mirror.
 
     The body is read with whole-array operations.  One ``np.fromstring``
     parses the value tokens alone, cut out of the body by one boolean mask;
     the index tokens are decoded from their bytes by digit arithmetic, as
-    ``int`` reads them.  Masks classify the records, a stable sort on
-    canonical keys finds duplicates, and one gather expands the packed
-    (pair, pair) matrix of the stored values into the tensor.  Errors name
-    the first offending line, as a line-by-line reading would.
+    ``int`` reads them.  Masks classify the records, and a stable sort on
+    canonical keys finds duplicates.  Errors name the first offending line,
+    as a line-by-line reading would.
 
     Raises
     ------
     FcidumpError
         Non-ASCII content, missing or invalid NORB/NELEC, a NORB too large
-        for the two-electron tensor to fit in memory, out-of-range indices,
+        for W to fit in memory, out-of-range indices,
         non-numeric values, or duplicate entries that conflict by more than
         ``DUPLICATE_TOLERANCE``.
     """
@@ -577,22 +605,22 @@ def parse_fcidump(text) -> MolecularIntegrals:
                   n_header)
     del norm
     core_value, key, value, duplicates = _entries(state, norb)
-    # The text is needed only for error messages; freeing it before the
-    # tensor is filled keeps it out of the process's peak memory.
+    # The text is needed only for error messages; freeing it before W is
+    # filled keeps it out of the process's peak memory.
     del state, data
 
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
     try:
-        h1, h2 = _fill(norb, key, value)
+        h1, w = _fill(norb, key, value)
     except (MemoryError, ValueError):  # ValueError: larger than numpy can index
         raise _too_large(norb) from None
     core_energy = float(core_value[-1]) if core_value.size else 0.0
 
-    # The tensors hold exactly the stored values, and zeros.
+    # h1 and W hold exactly the stored values, and zeros.
     if not (np.isfinite(core_energy) and np.isfinite(value).all()):
         raise FcidumpError("non-finite integral value")
-    return MolecularIntegrals(norb, nelec, core_energy, h1, h2)
+    return MolecularIntegrals(norb, nelec, core_energy, h1, w)
 
 
 def load_fcidump(path) -> MolecularIntegrals:
@@ -610,83 +638,52 @@ def write_fcidump(m: MolecularIntegrals) -> str:
     (i, j) >= (k, l), in lexicographic (i, j, k, l) order; zeros are skipped.
     """
     n = m.n_orbitals
-    header = [
-        f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,",
-        " ORBSYM=" + ",".join(["1"] * n) + ",",
-        " ISYM=1,",
-        "&END",
-    ]
-    # The pairs (i, j), i >= j, in lexicographic order (that of np.tril_indices),
-    # then the pairs of pairs (ij, kl), kl <= ij, likewise: the canonical
-    # orbits in lexicographic (i, j, k, l) order.  Each record's fields go
-    # into one flat list, formatted by one "%" of the repeated line templates.
-    orbital = np.arange(n)
-    i, j = np.nonzero(orbital[:, None] >= orbital)
+    header = f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,\n ORBSYM={'1,' * n}\n ISYM=1,\n&END\n"
+    # W's nonzero entries with kl <= ij, row by row, are the canonical orbits in lexicographic
+    # order.  Each record's fields go into one flat list, formatted by one "%" of the templates.
     pairs = np.array([f"{a} {b}" for a in range(1, n + 1) for b in range(1, a + 1)], dtype=object)
-    pair = np.arange(pairs.size)
-    ij, kl = np.nonzero(pair[:, None] >= pair)
-    two = m.two_body[i[ij], j[ij], i[kl], j[kl]]
-    keep = np.flatnonzero(two)
-    one = m.one_body[i, j]
+    w = m.pair_matrix
+    ij, kl = np.nonzero(np.tri(pairs.size, dtype=bool) & (w != 0))
+    n_two = ij.size
+    one = m.one_body[np.tri(n, dtype=bool)]
     kept = np.flatnonzero(one)
-    fields = [None] * (3 * keep.size + 2 * kept.size + 1)
-    fields[0:3 * keep.size:3] = two[keep].tolist()
-    fields[1:3 * keep.size:3] = pairs[ij[keep]].tolist()
-    fields[2:3 * keep.size:3] = pairs[kl[keep]].tolist()
-    fields[3 * keep.size:-1:2] = one[kept].tolist()
-    fields[3 * keep.size + 1:-1:2] = pairs[kept].tolist()
+    fields = [None] * (3 * n_two + 2 * kept.size + 1)
+    fields[0:3 * n_two:3] = w[ij, kl].tolist()
+    fields[1:3 * n_two:3] = pairs[ij].tolist()
+    fields[2:3 * n_two:3] = pairs[kl].tolist()
+    fields[3 * n_two:-1:2] = one[kept].tolist()
+    fields[3 * n_two + 1:-1:2] = pairs[kept].tolist()
     fields[-1] = float(m.core_energy)
-    body = "%.17g %s %s\n" * keep.size + "%.17g %s 0 0\n" * kept.size + "%.17g 0 0 0 0\n"
-    return "\n".join(header) + "\n" + body % tuple(fields)
+    body = "%.17g %s %s\n" * n_two + "%.17g %s 0 0\n" * kept.size + "%.17g 0 0 0 0\n"
+    return header + body % tuple(fields)
 
 
 def validate_symmetry(m: MolecularIntegrals) -> list[SymmetryViolation]:
-    """Check the one-body and 8-fold two-body symmetries.
-
-    Returns an empty list iff every symmetry holds within SYMMETRY_TOLERANCE
-    (absolute) and all entries are finite.  Report-only: never raises.
+    """Check that h1 and W are finite, that h_ij = h_ji and that W = W^T, the
+    8-fold symmetry left once the pair swaps hold by construction (a W built
+    in Python can break it).  Returns an empty list iff every symmetry holds
+    within SYMMETRY_TOLERANCE (absolute) and all entries are finite.
+    Report-only: never raises.
     """
-    violations: list[SymmetryViolation] = []
-    h1, g = m.one_body, m.two_body
+    h1, w, n = m.one_body, m.pair_matrix, m.n_orbitals
+    cap, tol = MAX_SYMMETRY_REPORT, SYMMETRY_TOLERANCE
 
-    if not np.isfinite(h1).all():
-        for idx in np.argwhere(~np.isfinite(h1))[:MAX_SYMMETRY_REPORT]:
-            violations.append(SymmetryViolation("one_body finite", tuple(int(x) for x in idx), np.inf))
-    if not np.isfinite(g).all():
-        for idx in np.argwhere(~np.isfinite(g))[:MAX_SYMMETRY_REPORT]:
-            violations.append(SymmetryViolation("two_body finite", tuple(int(x) for x in idx), np.inf))
+    def orbit(ij, kl) -> tuple[int, int, int, int]:  # W's entry as (i, j, k, l)
+        rows, cols = np.tril_indices(n)
+        return int(rows[ij]), int(cols[ij]), int(rows[kl]), int(cols[kl])
+
+    violations = [SymmetryViolation("one_body finite", (int(i), int(j)), np.inf)
+                  for i, j in np.argwhere(~np.isfinite(h1))[:cap]]
+    violations += [SymmetryViolation("two_body finite", orbit(ij, kl), np.inf)
+                   for ij, kl in np.argwhere(~np.isfinite(w))[:cap]]
     if violations:
         return violations
-
-    delta1 = h1 - h1.T
-    bad = np.argwhere(np.abs(delta1) > SYMMETRY_TOLERANCE)
-    for i, j in bad[:MAX_SYMMETRY_REPORT]:
-        if i < j:
-            violations.append(
-                SymmetryViolation("h_ij = h_ji", (int(i), int(j)), float(abs(delta1[i, j])))
-            )
-
-    # The 8-fold group is generated by these three transpositions.
-    generators = [
-        ("(ij|kl) = (ji|kl)", (1, 0, 2, 3)),
-        ("(ij|kl) = (ij|lk)", (0, 1, 3, 2)),
-        ("(ij|kl) = (kl|ij)", (2, 3, 0, 1)),
-    ]
-    for name, perm in generators:
-        delta = g - g.transpose(perm)
-        bad = np.argwhere(np.abs(delta) > SYMMETRY_TOLERANCE)
-        seen: set[tuple] = set()
-        for idx in bad:
-            t = tuple(int(x) for x in idx)
-            rep = canonical_orbit(*t)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            violations.append(SymmetryViolation(name, t, float(abs(delta[t]))))
-            if len(seen) >= MAX_SYMMETRY_REPORT:
-                break
-
-    return violations
+    # Each broken mirror pair is reported once: h at i < j, W at the canonical (i, j, k, l).
+    delta1, delta = np.abs(h1 - h1.T), np.abs(w - w.T)
+    violations = [SymmetryViolation("h_ij = h_ji", (int(i), int(j)), float(delta1[i, j]))
+                  for i, j in np.argwhere(np.triu(delta1 > tol, 1))[:cap]]
+    return violations + [SymmetryViolation("(ij|kl) = (kl|ij)", orbit(ij, kl), float(delta[ij, kl]))
+                         for ij, kl in np.argwhere(np.tril(delta > tol))[:cap]]
 
 
 def adjusted_one_body(m: MolecularIntegrals) -> AdjustedOneBody:
@@ -695,14 +692,17 @@ def adjusted_one_body(m: MolecularIntegrals) -> AdjustedOneBody:
     h_tilde_ij  = h_ij - 1/2 sum_l (il|lj)
     l_minus1_ij = h_tilde_ij + sum_l (ll|ij)
     scalar      = sum_i h_ii - 1/2 sum_il (il|li) + 1/2 sum_il (ll|ii)
+
+    The sums, read from W, add in the order of einsums over the tensor
+    (``tests/reference.py``), bit for bit; so does the trace of each sum.
     """
-    h, g = m.one_body, m.two_body
-    exchange = np.einsum("illj->ij", g)
-    coulomb = np.einsum("llij->ij", g)
+    h, w = m.one_body, m.pair_matrix
+    pair_of = pair_index(m.n_orbitals)
+    exchange = np.einsum("ilj->ij", w[pair_of[:, :, None], pair_of[None]])
+    coulomb = np.einsum("lp->p", w[np.diagonal(pair_of)])[pair_of]
     h_tilde = h - 0.5 * exchange
     l_minus1 = h_tilde + coulomb
-    scalar = float(np.trace(h) - 0.5 * np.einsum("illi->", g) + 0.5 * np.einsum("llii->", g))
+    scalar = float(np.trace(h) - 0.5 * np.trace(exchange) + 0.5 * np.trace(coulomb))
     return AdjustedOneBody(
         h_tilde=h_tilde, l_minus1=l_minus1, scalar_shift=scalar, core_energy=m.core_energy
     )
-

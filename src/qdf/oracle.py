@@ -244,7 +244,7 @@ def build_from_integrals(m: MolecularIntegrals) -> FockOperator:
     """
     n = m.n_orbitals
     g = m.two_body.reshape(n * n, n * n)
-    h = (m.one_body - 0.5 * np.einsum("ijjl->il", m.two_body)).reshape(n * n)
+    h = (m.one_body - 0.5 * np.einsum("ijjl->il", g.reshape(n, n, n, n))).reshape(n * n)
     exc = _strings(n)[0]
     size = exc.shape[-1]
     flat = exc.reshape(n * n, -1)

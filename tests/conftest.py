@@ -41,6 +41,19 @@ def entrywise_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum())
 
 
+def scaled(m: MolecularIntegrals, factor: float) -> MolecularIntegrals:
+    """All integrals of ``m``, the core energy included, times ``factor``."""
+    return MolecularIntegrals(m.n_orbitals, m.n_electrons, factor * m.core_energy,
+                              factor * m.one_body, factor * m.pair_matrix)
+
+
+def packed(tensor: np.ndarray) -> np.ndarray:
+    """The (ij|kl) of an (N, N, N, N) tensor at W's (pair, pair) entries,
+    read as they are: no symmetry check."""
+    rows, cols = np.tril_indices(tensor.shape[0])
+    return tensor[rows[:, None], cols[:, None], rows, cols]
+
+
 def factorize(mol, tol=1e-10):
     return double_factorize(single_factorize(mol, tol=tol), adjusted_one_body(mol))
 

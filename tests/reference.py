@@ -5,6 +5,7 @@ dense oracle.
 These are the earlier implementations, kept only as test oracles: the
 per-line FCIDUMP parser, the quadruple-loop FCIDUMP writer, the
 rank-1-deflation Cholesky over a full copy of the ERI supermatrix, the
+adjusted one-body matrices by einsums over the (N, N, N, N) tensor, the
 per-factor eigendecomposition with a per-vector sign loop, the object-form
 truncation (a Python list of scored eigenpairs, sorted, admitted one at a
 time, filtered through a set) and the full lambda scan of
@@ -56,6 +57,7 @@ from qdf.oracle import FockOperator, majorana_pair_matrix
 from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
+    AdjustedOneBody,
     FcidumpError,
     MolecularIntegrals,
     _parse_header,
@@ -69,6 +71,21 @@ def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, in
         (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
         (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
     }
+
+
+def canonical_orbits(n: int) -> list[tuple[int, int, int, int]]:
+    """The canonical orbits of N orbitals in lexicographic order."""
+    return sorted({canonical_orbit(*idx) for idx in np.ndindex((n,) * 4)})
+
+
+def fill_orbits(n: int, values) -> np.ndarray:
+    """The (N, N, N, N) tensor with ``values[t]`` in all eight slots of the
+    t-th of ``canonical_orbits(n)``."""
+    g = np.empty((n,) * 4)
+    for rep, v in zip(canonical_orbits(n), values, strict=True):
+        for idx in orbit_members(*rep):
+            g[idx] = v
+    return g
 
 
 def single_factorize_deflation(m: MolecularIntegrals, tol: float = 1e-10) -> SingleFactorization:
@@ -196,6 +213,7 @@ def write_fcidump_loop(m: MolecularIntegrals) -> str:
     """FCIDUMP text with one f-string per value, over the canonical orbits
     in a quadruple loop."""
     n = m.n_orbitals
+    g = m.two_body
     out = [
         f"&FCI NORB={n},NELEC={m.n_electrons},MS2=0,",
         " ORBSYM=" + ",".join(["1"] * n) + ",",
@@ -211,7 +229,7 @@ def write_fcidump_loop(m: MolecularIntegrals) -> str:
             for k in range(i + 1):
                 lmax = j if k == i else k
                 for l in range(lmax + 1):
-                    v = m.two_body[i, j, k, l]
+                    v = g[i, j, k, l]
                     if v != 0.0:
                         out.append(f"{fmt(v)} {i + 1} {j + 1} {k + 1} {l + 1}")
     for i in range(n):
@@ -221,6 +239,20 @@ def write_fcidump_loop(m: MolecularIntegrals) -> str:
                 out.append(f"{fmt(v)} {i + 1} {j + 1} 0 0")
     out.append(f"{fmt(m.core_energy)} 0 0 0 0")
     return "\n".join(out) + "\n"
+
+
+def adjusted_one_body_einsum(m: MolecularIntegrals) -> AdjustedOneBody:
+    """The adjusted one-body matrices by einsums over the (N, N, N, N)
+    tensor."""
+    h, g = m.one_body, m.two_body
+    exchange = np.einsum("illj->ij", g)
+    coulomb = np.einsum("llij->ij", g)
+    h_tilde = h - 0.5 * exchange
+    l_minus1 = h_tilde + coulomb
+    scalar = float(np.trace(h) - 0.5 * np.einsum("illi->", g) + 0.5 * np.einsum("llii->", g))
+    return AdjustedOneBody(
+        h_tilde=h_tilde, l_minus1=l_minus1, scalar_shift=scalar, core_energy=m.core_energy
+    )
 
 
 def _fix_sign(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -175,7 +175,7 @@ def test_criterion_04_factorization_identity(h2, h4):
     for mol, _ in cases:
         df = factorize(mol)
         recon = reconstruct_two_body(df)
-        worst_recon = max(worst_recon, float(np.abs(recon - mol.two_body).max()))
+        worst_recon = max(worst_recon, float(np.abs(recon - mol.pair_matrix).max()))
         a = build_from_integrals(mol)
         b = build_from_df(df)
         worst_ident = max(worst_ident, max_entry(a - b))

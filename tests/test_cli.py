@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from qdf.cli import main
+from qdf.integrals import MolecularIntegrals
 from tests.conftest import fixture_path
 
 VALIDATE_CHECKS = [
@@ -386,6 +387,38 @@ class TestValidate:
         assert main(["validate", "--fcidump", str(path), "--cache", str(cache)]) == 3
         assert "N <= 7" in capsys.readouterr().err
         assert not cache.exists()
+
+
+class TestStoredForm:
+    """W is the only stored form of the two-electron integrals: the N^4
+    tensor is built for the dense oracle alone."""
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_cost_paths_build_no_tensor(self, tmp_path, monkeypatch, command):
+        args = [command, "--fcidump", H4]
+        code, expected = run_cli(args)
+        assert code == 0
+
+        def refuse(self):
+            raise AssertionError("the (N, N, N, N) tensor was built")
+
+        monkeypatch.setattr(MolecularIntegrals, "two_body", property(refuse))
+        cache = tmp_path / "h4.qdfcache"
+        for _ in ("miss", "hit"):
+            assert run_cli([*args, "--cache", str(cache)]) == (0, expected)
+            assert cache.exists()
+
+    def test_validate_builds_the_tensor_once_for_the_oracle(self, monkeypatch):
+        callers = []
+        expand = MolecularIntegrals.two_body.fget
+
+        def record(self):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return expand(self)
+
+        monkeypatch.setattr(MolecularIntegrals, "two_body", property(record))
+        assert run_cli(["validate", "--fcidump", H4])[0] == 0
+        assert callers == ["build_from_integrals"]
 
 
 class TestDeterminism:

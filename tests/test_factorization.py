@@ -27,6 +27,7 @@ from tests.conftest import (
     entrywise_norm,
     factorize,
     fixture_path,
+    packed,
     random_molecular_integrals,
     without_pair,
 )
@@ -292,7 +293,7 @@ class TestAlphas:
 class TestReconstruction:
     def test_untruncated_identity(self, h4, h4_df):
         recon = reconstruct_two_body(h4_df)
-        assert np.abs(recon - h4.two_body).max() <= 1e-8
+        assert np.abs(recon - h4.pair_matrix).max() <= 1e-8
 
     def test_everything_removed_gives_zero(self, h2_df):
         reduced, _ = truncate(h2_df, "coherent", 1e9)
@@ -310,7 +311,7 @@ class TestReconstruction:
 
         diff = reconstruct_two_body(h2_df) - reconstruct_two_body(reduced)
         # A(x)A - (A-B)(x)(A-B) = A(x)B + B(x)A - B(x)B for the affected factor
-        expected = (
+        expected = packed(
             np.einsum("ij,kl->ijkl", a, b)
             + np.einsum("ij,kl->ijkl", b, a)
             - np.einsum("ij,kl->ijkl", b, b)

@@ -9,12 +9,13 @@ from qdf.integrals import (
     adjusted_one_body,
     canonical_orbit,
     load_fcidump,
+    pair_index,
     parse_fcidump,
     validate_symmetry,
     write_fcidump,
 )
-from tests.conftest import fixture_path, random_molecular_integrals
-from tests.reference import orbit_members
+from tests.conftest import fixture_path, random_molecular_integrals, scaled
+from tests.reference import canonical_orbits, fill_orbits, orbit_members
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
  ORBSYM=1,1,
@@ -107,14 +108,29 @@ def test_parser_output_is_symmetric(h2, h4):
     assert validate_symmetry(h4) == []
 
 
-def test_validate_symmetry_detects_corruption(h2):
+def test_tensor_corruption_refused_at_construction(h2):
     g = h2.two_body.copy()
     g[0, 1, 0, 1] += 1e-3
-    bad = MolecularIntegrals(2, 2, h2.core_energy, h2.one_body, g)
-    violations = validate_symmetry(bad)
-    assert violations
-    orbit = orbit_members(0, 1, 0, 1)
-    assert all(v.indices in orbit for v in violations)
+    message = r"\(0, 1, 0, 1\) differs from \(1, 0, 1, 0\) by 1\.000e-03"
+    with pytest.raises(ValueError, match=message):
+        MolecularIntegrals(2, 2, h2.core_energy, h2.one_body, g)
+
+
+def test_validate_symmetry_detects_pair_matrix_asymmetry(h2):
+    # W[(1,1), (1,0)] holds (11|10); its mirror keeps the parsed value.
+    w = h2.pair_matrix.copy()
+    w[pair_index(2)[1, 1], pair_index(2)[1, 0]] += 1e-3
+    violations = validate_symmetry(MolecularIntegrals(2, 2, h2.core_energy, h2.one_body, w))
+    assert [(v.relation, v.indices) for v in violations] == [("(ij|kl) = (kl|ij)", (1, 1, 1, 0))]
+    assert violations[0].discrepancy == pytest.approx(1e-3)
+    assert all(v.indices in orbit_members(1, 1, 1, 0) for v in violations)
+
+
+def test_validate_symmetry_reports_non_finite_pair_matrix_entry(h2):
+    w = h2.pair_matrix.copy()
+    w[0, 2] = np.nan  # (00|11), above the diagonal of W
+    violations = validate_symmetry(MolecularIntegrals(2, 2, h2.core_energy, h2.one_body, w))
+    assert [(v.relation, v.indices) for v in violations] == [("two_body finite", (0, 0, 1, 1))]
 
 
 def test_validate_symmetry_detects_one_body_asymmetry(h2):
@@ -141,6 +157,53 @@ def test_symmetrized_random_tensor_validates(n, seed):
     h1 = rng.normal(size=(n, n))
     m = MolecularIntegrals(n, n, 0.0, 0.5 * (h1 + h1.T), g)
     assert validate_symmetry(m) == []
+
+
+# Planted in whole orbits: zeros of both signs and non-finite values.
+_PLANTED = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+def test_symmetric_tensor_round_trips_through_pair_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=len(canonical_orbits(n)))
+    planted = rng.integers(values.size, size=rng.integers(values.size + 1))
+    values[planted] = np.take(_PLANTED, rng.integers(len(_PLANTED), size=planted.size))
+    g = fill_orbits(n, values)
+    m = MolecularIntegrals(n, n, 0.0, np.zeros((n, n)), g)
+    assert m.pair_matrix.shape == (n * (n + 1) // 2,) * 2
+    assert np.array_equal(m.two_body, g, equal_nan=True)
+    assert np.array_equal(np.signbit(m.two_body), np.signbit(g))
+
+
+@pytest.mark.parametrize("shift", [1e-6, np.nan, np.inf])
+@pytest.mark.parametrize("slot", [(0, 1, 2, 1), (2, 1, 1, 0)])  # non-canonical, canonical
+def test_one_slot_off_its_orbit_refused(h4, shift, slot):
+    g = h4.two_body
+    g[slot] += shift
+    with pytest.raises(ValueError, match="not 8-fold symmetric"):
+        MolecularIntegrals(4, 4, 0.0, h4.one_body, g)
+
+
+def test_tensor_packed_from_canonical_slots_within_tolerance(h4):
+    # As the fixture generator's basis transform leaves them: slots of one
+    # orbit that differ by about 1e-15.
+    rng = np.random.default_rng(5)
+    g = h4.two_body + 1e-15 * rng.standard_normal((4,) * 4)
+    m = MolecularIntegrals(4, 4, h4.core_energy, h4.one_body, g)
+    for rep in canonical_orbits(4):
+        assert m.two_body[rep] == g[rep]
+    assert parse_fcidump(write_fcidump(m)) == m
+
+
+def test_pair_matrix_stored_as_given(h2):
+    w = h2.pair_matrix.copy()
+    m = MolecularIntegrals(2, 2, 0.0, h2.one_body, w)
+    assert m.pair_matrix is w
+    assert m == MolecularIntegrals(2, 2, 0.0, h2.one_body, h2.two_body)
+    with pytest.raises(ValueError, match="pair_matrix shape"):
+        MolecularIntegrals(2, 2, 0.0, h2.one_body, np.zeros((2, 2)))
 
 
 def test_canonical_orbit_is_orbit_invariant():
@@ -180,7 +243,7 @@ class TestAdjustedOneBody:
 
     def test_linearity_under_scaling(self, h2):
         adj = adjusted_one_body(h2)
-        adj2 = adjusted_one_body(h2.scaled(2.0))
+        adj2 = adjusted_one_body(scaled(h2, 2.0))
         np.testing.assert_allclose(adj2.h_tilde, 2 * adj.h_tilde, rtol=1e-14)
         np.testing.assert_allclose(adj2.l_minus1, 2 * adj.l_minus1, rtol=1e-14)
         assert adj2.scalar_shift == pytest.approx(2 * adj.scalar_shift, rel=1e-14)

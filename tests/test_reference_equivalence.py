@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfbench.inputs import make_integrals
+from qdf import integrals
 from qdf.costmodel import ErrorBudget, estimate
 from qdf.factorization import (
     DoubleFactorization,
@@ -32,11 +34,15 @@ from qdf.integrals import (
     write_fcidump,
 )
 from qdf.truncation import default_grid, threshold_sweep, truncate
+from tests.conftest import packed, scaled
 from tests.reference import (
+    adjusted_one_body_einsum,
     alpha_df_loop,
+    canonical_orbits,
     eigenpair_groups_loop,
     estimate_full_scan,
     factor_matrix_loop,
+    fill_orbits,
     orbit_members,
     parse_fcidump_lines,
     reconstruct_two_body_loop,
@@ -143,7 +149,7 @@ def test_h4_residual_matches_deflation(h4):
 
 
 def _scaled_to(m: MolecularIntegrals, top: float) -> MolecularIntegrals:
-    return m.scaled(top / np.abs(m.two_body).max())
+    return scaled(m, top / np.abs(m.pair_matrix).max())
 
 
 # An exactly PSD rank-2 tensor with entries up to 6.5e7.  The rounding
@@ -220,15 +226,15 @@ _WRITER_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, 1 / 3, -2 / 3, 0.12345678901234568,
 def writer_instances(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    g = rng.normal(size=(n, n, n, n))
+    orbit_values = rng.normal(size=len(canonical_orbits(n)))
     h = rng.normal(size=(n, n))
-    for a in (g, h):
-        flat = a.reshape(-1)
+    # The values fill whole orbits of the tensor; h need not be symmetric,
+    # as the writer reads only h_ij with i >= j.
+    for flat in (orbit_values, h.reshape(-1)):
         planted = rng.integers(flat.size, size=draw(st.integers(0, flat.size)))
         flat[planted] = np.take(_WRITER_VALUES, rng.integers(len(_WRITER_VALUES), size=planted.size))
     core = draw(st.sampled_from(_WRITER_VALUES) | st.floats(allow_nan=False))
-    # The tensor need not be symmetric: the writer reads only canonical slots.
-    return MolecularIntegrals(n, n, core, h, g)
+    return MolecularIntegrals(n, n, core, h, fill_orbits(n, orbit_values))
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,12 +512,27 @@ def test_h4_double_factorize_matches_loop(h4):
     _assert_same_double_factorization(h4)
 
 
+@pytest.mark.parametrize("instance", ["h2", "h4", *range(1, 9), 36])
+def test_adjusted_one_body_matches_tensor_einsums(instance, request):
+    """The contractions read from W add in the order of the einsums over the
+    tensor: every bit of h_tilde, l_minus1 and the scalar shift is theirs."""
+    if isinstance(instance, str):
+        m = request.getfixturevalue(instance)
+    else:
+        m = make_integrals(integrals, instance, min(10 * instance, instance * (instance + 1) // 2),
+                           0, 0)
+    new, ref = adjusted_one_body(m), adjusted_one_body_einsum(m)
+    assert np.array_equal(new.h_tilde, ref.h_tilde)
+    assert np.array_equal(new.l_minus1, ref.l_minus1)
+    assert new.scalar_shift == ref.scalar_shift
+
+
 def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
     """Each factor_matrix, and each factor of factor_matrices, is exactly
     symmetric and within 1e-13 max|lambda| of the outer-product loop;
-    reconstruct_two_body is within 1e-12 of the per-rank loop, scaled by the
-    loop's largest |entry| where that exceeds 1 (|lambda| ~ 1e8 gives entries
-    ~ 1e16)."""
+    reconstruct_two_body is within 1e-12 of the per-rank loop at W's
+    entries, scaled by the loop's largest |entry| where that exceeds 1
+    (|lambda| ~ 1e8 gives entries ~ 1e16)."""
     factors = df.factor_matrices()
     assert factors.shape == (df.rank, df.n_orbitals, df.n_orbitals)
     for r in range(df.rank):
@@ -520,10 +541,10 @@ def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
         for factor in (df.factor_matrix(r), factors[r]):
             assert np.array_equal(factor, factor.T)
             assert np.abs(factor - factor_matrix_loop(df, r)).max() <= 1e-13 * scale
-    ref = reconstruct_two_body_loop(df)
-    tensor = reconstruct_two_body(df)
-    assert tensor.shape == ref.shape
-    assert np.abs(tensor - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max())
+    ref = packed(reconstruct_two_body_loop(df))
+    pair_matrix = reconstruct_two_body(df)
+    assert pair_matrix.shape == ref.shape
+    assert np.abs(pair_matrix - ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def _eigenpair_factorization(n: int, counts: list[int], seed: int,
