@@ -234,6 +234,15 @@ def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float,
         _emit(_report_table(report), args.out)
 
 
+def _check_mode(args) -> None:
+    """--lambda is the ancilla count of --mode fixed, and read by no other mode."""
+    if args.mode == "fixed" and args.lam is None:
+        raise CliError("--mode fixed requires --lambda", EXIT_CONFIG)
+    if args.mode != "fixed" and args.lam is not None:
+        raise CliError(f"--lambda applies only with --mode fixed, not --mode {args.mode}",
+                       EXIT_CONFIG)
+
+
 def _cost(args, **scalars) -> costmodel.CostReport:
     """The cost estimate of ``n, rank, m_total, m_max, alpha`` under
     --delta-e, --mode and --lambda."""
@@ -262,6 +271,10 @@ def cmd_cost(args) -> int:
     for name in ("n", "r", "m", "alpha"):
         if getattr(args, name) is None:
             raise CliError(f"--{name} is required for cost", EXIT_CONFIG)
+    if args.m_max is not None and args.m_max > min(args.m, args.n):
+        # a factor has at most N eigenpairs, and all factors M
+        raise CliError(f"--m-max {args.m_max} exceeds min(--m, --n) = {min(args.m, args.n)}",
+                       EXIT_CONFIG)
     report = _cost(args, n=args.n, rank=args.r, m_total=args.m, m_max=args.m_max, alpha=args.alpha)
     _write_report(report, args, "direct", 0.0, {})
     return 0
@@ -458,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "lam" in vars(args):  # a subcommand with the cost-model flags
+            _check_mode(args)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,6 +16,7 @@ Indices are 0-based internally; FCIDUMP files are 1-based.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -233,35 +234,30 @@ def _parse_header(lines) -> tuple[int, int, int]:
     return norb, nelec, end_idx + 1
 
 
-# Whitespace as ``str.split`` sees it becomes b" " and line boundaries as
-# ``str.splitlines`` sees them become b"\n" (after b"\r\n" -> b"\n"), so line
-# numbers and tokens match a line-by-line reading of the text.  In the body,
-# translated in one pass, Fortran double-precision exponents also become E.
-_NORMALIZE = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1e", b"  \n\n\n\n\n\n")
+# Line boundaries as ``str.splitlines`` sees them in ASCII text.
+_LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
+# In the body (after b"\r\n" -> b"\n"), translated in one pass: whitespace as
+# ``str.split`` sees it becomes b" ", line boundaries b"\n", and Fortran
+# double-precision exponents E.
 _NORMALIZE_BODY = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1eDd", b"  \n\n\n\n\n\nEe")
-_LINE_END = re.compile(b"[\n\r\x0b\x0c\x1c\x1d\x1e]")
-# Bytes a valid record may contain once underscores are stripped: the
-# separators, and what ``float`` accepts (digits, sign, point, exponent and
-# the letters of inf, infinity and nan).  Any other byte fails the record.
-_RECORD_BYTES = b" \n0123456789+-.eEinftyaINFTYA"
-_BAD_BYTE = re.compile(b"[^" + re.escape(_RECORD_BYTES) + b"]")
-# An underscore ``float``/``int`` reject: not between two digits.
-_BAD_UNDERSCORE = re.compile(rb"(?<![0-9])_|_(?![0-9])")
+# The bytes of a plain body: separators, digits and what a decimal or
+# exponent value needs.  Any other byte sends the body to the line reader.
+_PLAIN_BYTES = b" \n0123456789+-.eE"
 # Index tokens of at most this many digits are decoded by array arithmetic
-# (int64 holds every 18-digit number); longer ones by ``int``.
+# (int64 holds every 18-digit number); longer ones by the line reader.
 _INDEX_DIGITS = 18
-_INDEX_MIN, _INDEX_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-_TOKEN = re.compile(rb"[^ \n]+")
+_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
-def _split_lines(buf: bytes):
-    """Lines of the content, normalized and decoded one at a time."""
+def _lines(data: bytes):
+    """The lines of ASCII ``data`` as ``str.splitlines`` splits them, decoded
+    a block at a time: a block ends at b"\n", which no line break spans, and
+    is small, so that reading the header decodes little."""
     start = 0
-    while start < len(buf):
-        end = _LINE_END.search(buf, start)
-        end = len(buf) if end is None else end.start()
-        yield buf[start:end].translate(_NORMALIZE).decode("ascii")
-        start = end + 1
+    while start < len(data):
+        end = data.find(b"\n", start + (1 << 12)) + 1 or len(data)
+        yield from data[start:end].decode("ascii").splitlines()
+        start = end
 
 
 def _ascii_bytes(text) -> bytes:
@@ -274,18 +270,6 @@ def _ascii_bytes(text) -> bytes:
     raise FcidumpError(f"non-ASCII byte {data[pos]:#04x}", line=line)
 
 
-def _record_error(stripped: str) -> str:
-    """Why a body line that is not a valid record fails, in check order."""
-    tokens = stripped.split()
-    if len(tokens) != 5:
-        return f"expected 'value i j k l', got {stripped!r}"
-    try:
-        float(tokens[0].replace("D", "E").replace("d", "e"))
-    except ValueError:
-        return f"non-numeric value field {tokens[0]!r}"
-    return f"non-integer index in {stripped!r}"
-
-
 def _floats(text: bytes) -> np.ndarray | None:
     """The whitespace-separated numbers of ``text``, or None if a token is
     not one.  Older numpy warns about such a token instead of raising."""
@@ -295,154 +279,6 @@ def _floats(text: bytes) -> np.ndarray | None:
             return np.fromstring(text, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-
-
-class _Body:
-    """The FCIDUMP body as arrays, cut back to the first failing record.
-
-    The checks run in the order of a line-by-line reading: the token count
-    of each line, then the value (parsed as a float from the value tokens
-    only), then the four indices (decoded by digit arithmetic).  Each check
-    looks only at the records before the current cut and may move the cut
-    earlier, so after all checks the cut is at the first record that a
-    line-by-line reading would reject, and ``error`` holds its line number
-    and message.  ``body`` starts with the newline that ends the header and
-    ends with a newline: body line 0 is the header's last line, and every
-    token follows and is followed by whitespace.
-    """
-
-    def __init__(self, data: bytes, body: bytes, first_line: int):
-        self.data = data  # the original content, for error messages
-        self.body = body
-        self.first_line = first_line  # file line number of body line 0
-        self.error: tuple[int, str] | None = None
-
-    def source_line(self, lineno: int) -> str:
-        """Line ``lineno`` (1-based) of the original content, stripped."""
-        return self.data.decode("ascii").splitlines()[lineno - 1].strip()
-
-    def line_of(self, r: int) -> int:
-        return self.first_line + int(self.rec_line[r])
-
-    def _reject(self, line: int, message: str | None) -> None:
-        lineno = self.first_line + line
-        if message is None:
-            message = _record_error(self.source_line(lineno))
-        self.error = (lineno, message)
-
-    def cut_record(self, r: int, message: str | None = None) -> None:
-        """Reject record ``r``; keep the records before it."""
-        self._reject(int(self.rec_line[r]), message)
-        self.n = r
-
-    def _cut_at_byte(self, pos: int) -> None:
-        """Reject the line holding byte ``pos``; keep the body before it."""
-        self._reject(self.body.count(b"\n", 0, pos), None)
-        self.body = self.body[: self.body.rfind(b"\n", 0, pos) + 1]
-
-    def _tokenize(self) -> None:
-        """Token start offsets and the line of each record; rejects the first
-        line holding other than 0 or 5 tokens."""
-        b = np.frombuffer(self.body, dtype=np.uint8)
-        ws = b <= 32  # only b" " and b"\n" are left at or below 32
-        starts = np.flatnonzero(ws[:-1] > ws[1:])
-        starts += 1
-        del ws
-        # The tokens before each newline, hence in each line (the body ends
-        # with a newline, so no token follows the last).
-        counts = np.diff(np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(b == 10)))))
-        bad = np.flatnonzero((counts != 0) & (counts != 5))
-        if bad.size:
-            counts = counts[: bad[0]]
-            self._reject(int(bad[0]), None)
-            starts = starts[: counts.sum()]
-        self.starts = starts
-        self.rec_line = np.flatnonzero(counts)
-        self.n = self.rec_line.size
-
-    def _values(self) -> np.ndarray:
-        """The value token of each record as a float; rejects the first
-        record whose value ``float`` does not accept."""
-        # Only the bytes from each value token to the record's next token,
-        # the value and the whitespace after it, are parsed.
-        rec = self.starts.reshape(-1, 5)
-        span = np.diff(np.concatenate(([0], rec[:, :2].ravel(), [len(self.body)])))
-        inside = np.zeros(span.size, dtype=bool)
-        inside[1::2] = True
-        text = np.frombuffer(self.body, dtype=np.uint8)[np.repeat(inside, span)].tobytes()
-        values = _floats(text)
-        if values is not None:
-            return values
-        # Records parse independently, so bisect for the first that fails.
-        end = np.cumsum(rec[:, 1] - rec[:, 0])
-        lo, hi = 0, self.n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _floats(text[end[lo - 1] if lo else 0: end[mid - 1]]) is not None:
-                lo = mid
-            else:
-                hi = mid
-        self.cut_record(lo)
-        return _floats(text[: end[lo - 1]]) if lo else np.empty(0)
-
-    def _indices(self) -> np.ndarray:
-        """The four index tokens of each record as int64 (n, 4), decoded as
-        ``int`` reads them: an optional sign, then ASCII digits.  Rejects the
-        first record holding another index token."""
-        b = np.frombuffer(self.body, dtype=np.uint8)
-        pos = self.starts[: 5 * self.n].reshape(-1, 5)[:, 1:].ravel()
-        self.starts = None  # its last use: free it before the decoding arrays
-        c = b[pos]
-        negative = c == 45  # b"-"
-        signed = negative | (c == 43)  # b"+"
-        pos += signed
-        index = np.zeros(pos.size, dtype=np.int64)
-        bad = np.zeros(pos.size, dtype=bool)
-        live = np.ones(pos.size, dtype=bool)  # still reading digits
-        for width in range(_INDEX_DIGITS + 1):
-            c = b[pos]
-            digit = c - np.uint8(48)  # wraps above 9 for any other byte
-            more = live & (digit < 10)
-            ended = live ^ more
-            # A token ends at whitespace after at least one digit.
-            bad |= (ended & (c > 32)) if width else ended
-            live = more
-            if width == _INDEX_DIGITS or not live.any():
-                break
-            np.multiply(index, 10, out=index, where=live)
-            np.add(index, digit, out=index, where=live)
-            pos += live
-        np.negative(index, out=index, where=negative)
-        # Longer tokens, rare, are read by int() itself, which also refuses
-        # more digits than it converts; values past int64 are out of range.
-        for t in np.flatnonzero(live).tolist():
-            start = int(pos[t]) - _INDEX_DIGITS - int(signed[t])
-            token = _TOKEN.match(self.body, start).group()
-            try:
-                index[t] = min(max(int(token), _INDEX_MIN), _INDEX_MAX)
-            except ValueError:
-                bad[t] = True
-        if bad.any():
-            self.cut_record(int(np.argmax(bad)) // 4)
-        return index.reshape(-1, 4)
-
-    def records(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values (n,) and the 1-based (i, j, k, l) indices (n, 4) of the
-        well-formed records before the first line that is not one: a line
-        with other than five tokens, a value ``float`` rejects or an index
-        ``int`` rejects."""
-        if b"_" in self.body:  # float() and int() skip an underscore between digits
-            bad = _BAD_UNDERSCORE.search(self.body)
-            if bad:
-                self._cut_at_byte(bad.start())
-            self.body = self.body.replace(b"_", b"")
-        if self.body.translate(None, _RECORD_BYTES):
-            self._cut_at_byte(_BAD_BYTE.search(self.body).start())
-        self._tokenize()
-        values = self._values()
-        index = self._indices()
-        self.body = None
-        return values[: self.n], index[: self.n]
 
 
 def _store_key(i, j, k, l, norb: int) -> np.ndarray:
@@ -458,56 +294,97 @@ def _store_key(i, j, k, l, norb: int) -> np.ndarray:
     return np.where(k == 0, a * norb + b, two_body)
 
 
-def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The core-energy values in file order, the distinct ``_store_key`` keys
-    of the one- and two-body records with the last value of each, and the
-    number of repeated records.  Warns about each orbital-energy record and
-    raises FcidumpError at the first offending line.  The record arrays are
-    freed on return, before W is filled."""
-    value, index = state.records()
-    # A negative index wraps to above any NORB the header accepts.
-    out_of_range = np.flatnonzero((index.view(np.uint64) > np.uint64(norb)).any(axis=1))
-    if out_of_range.size:
-        r = int(out_of_range[0])
-        stripped = state.source_line(state.line_of(r))
-        try:
-            idx = next(v for v in map(int, stripped.split()[1:]) if v < 0 or v > norb)
-            message = f"index {idx} out of range [0, {norb}]"
-        except ValueError:  # more digits than int() converts
-            message = _record_error(stripped)
-        state.cut_record(r, message)
-        value, index = value[:r], index[:r]
-    i, j, k, l = index.T
+def _indices(b: np.ndarray, pos: np.ndarray) -> np.ndarray | None:
+    """The tokens of ``b`` that start at ``pos`` as int64, decoded by digit
+    arithmetic, or None unless each is 1 to 18 ASCII digits."""
+    index = np.zeros(pos.size, dtype=np.int64)
+    live = np.ones(pos.size, dtype=bool)  # still reading digits
+    for _ in range(_INDEX_DIGITS + 1):
+        c = b[pos]
+        digit = c - np.uint8(48)  # wraps above 9 for any other byte
+        more = live & (digit < 10)
+        if (live & ~more & (c > 32)).any():  # a token ends at whitespace
+            return None
+        live = more
+        if not live.any():
+            return index
+        np.multiply(index, 10, out=index, where=live)
+        np.add(index, digit, out=index, where=live)
+        pos += live
+    return None  # a token of more than 18 digits
 
+
+def _records(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The values (n,), 1-based (i, j, k, l) indices (n, 4) and body lines
+    (n,) of the records, or None unless ``body`` is plain: only
+    ``_PLAIN_BYTES``, blank or five-token lines, values ``np.fromstring``
+    reads and indices of 1 to 18 digits.  ``body`` starts with the newline
+    that ends the header (body line 0 is the header's last line) and ends
+    with one, so every token follows and is followed by whitespace."""
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    b = np.frombuffer(body, dtype=np.uint8)
+    ws = b <= 32  # only b" " and b"\n" are left at or below 32
+    starts = np.flatnonzero(ws[:-1] > ws[1:])
+    starts += 1
+    del ws
+    # The tokens before each newline, hence in each line (no token follows
+    # the last newline).
+    counts = np.diff(np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(b == 10)))))
+    if ((counts != 0) & (counts != 5)).any():
+        return None
+    rec_line = np.flatnonzero(counts)
+    del counts
+    # One np.fromstring reads the value tokens alone: from each value token
+    # to the record's next token, the value and the whitespace after it.
+    rec = starts.reshape(-1, 5)
+    span = np.diff(np.concatenate(([0], rec[:, :2].ravel(), [len(body)])))
+    inside = np.zeros(span.size, dtype=bool)
+    inside[1::2] = True
+    values = _floats(b[np.repeat(inside, span)].tobytes())
+    del span, inside
+    if values is None or values.size != len(rec):
+        return None
+    pos = rec[:, 1:].ravel()
+    del starts, rec  # free the token starts before the decoding arrays
+    index = _indices(b, pos)
+    return None if index is None else (values, index.reshape(-1, 4), rec_line)
+
+
+def _plain_entries(data: bytes, n_header: int, norb: int):
+    """What ``_line_entries`` returns, by whole-array operations, if the body
+    is plain (see ``_records``) and no record fails a check; else None, with
+    no warning.  Masks classify the records, and a stable sort on
+    ``_store_key`` groups duplicates in file order."""
+    brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
+    body = b"".join((memoryview(data)[len(data) if brk is None else brk.start():], b"\n"))
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+    body = body.translate(_NORMALIZE_BODY)
+    records = _records(body)
+    del body  # the text is not needed again: free it before classifying
+    if records is None:
+        return None
+    value, index, rec_line = records
+    del records
+    if (index > norb).any():
+        return None
+    i, j, k, l = index.T
     core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
     pair_only = (i != 0) & (k == 0) & (l == 0)
     orbital = pair_only & (j == 0)
     one = pair_only & (j != 0)
     two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
-    malformed = np.flatnonzero(~(core | orbital | one | two))
-    if malformed.size:
-        r = int(malformed[0])
-        state.cut_record(
-            r,
-            f"malformed index pattern ({i[r]} {j[r]} {k[r]} {l[r]}): zeros are only "
-            "allowed as trailing k=l=0 or the all-zero core record",
-        )
-
-    core_rec = np.flatnonzero(core[: state.n])
-    core_value = value[core_rec]
+    if not (core | orbital | one | two).all():
+        return None
+    core_value = value[core]
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
-        clash = np.flatnonzero(np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE)
-    if clash.size:
-        c = int(clash[0])
-        state.cut_record(
-            int(core_rec[c + 1]),
-            f"conflicting core energy: {float(core_value[c])!r} vs {float(core_value[c + 1])!r}",
-        )
-
+        if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
+            return None
     # A stable sort groups each key's records in file order: "last wins" is
     # the last of each group, and each repeat is checked against the record
     # before it, which is the value a line-by-line reading would hold.
-    stored = np.flatnonzero((one | two)[: state.n])
+    stored = np.flatnonzero(one | two)
     key = _store_key(i[stored], j[stored], k[stored], l[stored], norb)
     order = np.argsort(key, kind="stable")
     key, stored = key[order], stored[order]
@@ -515,32 +392,78 @@ def _entries(state: _Body, norb: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     repeat = key[1:] == key[:-1]
     stored_value = value[stored]
     with np.errstate(invalid="ignore"):
-        clash = np.flatnonzero(
-            repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)
-        )
-    if clash.size:
-        c = int(clash[np.argmin(stored[clash + 1])])
-        r = int(stored[c + 1])
-        if k[r] == 0:
-            dup_key = (max(i[r], j[r]) - 1, min(i[r], j[r]) - 1)
-        else:
-            dup_key = canonical_orbit(i[r] - 1, j[r] - 1, k[r] - 1, l[r] - 1)
-        dup_key = tuple(int(x) for x in dup_key)
-        state.cut_record(
-            r,
-            f"duplicate entry for {dup_key} conflicts: "
-            f"{float(stored_value[c])!r} vs {float(stored_value[c + 1])!r}",
-        )
-
-    for r in np.flatnonzero(orbital[: state.n]):
-        warnings.warn(
-            f"fcidump line {state.line_of(r)}: "
-            f"ignoring orbital-energy record for orbital {i[r]}"
-        )
-    if state.error is not None:
-        raise FcidumpError(state.error[1], line=state.error[0])
+        if (repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)).any():
+            return None
+    for r in np.flatnonzero(orbital):
+        warnings.warn(f"fcidump line {n_header + rec_line[r]}: "
+                      f"ignoring orbital-energy record for orbital {i[r]}")
     last = np.append(~repeat, True)[: key.size]
-    return core_value, key[last], stored_value[last], int(repeat.sum())
+    core_energy = float(core_value[-1]) if core_value.size else 0.0
+    return core_energy, key[last], stored_value[last], int(repeat.sum())
+
+
+def _line_entries(data: bytes, n_header: int, norb: int):
+    """The core energy, the distinct ``_store_key`` keys of the one- and
+    two-body records with the last value of each, and the number of repeated
+    records, reading the body one line at a time.  Warns about each
+    orbital-energy record and raises FcidumpError at the first line that
+    fails a check, in the order of a line-by-line reading."""
+    n_pairs = norb * (norb + 1) // 2
+    core = None
+    store: dict[int, float] = {}
+    repeats = 0
+    for lineno, raw in enumerate(itertools.islice(_lines(data), n_header, None), n_header + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != 5:
+            raise FcidumpError(f"expected 'value i j k l', got {raw.strip()!r}", line=lineno)
+        try:
+            value = float(tokens[0].replace("D", "E").replace("d", "e"))
+        except ValueError:
+            raise FcidumpError(f"non-numeric value field {tokens[0]!r}", line=lineno) from None
+        try:
+            i, j, k, l = map(int, tokens[1:])
+        except ValueError:
+            raise FcidumpError(f"non-integer index in {raw.strip()!r}", line=lineno) from None
+        for idx in (i, j, k, l):
+            if idx < 0 or idx > norb:
+                raise FcidumpError(f"index {idx} out of range [0, {norb}]", line=lineno)
+
+        if i == j == k == l == 0:
+            if core is not None and abs(core - value) > DUPLICATE_TOLERANCE:
+                raise FcidumpError(f"conflicting core energy: {core!r} vs {value!r}",
+                                   line=lineno)
+            core = value
+            continue
+        a, b = (i, j) if i >= j else (j, i)
+        if k == l == 0 and i != 0:
+            if j == 0:
+                warnings.warn(f"fcidump line {lineno}: "
+                              f"ignoring orbital-energy record for orbital {i}")
+                continue
+            key = (a - 1) * norb + b - 1
+        elif 0 in (i, j, k, l):
+            raise FcidumpError(
+                f"malformed index pattern ({i} {j} {k} {l}): zeros are only "
+                "allowed as trailing k=l=0 or the all-zero core record",
+                line=lineno,
+            )
+        else:
+            c, d = (k, l) if k >= l else (l, k)
+            ab, cd = a * (a - 1) // 2 + b - 1, c * (c - 1) // 2 + d - 1
+            key = norb * norb + (ab * n_pairs + cd if ab >= cd else cd * n_pairs + ab)
+        if key in store:
+            if abs(store[key] - value) > DUPLICATE_TOLERANCE:
+                orbit = ((a - 1, b - 1) if k == 0
+                         else canonical_orbit(i - 1, j - 1, k - 1, l - 1))
+                raise FcidumpError(f"duplicate entry for {orbit} conflicts: "
+                                   f"{store[key]!r} vs {value!r}", line=lineno)
+            repeats += 1
+        store[key] = value
+    key = np.fromiter(store, dtype=np.int64, count=len(store))
+    value = np.fromiter(store.values(), dtype=float, count=len(store))
+    return (0.0 if core is None else core), key, value, repeats
 
 
 def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,12 +493,14 @@ def parse_fcidump(text) -> MolecularIntegrals:
         convention).  Each stored two-body value populates the entry of
         its orbit in W and that entry's mirror.
 
-    The body is read with whole-array operations.  One ``np.fromstring``
-    parses the value tokens alone, cut out of the body by one boolean mask;
-    the index tokens are decoded from their bytes by digit arithmetic, as
-    ``int`` reads them.  Masks classify the records, and a stable sort on
-    canonical keys finds duplicates.  Errors name the first offending line,
-    as a line-by-line reading would.
+    The body is read on one of two paths, chosen by the input.  A plainly
+    spelled body without errors is read with whole-array operations
+    (``_plain_entries``): values in decimal or E/D exponent form, indices
+    of 1 to 18 unsigned digits.  Any other body, whether it holds an error
+    or a valid but unusual spelling (inf or nan, underscores, signed or
+    longer indices), is read one line at a time (``_line_entries``), and
+    that reader alone raises record errors: each names the first offending
+    line.  Both paths give the same entries and warnings.
 
     Raises
     ------
@@ -592,22 +517,12 @@ def parse_fcidump(text) -> MolecularIntegrals:
     if not data:
         raise FcidumpError("empty input")
 
-    norm = data.replace(b"\r\n", b"\n") if b"\r" in data else data
-    norb, nelec, n_header = _parse_header(_split_lines(norm))
-    offset = -1  # the line boundary that ends the header
-    for _ in range(n_header):
-        end = _LINE_END.search(norm, offset + 1)
-        if end is None:
-            offset = len(norm)
-            break
-        offset = end.start()
-    state = _Body(data, b"".join((memoryview(norm)[offset:], b"\n")).translate(_NORMALIZE_BODY),
-                  n_header)
-    del norm
-    core_value, key, value, duplicates = _entries(state, norb)
-    # The text is needed only for error messages; freeing it before W is
+    norb, nelec, n_header = _parse_header(_lines(data))
+    entries = _plain_entries(data, n_header, norb) or _line_entries(data, n_header, norb)
+    # The text is needed only by the line reader; freeing it before W is
     # filled keeps it out of the process's peak memory.
-    del state, data
+    del data
+    core_energy, key, value, duplicates = entries
 
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
@@ -615,7 +530,6 @@ def parse_fcidump(text) -> MolecularIntegrals:
         h1, w = _fill(norb, key, value)
     except (MemoryError, ValueError):  # ValueError: larger than numpy can index
         raise _too_large(norb) from None
-    core_energy = float(core_value[-1]) if core_value.size else 0.0
 
     # h1 and W hold exactly the stored values, and zeros.
     if not (np.isfinite(core_energy) and np.isfinite(value).all()):

@@ -204,6 +204,7 @@ class TestCost:
         ("--r", "-2", "argument --r: expected an integer >= 1"),
         ("--m", "1.5", "argument --m: expected an integer >= 1"),
         ("--m-max", "0", "argument --m-max: expected an integer >= 1"),
+        ("--m-max", "5", "--m-max 5 exceeds min(--m, --n) = 4"),
         ("--alpha", "inf", "argument --alpha: expected a finite number > 0"),
         ("--alpha", "nan", "argument --alpha: expected a finite number > 0"),
         ("--alpha", "0", "argument --alpha: expected a finite number > 0"),
@@ -289,6 +290,11 @@ class TestSweep:
     (["estimate", "--delta-e", "0"], "argument --delta-e: expected a finite number > 0"),
     (["estimate", "--lambda", "-1"], "argument --lambda: expected an integer >= 0"),
     (["estimate", "--lambda", "1.5"], "argument --lambda: expected an integer >= 0"),
+    (["estimate", "--lambda", "7"],
+     "--lambda applies only with --mode fixed, not --mode min-qubits"),
+    (["estimate", "--mode", "min-toffolis", "--lambda", "7"],
+     "--lambda applies only with --mode fixed, not --mode min-toffolis"),
+    (["estimate", "--mode", "fixed"], "--mode fixed requires --lambda"),
     (["sweep", "--grid", "nan:1:3"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--grid", "1e-3:inf:3"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--grid", "0:1e-2:3"], "needs finite 0 < lo <= hi and n >= 1"),

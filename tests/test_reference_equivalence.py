@@ -7,6 +7,7 @@ within a tolerance."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from qdf.integrals import (
     write_fcidump,
 )
 from qdf.truncation import default_grid, threshold_sweep, truncate
-from tests.conftest import packed, scaled
+from tests.conftest import fixture_path, packed, scaled
 from tests.reference import (
     adjusted_one_body_einsum,
     alpha_df_loop,
@@ -475,6 +476,93 @@ def test_canonical_key_in_conflict_message():
         parse_fcidump(text)
     assert str(canonical_orbit(0, 2, 1, 0)) in str(info.value)
     assert info.value.line == 4
+
+
+# The body is read by whole arrays when plainly spelled, and by the line
+# reader otherwise.  A fast path that declined every body would pass every
+# equivalence test above, only slower: these tests pin the choice of path.
+def _line_reader_refused():
+    def refuse(*args):
+        raise AssertionError("the line reader ran on a plain body")
+    return mock.patch.object(integrals, "_line_entries", refuse)
+
+
+def _line_reader_counted():
+    return mock.patch.object(integrals, "_line_entries", wraps=integrals._line_entries)
+
+
+def _fixture_text(name: str) -> str:
+    with open(fixture_path(name)) as fh:
+        return fh.read()
+
+
+# CRLF, D and d exponents, tabs and \x1f, blank lines, an orbital energy,
+# benign duplicates (one written with an 18-digit index).
+_PLAIN_TEXT = (
+    "&FCI NORB=3,NELEC=2,\r\n&END\r\n0.25D-01\t2 2\t2 2  \r\n\r\n-1.5d+00 1 1 0 0\r\n"
+    "0.5 3 0 0 0\r\n  \r\n0.25E-01 2 2 2 2\r\n7.5e-1 2 1 1 1\r\n0.75 1 1 1 2\r\n"
+    "1 1 0 0 0\r\n-1.5 1 1 0 0\r\n2.5D0 0 0 0 0\r\n0.125 3 1\x1f2 1\r\n"
+    "0.125 1 2 1 " + "0" * 17 + "3\r\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(lambda: _fixture_text("h2_sto3g.fcidump"), id="h2"),
+    pytest.param(lambda: _fixture_text("h4_sto3g.fcidump"), id="h4"),
+    pytest.param(lambda: write_fcidump(make_integrals(integrals, 12, 60, 0, 0)), id="n12"),
+    pytest.param(lambda: _PLAIN_TEXT, id="crlf-d-tabs-blank-orbital-duplicates"),
+])
+def test_plain_body_read_by_whole_arrays(text):
+    text = text()
+    ref, ref_warnings = _outcome(parse_fcidump_lines, text)
+    assert isinstance(ref, MolecularIntegrals)
+    with _line_reader_refused():
+        assert _outcome(parse_fcidump, text) == (ref, ref_warnings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fcidump_texts())
+def test_generated_texts_read_by_whole_arrays(text):
+    # A duplicate written once in full and once to 3 digits is an error,
+    # which only the line reader raises.
+    if isinstance(_outcome(parse_fcidump_lines, text)[0], MolecularIntegrals):
+        with _line_reader_refused():
+            _assert_same_outcome(text)
+    else:
+        with _line_reader_counted() as reader:
+            _assert_same_outcome(text)
+        assert reader.call_count == 1
+
+
+@pytest.mark.parametrize("text", [
+    _HEAD + "nan 2 2 2 2\n0.25 2 2 2 2\n",
+    _HEAD + "inf 1 0 0 0\n",
+    _HEAD + "1_0 2 2 2 2\n",
+    _HEAD + "0.25 2 2 1_0 1\n",
+    _HEAD + "0.25 +3 1 1 1\n",
+    _HEAD + "0.25 2 -0 0 0\n",
+    _HEAD + "0.25 1 1 " + "0" * 18 + "3 1\n",
+])
+def test_unusual_spelling_read_by_lines(text):
+    with _line_reader_counted() as reader:
+        _assert_same_outcome(text)
+    assert reader.call_count == 1
+
+
+# The line reader decodes the text a block of 4 KiB at a time: a file of
+# many blocks, read whole (a signed index) or rejected on its last line.
+@pytest.mark.parametrize("at, edit", [
+    (4, lambda line: line.replace(" ", " +", 1)),
+    (-1, lambda line: line + " 1"),
+])
+def test_line_reader_across_blocks(at, edit):
+    lines = write_fcidump(make_integrals(integrals, 12, 60, 0, 0)).splitlines()
+    lines[at] = edit(lines[at])
+    text = "\r\n".join(lines)
+    assert len(text) > 16 * 4096
+    with _line_reader_counted() as reader:
+        _assert_same_outcome(text)
+    assert reader.call_count == 1
 
 
 # ---------------------------------------------------------------------------
