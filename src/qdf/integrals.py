@@ -366,7 +366,6 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
     if records is None:
         return None
     value, index, rec_line = records
-    del records
     if (index > norb).any():
         return None
     i, j, k, l = index.T
@@ -463,7 +462,7 @@ def _line_entries(data: bytes, n_header: int, norb: int):
         store[key] = value
     key = np.fromiter(store, dtype=np.int64, count=len(store))
     value = np.fromiter(store.values(), dtype=float, count=len(store))
-    return (0.0 if core is None else core), key, value, repeats
+    return 0.0 if core is None else core, key, value, repeats
 
 
 def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
