@@ -22,6 +22,7 @@ from qdf import costmodel, factorization, integrals, oracle, truncation
 EXIT_PARSE = 1
 EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
+GRID_MAX_POINTS = 10**6  # a larger --grid count is refused before the grid is allocated
 
 ESTIMATE_CSV_COLUMNS = ["Step", "epsilon_in", "N", "R", "M", "alpha_df", "Qubits", "Toffoli"]
 SWEEP_CSV_COLUMNS = [
@@ -91,6 +92,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
         if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi and n >= 1):
             raise ValueError("needs finite 0 < lo <= hi and n >= 1")
+        if n > GRID_MAX_POINTS:
+            raise ValueError(f"n is at most {GRID_MAX_POINTS}")
     except ValueError as exc:
         raise CliError(f"bad --grid {spec!r} (expected lo:hi:n): {exc}", EXIT_CONFIG) from None
     return truncation.default_grid(lo, hi, n)

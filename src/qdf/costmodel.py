@@ -76,19 +76,27 @@ def _clog2(x: int) -> int:
 
 
 def _tradeoff_min(num: int, step: int, lo: int, hi: int) -> int:
-    """min over integers x in [lo, hi] (lo <= hi) of ceil(num/(1+x)) + step*x,
-    the ancilla tradeoff of every data lookup.
+    """min over integers x in [lo, hi] (0 <= lo <= hi, step >= 1) of
+    ceil(num/(1+x)) + step*x, the ancilla tradeoff of every data lookup.
 
-    The ceilinged curve sits within 1 of its convex envelope
-    num/(1+x) + step*x, so the integer argmin lies within ~sqrt(center) of the
-    continuous one, sqrt(num/step) - 1; the window is padded accordingly.  A
-    minimizer outside [lo, hi] clamps to the nearer bound (the constrained
-    optimum of a convex curve sits there), and both bounds are always scanned.
+    With y = 1 + x, F(y) = ceil(num/y) + step*y and c(y) = num/y + step*y,
+    c(y) <= F(y) < c(y) + 1.  So U = F(y0) at a feasible y0 (sqrt(num/step)
+    rounded down, clamped) bounds the minimum, and any y with F(y) <= U has
+    c(y) <= U, i.e. step*y^2 - U*y + num <= 0: y lies between the roots
+    (U -+ sqrt(D)) / (2 step), D = U^2 - 4 num step >= 0, as y0 does.  Since
+    ceil(t/k) = ceil(ceil(t)/k) and floor(t/k) = floor(floor(t)/k) for integer
+    k >= 1, with s = isqrt(D) these are exactly the integers
+    ceil((U - s)/(2 step)) .. floor((U + s)/(2 step)); only they are scanned.
     """
-    center = min(max(int(math.sqrt(num / step) - 1), lo), hi)
-    pad = math.isqrt(center + 1) + 4
-    xs = {lo, hi, *range(max(lo, center - pad), min(hi, center + pad) + 1)}
-    return min(_ceil_div(num, 1 + x) + step * x for x in xs)
+    y0 = min(max(math.isqrt(num // step), lo + 1), hi + 1)
+    best = u = _ceil_div(num, y0) + step * y0
+    s = math.isqrt(u * u - 4 * num * step)
+    first, last = max(lo + 1, _ceil_div(u - s, 2 * step)), min(hi + 1, (u + s) // (2 * step))
+    for y in range(first, last + 1):
+        cost = -(-num // y) + step * y  # _ceil_div inlined: the cost model's hottest loop
+        if cost < best:
+            best = cost
+    return best - step
 
 
 def lookup_clean(d: int, b: int, lam: int) -> int:

@@ -249,27 +249,31 @@ def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFac
 
 
 def rank_sums(padded: np.ndarray) -> np.ndarray:
-    """Row sums of a zero-padded (R, m) array of |lambda|, added left to
-    right one column at a time, as a loop over each rank's eigenpairs adds
-    them (np.sum adds pairwise and can move the last digit)."""
-    sums = np.zeros(padded.shape[0])
-    for column in padded.T:
-        sums += column
-    return sums
+    """Row sums of a zero-padded (R, m) array of |lambda|, added left to right
+    as a loop over each rank's eigenpairs adds them: ``np.cumsum`` accumulates
+    in order, where np.sum adds pairwise and can move the last digit."""
+    return np.cumsum(padded, axis=1)[:, -1] if padded.shape[1] else np.zeros(len(padded))
 
 
-def alpha_from_rank_sums(one_body_eigenvalues: np.ndarray, sums: np.ndarray) -> float:
-    """alpha_DF from the one-body eigenvalues and the per-rank sums
-    s_r = sum_m |lambda_m^(r)|.  The s_r ** 2 (the C library's pow, which
-    does not always round like s * s) are added left to right; an
-    OverflowError names the sum whose square overflows."""
-    two_body = 0.0
+def schatten_squares(sums: np.ndarray) -> np.ndarray:
+    """s_r ** 2 of the per-rank sums s_r = sum_m |lambda_m^(r)|, by the C
+    library's pow (which does not always round like s * s); an OverflowError
+    names the first sum whose square overflows."""
+    squares = []
     try:
         for s in sums.tolist():
-            two_body += s ** 2
+            squares.append(s ** 2)
     except OverflowError:
         raise OverflowError(f"alpha_DF overflows: the square of Schatten sum {s!r} "
                             "is out of float range") from None
+    return np.array(squares, dtype=float)
+
+
+def alpha_from_squares(one_body_eigenvalues: np.ndarray, squares: np.ndarray) -> float:
+    """alpha_DF from the one-body eigenvalues and the ``schatten_squares``,
+    which are added left to right (``np.cumsum``, as a loop adds them)."""
+    with np.errstate(over="ignore"):  # a loop's float sum overflows to inf silently
+        two_body = float(np.cumsum(squares)[-1]) if squares.size else 0.0
     return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
 
 
@@ -285,7 +289,8 @@ def alpha_df(df: DoubleFactorization) -> float:
 
     evaluated on the currently retained eigenpairs, so truncation lowers it.
     """
-    return alpha_from_rank_sums(df.one_body_eigs[0], rank_sums(df.padded_abs_eigenvalues()))
+    sums = rank_sums(df.padded_abs_eigenvalues())
+    return alpha_from_squares(df.one_body_eigs[0], schatten_squares(sums))
 
 
 def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qdf.factorization import DoubleFactorization, alpha_from_rank_sums, rank_sums
+from qdf.factorization import DoubleFactorization, alpha_from_squares, rank_sums, schatten_squares
 
 __all__ = [
     "TruncationPlan",
@@ -152,17 +152,21 @@ def threshold_sweep(
     order, counts, coherent, incoherent = _removal_prefixes(df, scheme, grid)
 
     rank_of, local = df.pair_index
-    # kept |lambda| per rank; a removed pair becomes a 0.0, which leaves the
-    # left-to-right rank sums of alpha_df unchanged
+    # kept |lambda| per rank; a removed pair becomes a 0.0, which leaves alpha_df's left-to-right
+    # rank sums unchanged.  After the first point only ranks that lose a pair are summed again.
     kept_abs = df.padded_abs_eigenvalues()
     kept_counts = np.diff(df.offsets)
+    squares = np.empty(df.rank)
     rows, done = [], 0
     for eps, count, coh, inc in zip(grid, counts.tolist(), coherent.tolist(), incoherent.tolist()):
         newly = order[done:count]
         kept_abs[rank_of[newly], local[newly]] = 0.0
-        kept_counts -= np.bincount(rank_of[newly], minlength=df.rank)
+        lost = np.bincount(rank_of[newly], minlength=df.rank)
+        kept_counts -= lost
         done = count
-        alpha = alpha_from_rank_sums(df.one_body_eigs[0], rank_sums(kept_abs))
+        changed = np.flatnonzero(lost) if rows else slice(None)
+        squares[changed] = schatten_squares(rank_sums(kept_abs[changed]))
+        alpha = alpha_from_squares(df.one_body_eigs[0], squares)
         rows.append((eps, int(np.count_nonzero(kept_counts)), df.total_eigenpairs - count,
                      int(kept_counts.max(initial=0)), alpha, coh, inc))
     return rows

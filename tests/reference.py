@@ -309,6 +309,14 @@ def reconstruct_two_body_loop(df: DoubleFactorization) -> np.ndarray:
     return out
 
 
+def rank_sums_loop(padded: np.ndarray) -> np.ndarray:
+    """Row sums of a zero-padded (R, m) array, one column at a time."""
+    sums = np.zeros(padded.shape[0])
+    for column in padded.T:
+        sums += column
+    return sums
+
+
 def _abs_sum(group) -> float:
     acc = 0.0
     for lam, _ in group:

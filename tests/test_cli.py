@@ -271,6 +271,21 @@ class TestSweep:
         assert main(["sweep", "--fcidump", H2, "--grid", "nope"]) == 3
         capsys.readouterr()
 
+    def test_grid_count_refused_before_the_grid_is_built(self, capsys, monkeypatch):
+        from qdf import cli
+
+        def unreachable(*args):
+            raise AssertionError("the grid was built")
+
+        assert cli._parse_grid(f"1e-4:1e-1:{cli.GRID_MAX_POINTS}").size == cli.GRID_MAX_POINTS
+        monkeypatch.setattr(cli.truncation, "default_grid", unreachable)
+        for count in (cli.GRID_MAX_POINTS + 1, 10**9):
+            assert main(["sweep", "--fcidump", H2, "--grid", f"1e-4:1e-1:{count}"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: bad --grid '1e-4:1e-1:{count}' (expected lo:hi:n): "
+                                    "n is at most 1000000\n")
+
     @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
     def test_h4_matches_golden_file(self, tmp_path, scheme):
         out = tmp_path / "sweep.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdf.costmodel import (
+    _tradeoff_min,
     ErrorBudget,
     PrecisionParams,
     angles_to_unit_vector,
@@ -495,3 +496,28 @@ def test_brute_force_equivalence_at_paper_scale(d, b, lam, budget):
     assert lookup_clean_uncompute(d, lam) == bf_clean_unc(d, lam), (d, lam)
     assert lookup_dirty(d, b, budget) == bf_dirty(d, b, budget), (d, b, budget)
     assert lookup_dirty_uncompute(d, budget) == bf_dirty_unc(d, budget), (d, budget)
+
+
+def test_tradeoff_min_matches_exhaustive_scan_on_a_box():
+    # every num <= 128, step <= 8 and 0 <= lo <= hi <= 24: for a fixed lo the
+    # exhaustive min over [lo, hi] is the running minimum of the costs from lo
+    xs = np.arange(25)
+    for num in range(129):
+        for step in range(1, 9):
+            costs = -(-num // (1 + xs)) + step * xs
+            for lo in range(25):
+                expected = np.minimum.accumulate(costs[lo:]).tolist()
+                assert expected[-1] == _exhaustive_min(num, step, lo, 24)
+                got = [_tradeoff_min(num, step, lo, hi) for hi in range(lo, 25)]
+                assert got == expected, (num, step, lo)
+
+
+@pytest.mark.parametrize("num, step, lo, hi, expected", [
+    (3, 8, 0, 10, 3),  # num < step: no helper pays
+    (100, 2, 5, 5, 27),  # lo = hi: ceil(100/6) + 10
+    (100, 10, 6, 20, 75),  # optimum x ~ 2.2 clamped at lo: ceil(100/7) + 60
+    (10000, 1, 0, 9, 1009),  # optimum x = 99 clamped at hi: 1000 + 9
+    (192, 3, 0, 30, 45),  # num = 8^2 * step: U^2 = 4 num step, one candidate y = 8
+])
+def test_tradeoff_min_hand_cases(num, step, lo, hi, expected):
+    assert _tradeoff_min(num, step, lo, hi) == expected == _exhaustive_min(num, step, lo, hi)

@@ -12,13 +12,13 @@ from qdf.factorization import (
     CacheHeader,
     NotPositiveSemidefiniteError,
     alpha_df,
-    alpha_from_rank_sums,
     double_factorize,
     load_cache,
     read_cache,
     reconstruct_two_body,
     save_cache,
     schatten_norm,
+    schatten_squares,
     single_factorize,
 )
 from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
@@ -274,7 +274,7 @@ class TestAlphas:
 
     def test_alpha_overflow_names_the_schatten_sum(self):
         with pytest.raises(OverflowError, match=r"Schatten sum 1e\+200 is out of float range"):
-            alpha_from_rank_sums(np.ones(2), np.array([1.0, 1e200, 2.0]))
+            schatten_squares(np.array([1.0, 1e200, 2.0]))
 
     def test_alpha_df_monotone_under_removal(self, h4_df):
         previous = alpha_df(h4_df)

@@ -22,6 +22,7 @@ from qdf.factorization import (
     NotPositiveSemidefiniteError,
     alpha_df,
     double_factorize,
+    rank_sums,
     reconstruct_two_body,
     single_factorize,
 )
@@ -46,6 +47,7 @@ from tests.reference import (
     fill_orbits,
     orbit_members,
     parse_fcidump_lines,
+    rank_sums_loop,
     reconstruct_two_body_loop,
     score_eigenpairs_loop,
     single_factorize_deflation,
@@ -780,8 +782,22 @@ def test_n20_rank120_sweep_matches_loop():
     grid = [0.0, *default_grid(1e-6, 1.0, 31)]
     for scheme in ("coherent", "incoherent"):
         _assert_sweep_matches_loop(df, scheme, grid)
+        # and on the 128-point grid of the benchmark's sweep
+        _assert_sweep_matches_loop(df, scheme, list(default_grid(1e-5, 1.0, 128)))
         for eps in grid[::6]:
             _assert_truncation_matches_loop(df, scheme, eps)
+
+
+@pytest.mark.parametrize("shape, order", [
+    ((5, 0), "C"), ((1, 9), "C"), ((7, 1), "C"), ((360, 36), "C"), ((360, 36), "F"),
+    ((100, 200), "F"),
+])
+def test_rank_sums_adds_like_the_column_loop(shape, order):
+    rng = np.random.default_rng(list(shape))
+    padded = np.exp(rng.uniform(-30.0, 30.0, shape)) * (rng.random(shape) < 0.7)
+    padded = np.asarray(padded, order=order)
+    np.testing.assert_array_equal(rank_sums(padded), rank_sums_loop(padded))
+    assert rank_sums(padded).shape == (shape[0],)
 
 
 def test_alpha_df_squares_rank_sums_like_the_loop():

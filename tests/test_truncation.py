@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,34 @@ class TestSweep:
         alphas = [row[4] for row in rows]
         assert all(b <= a for a, b in zip(ms, ms[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(alphas, alphas[1:]))
+
+    @staticmethod
+    def overflowing_df():
+        # rank 0 sums to 2e154, whose square overflows, from two pairs whose
+        # scores (frozen norm 1.0) and their squares are finite; rank 1's
+        # frozen norm puts its pair out of every budget below
+        return dataclasses.replace(make_df([[1e154, 1e154], [3.0]]), schatten_norms=np.array([1.0, 1e200]))
+
+    @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
+    def test_first_point_removes_the_overflowing_sum(self, scheme):
+        df = self.overflowing_df()
+        with pytest.raises(OverflowError):
+            alpha_df(df)
+        grid = [1.5e154, 1.9e154]
+        rows = threshold_sweep(df, scheme, grid)
+        for eps, row in zip(grid, rows):
+            reduced, plan = truncate(df, scheme, eps)
+            assert row[1:5] == (2, 2, 1, alpha_df(reduced)) and plan.removed.tolist() == [0]
+
+    @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
+    def test_surviving_overflowing_sum_raises_like_alpha_df(self, scheme):
+        df = self.overflowing_df()
+        with pytest.raises(OverflowError) as expected:
+            alpha_df(df)
+        with pytest.raises(OverflowError) as got:
+            threshold_sweep(df, scheme, [1.0, 1.5e154])
+        assert str(got.value) == str(expected.value) == (
+            "alpha_DF overflows: the square of Schatten sum 2e+154 is out of float range")
 
     def test_unsorted_grid_rejected(self, h4_df):
         with pytest.raises(ValueError):
