@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdf.costmodel import (
-    _tradeoff_min,
     ErrorBudget,
     PrecisionParams,
+    _tradeoff_min,
     angles_to_unit_vector,
     closed_form_walk_toffoli,
     estimate,

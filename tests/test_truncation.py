@@ -200,7 +200,8 @@ class TestSweep:
         # rank 0 sums to 2e154, whose square overflows, from two pairs whose
         # scores (frozen norm 1.0) and their squares are finite; rank 1's
         # frozen norm puts its pair out of every budget below
-        return dataclasses.replace(make_df([[1e154, 1e154], [3.0]]), schatten_norms=np.array([1.0, 1e200]))
+        df = make_df([[1e154, 1e154], [3.0]])
+        return dataclasses.replace(df, schatten_norms=np.array([1.0, 1e200]))
 
     @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
     def test_first_point_removes_the_overflowing_sum(self, scheme):
