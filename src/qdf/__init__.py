@@ -30,7 +30,6 @@ from qdf.factorization import (
     read_cache,
     reconstruct_two_body,
     save_cache,
-    schatten_norm,
     single_factorize,
 )
 from qdf.truncation import (
@@ -90,7 +89,6 @@ __all__ = [
     "read_cache",
     "reconstruct_two_body",
     "save_cache",
-    "schatten_norm",
     "score_eigenpairs",
     "single_factorize",
     "spectral_norm",

@@ -86,19 +86,6 @@ def _mode_name(raw: str) -> str:
     return {"min-qubits": "min_qubits", "min-toffolis": "min_toffoli", "fixed": "fixed"}[raw]
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi and n >= 1):
-            raise ValueError("needs finite 0 < lo <= hi and n >= 1")
-        if n > GRID_MAX_POINTS:
-            raise ValueError(f"n is at most {GRID_MAX_POINTS}")
-    except ValueError as exc:
-        raise CliError(f"bad --grid {spec!r} (expected lo:hi:n): {exc}", EXIT_CONFIG) from None
-    return truncation.default_grid(lo, hi, n)
-
-
 def _checked(kind, accept, requirement: str):
     """argparse type function: ``kind(text)`` if ``accept`` holds for it."""
 
@@ -119,6 +106,20 @@ _lambda = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
+def _grid(spec: str) -> np.ndarray:
+    """argparse type function: the log grid of a ``lo:hi:n`` spec."""
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi and n >= 1):
+            raise ValueError("needs finite 0 < lo <= hi and n >= 1")
+        if n > GRID_MAX_POINTS:
+            raise ValueError(f"n is at most {GRID_MAX_POINTS}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected lo:hi:n, got {spec!r}: {exc}") from None
+    return truncation.default_grid(lo, hi, n)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are configuration errors: exit 3 with one line."""
 
@@ -127,8 +128,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fcidump_path(args) -> str:
-    if not args.fcidump:
-        raise CliError("--fcidump is required", EXIT_CONFIG)
     if not os.path.exists(args.fcidump):
         raise CliError(f"no such file: {args.fcidump}", EXIT_PARSE)
     return args.fcidump
@@ -271,9 +270,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    for name in ("n", "r", "m", "alpha"):
-        if getattr(args, name) is None:
-            raise CliError(f"--{name} is required for cost", EXIT_CONFIG)
     if args.m_max is not None and args.m_max > min(args.m, args.n):
         # a factor has at most N eigenpairs, and all factors M
         raise CliError(f"--m-max {args.m_max} exceeds min(--m, --n) = {min(args.m, args.n)}",
@@ -284,9 +280,8 @@ def cmd_cost(args) -> int:
 
 
 def _sweep_rows(df, args):
-    grid = _parse_grid(args.grid)
     rows = []
-    for eps, r, m, m_max, alpha, coh, inc in truncation.threshold_sweep(df, args.scheme, grid):
+    for eps, r, m, m_max, alpha, coh, inc in truncation.threshold_sweep(df, args.scheme, args.grid):
         report = _cost(args, n=df.n_orbitals, rank=r, m_total=m, m_max=m_max, alpha=alpha)
         values = [eps, r, m, alpha, coh, inc, report.logical_qubits, report.total_toffoli]
         rows.append(dict(zip(SWEEP_CSV_COLUMNS, values)))
@@ -427,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fcidump=True, cost=True):
         if fcidump:
-            p.add_argument("--fcidump", help="FCIDUMP input file")
+            p.add_argument("--fcidump", required=True, help="FCIDUMP input file")
             p.add_argument("--cache", help="binary factorization cache path")
         if cost:
             p.add_argument("--delta-e", type=_positive, default=1e-3, dest="delta_e",
@@ -436,11 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
                            default="min-qubits")
             p.add_argument("--lambda", type=_lambda, default=None, dest="lam",
                            help="ancilla tradeoff parameter for --mode fixed")
-            p.add_argument("--format", choices=["json", "csv", "table"], default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_est = sub.add_parser("estimate", help="full pipeline from an FCIDUMP file")
     common(p_est)
+    p_est.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p_est.add_argument("--scheme", choices=["coherent", "incoherent"], default="incoherent")
     p_est.add_argument("--epsilon", type=_epsilon, default=1e-3,
                        help="truncation threshold, Hartree (default 1e-3)")
@@ -448,18 +443,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost", help="direct cost model from table parameters")
     common(p_cost, fcidump=False)
-    p_cost.add_argument("--n", type=_count, help="spatial orbitals")
-    p_cost.add_argument("--r", type=_count, help="factorization rank R")
-    p_cost.add_argument("--m", type=_count, help="total retained eigenvectors M")
+    p_cost.add_argument("--format", choices=["json", "csv", "table"], default="table")
+    p_cost.add_argument("--n", type=_count, required=True, help="spatial orbitals")
+    p_cost.add_argument("--r", type=_count, required=True, help="factorization rank R")
+    p_cost.add_argument("--m", type=_count, required=True, help="total retained eigenvectors M")
     p_cost.add_argument("--m-max", type=_count, default=None, dest="m_max",
                         help="max eigenvectors in one factor (default min(M, N))")
-    p_cost.add_argument("--alpha", type=_positive, help="block-encoding normalization, Hartree")
+    p_cost.add_argument("--alpha", type=_positive, required=True,
+                        help="block-encoding normalization, Hartree")
     p_cost.set_defaults(func=cmd_cost)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep with per-point costs")
     common(p_sweep)
+    p_sweep.add_argument("--format", choices=["json", "csv"], default="csv")
     p_sweep.add_argument("--scheme", choices=["coherent", "incoherent"], default="incoherent")
-    p_sweep.add_argument("--grid", default="1e-4:1e-1:16", help="lo:hi:n log grid (Hartree)")
+    p_sweep.add_argument("--grid", type=_grid, default="1e-4:1e-1:16",
+                         help="lo:hi:n log grid (Hartree)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="exact-diagonalization validation (N <= 7)")
@@ -480,9 +479,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except integrals.FcidumpError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
+    except MemoryError as exc:
+        sys.stderr.write(f"memory error: {str(exc) or 'out of memory'}\n")
+        return EXIT_CONFIG
     except (factorization.NotPositiveSemidefiniteError, ArithmeticError) as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC

@@ -3,9 +3,9 @@ double-factorized Hamiltonian.
 
 Costs are counted in Toffoli gates and logical qubits.  The primitives are
 data-lookup oracles (clean- or dirty-ancilla assisted, with measurement-based
-uncomputation), coherent state preparation with garbage, and programmable
-rotation arrays; the walk-operator cost composes them.  All divisions take
-ceilings: gate counts are integers.
+uncomputation) and coherent state preparation; the walk-operator cost composes
+them, and its qubit breakdown is the one place where registers are counted.
+All divisions take ceilings: gate counts are integers.
 
 Two walk-cost figures are computed side by side: a detailed sum over the
 primitive costs (``walk_toffoli``) and the compact closed-form bound
@@ -21,28 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 __all__ = [
     "CostReport",
     "ErrorBudget",
     "PrecisionParams",
     "WalkCost",
-    "angles_to_unit_vector",
     "closed_form_walk_toffoli",
     "estimate",
     "lookup_clean",
     "lookup_clean_uncompute",
     "lookup_dirty",
     "lookup_dirty_uncompute",
-    "majorana_angles",
     "pe_repetitions",
-    "rotation_array_cost",
-    "rotation_bits",
     "sparse_multiplexed_lookup",
     "state_prep_cost",
     "state_prep_uncompute_cost",
-    "trotter_step_bound",
     "walk_operator_cost",
 ]
 
@@ -136,7 +129,7 @@ def lookup_dirty_uncompute(d: int, dirty_budget: int) -> int:
     return lookup_dirty(d, 1, dirty_budget)
 
 
-def sparse_multiplexed_lookup(q: int, j: int, b: int, lam: int) -> tuple[int, int, int]:
+def sparse_multiplexed_lookup(q: int, j: int, b: int, lam: int) -> tuple[int, int]:
     """Doubly-indexed lookup over ``q`` total entries grouped under ``j``
     outer indices, each entry ``b`` bits.
 
@@ -147,7 +140,7 @@ def sparse_multiplexed_lookup(q: int, j: int, b: int, lam: int) -> tuple[int, in
     its measurement-based variant with budget ``lam * b`` (the
     1-bit-per-copy reinterpretation of the same register block).
 
-    Returns (compute Toffolis, uncompute Toffolis, clean qubits).
+    Returns (compute Toffolis, uncompute Toffolis).
     """
     if not (q >= j >= 1):
         raise ValueError("need q >= j >= 1")
@@ -159,31 +152,18 @@ def sparse_multiplexed_lookup(q: int, j: int, b: int, lam: int) -> tuple[int, in
     adders = 2 * bits_q
     compute = shift + lookup_clean(q, b, lam) + adders
     uncompute = shift + lookup_clean_uncompute(q, lam * b) + adders
-    clean_qubits = max(bits_q, _clog2(j)) + lam * b
-    return compute, uncompute, clean_qubits
+    return compute, uncompute
 
 
-def state_prep_cost(
-    d: int, mu: int, dirty_budget: int, width: int | None = None
-) -> tuple[int, int, int]:
-    """Coherent-alias state preparation over ``d`` coefficients at ``mu`` bits
-    of precision, with the keep/alt table looked up using dirty-qubit
-    assistance.
-
-    ``width`` is the lookup output width; by default ceil(log2 d) + mu.  The
-    prepared amplitudes satisfy |p_j - a_j/||a||_1| <= 2^-mu / d, hence an
-    l1 (block-encoding) error of at most 2^-mu.
-
-    Returns (Toffolis, garbage qubits, clean qubits).
-    """
+def state_prep_cost(d: int, mu: int, dirty_budget: int, width: int) -> int:
+    """Toffolis for coherent-alias state preparation over ``d`` coefficients
+    at ``mu`` bits of precision, with the keep/alt table of ``width``-bit
+    entries looked up using dirty-qubit assistance: mu + the dirty lookup.
+    The prepared amplitudes satisfy |p_j - a_j/||a||_1| <= 2^-mu / d, hence an
+    l1 (block-encoding) error of at most 2^-mu."""
     if d < 1 or mu < 1:
         raise ValueError("need d >= 1 and mu >= 1")
-    if width is None:
-        width = _clog2(d) + mu
-    toffoli = mu + lookup_dirty(d, width, dirty_budget)
-    garbage = 2 * mu + _clog2(d)
-    clean = _clog2(d)
-    return toffoli, garbage, clean
+    return mu + lookup_dirty(d, width, dirty_budget)
 
 
 def state_prep_uncompute_cost(d: int, mu: int, budget: int) -> int:
@@ -192,80 +172,6 @@ def state_prep_uncompute_cost(d: int, mu: int, budget: int) -> int:
     if d < 1 or mu < 1:
         raise ValueError("need d >= 1 and mu >= 1")
     return mu + lookup_clean_uncompute(d, budget)
-
-
-def rotation_bits(n_rotations: int, eps: float) -> int:
-    """Bits of angle precision so that ``n_rotations`` binary-encoded
-    rotations accumulate spectral error at most ``eps``:
-    ceil(1/2 + log2(n * pi / eps))."""
-    if n_rotations < 1 or eps <= 0:
-        raise ValueError("need n_rotations >= 1 and eps > 0")
-    return _iceil(0.5 + math.log2(n_rotations * math.pi / eps))
-
-
-def rotation_array_cost(m_rot: int, k: int, b: int, kappa: int, lam: int) -> int:
-    """Toffolis for the lookups of a programmable rotation array applying
-    ``m_rot`` rotations of ``b`` angle bits through a ``kappa``-qubit data
-    register with up to ``lam`` clean helper qubits:
-
-        ceil(m_rot*b/kappa + 1) * (ceil(k / floor(1 + lam'/kappa)) + lam'),
-
-    minimized over lam' in [0, lam].
-    """
-    if kappa < b:
-        raise ValueError("kappa must be >= b")
-    if m_rot < 1 or k < 1 or lam < 0:
-        raise ValueError("need m_rot >= 1, k >= 1, lam >= 0")
-    # Within a block of kappa helpers the cost grows linearly in lam', so the
-    # minimum sits at a block start lam' = j*kappa, where it costs
-    # ceil(k/(1+j)) + j*kappa per slice.
-    return _iceil(m_rot * b / kappa + 1) * _tradeoff_min(k, kappa, 0, lam // kappa)
-
-
-def majorana_angles(u: np.ndarray) -> np.ndarray:
-    """Rotation-chain angles theta_0..theta_{N-2} realizing the unit vector
-    ``u``:
-
-        u_p     = cos(2 theta_p) * prod_{j<p} sin(2 theta_j)   (p < N-1)
-        u_{N-1} = prod_j sin(2 theta_j)
-
-    Solved stably with tail norms: cos(2 theta_p) = u_p / ||u[p:]||.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size < 1:
-        raise ValueError("u must be a 1-D vector")
-    norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"u must be unit-norm, got ||u|| = {norm!r}")
-    n = u.size
-    if n == 1:
-        return np.zeros(0)
-    # tail[p] = ||u[p:]||_2, computed backwards for stability.
-    tail = np.sqrt(np.cumsum(u[::-1] ** 2)[::-1])
-    theta = np.zeros(n - 1)
-    for p in range(n - 1):
-        if tail[p] <= 1e-15:
-            break  # remaining components are all zero
-        if p < n - 2:
-            theta[p] = 0.5 * math.atan2(tail[p + 1], u[p])
-        else:
-            theta[p] = 0.5 * math.atan2(u[n - 1], u[n - 2])
-    return theta
-
-
-def angles_to_unit_vector(theta: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Forward evaluation of the rotation chain (inverse of
-    :func:`majorana_angles`)."""
-    theta = np.asarray(theta, dtype=float)
-    if n is None:
-        n = theta.size + 1
-    u = np.zeros(n)
-    prefix = 1.0
-    for p in range(n - 1):
-        u[p] = math.cos(2 * theta[p]) * prefix
-        prefix *= math.sin(2 * theta[p])
-    u[n - 1] = prefix
-    return u
 
 
 @dataclass(frozen=True)
@@ -368,11 +274,11 @@ def walk_operator_cost(
 
     dirty_pool = nb * (1 + lam) + 2 * n
 
-    comp, uncomp, _ = sparse_multiplexed_lookup(m_total, rank, nb, lam)
+    comp, uncomp = sparse_multiplexed_lookup(m_total, rank, nb, lam)
     rotations_2e = 4 * nb
     swaps_2e = 4 * n
     prep_width = 2 * _clog2(m_max) + 2 * _clog2(rank) + mu + 1
-    prep_2e, _, _ = state_prep_cost(m_total, mu, dirty_pool, width=prep_width)
+    prep_2e = state_prep_cost(m_total, mu, dirty_pool, prep_width)
     unprep_2e = state_prep_uncompute_cost(m_total, mu, dirty_pool)
     state_prep_total = 2 * prep_2e + 2 * unprep_2e
 
@@ -381,7 +287,7 @@ def walk_operator_cost(
     uncomp_1e = lookup_clean_uncompute(n, lam * nb1)
     rotations_1e = 4 * nb1
     swaps_1e = 2 * n
-    prep_1e, _, _ = state_prep_cost(n, mu1, dirty_pool, width=_clog2(n) + mu1 + 1)
+    prep_1e = state_prep_cost(n, mu1, dirty_pool, _clog2(n) + mu1 + 1)
     unprep_1e = state_prep_uncompute_cost(n, mu1, dirty_pool)
     state_prep_total += prep_1e + unprep_1e
 
@@ -554,37 +460,3 @@ def estimate(
         delta_e=budget.delta_e,
     )
 
-
-def trotter_step_bound(h_fragments: list[np.ndarray]) -> float:
-    """Second-order product-formula error coefficient: the step error is
-    bounded by bound * t^3 for
-
-        bound = (1/12) * sum_b [ sum_{c>b} sum_{a>b} ||[H_a, [H_b, H_c]]||
-                                 + (1/2) sum_{c>b} ||[H_b, [H_b, H_c]]|| ].
-
-    Dense spectral norms; intended for oracle-scale fragments (dimension at
-    most 4096).
-    """
-    frags = [np.asarray(h) for h in h_fragments]
-    if not frags:
-        return 0.0
-    dim = frags[0].shape
-    if any(f.shape != dim for f in frags):
-        raise ValueError("all fragments must share one dense dimension")
-    if dim[0] != dim[1]:
-        raise ValueError("fragments must be square")
-    if dim[0] > 4096:
-        raise ValueError("dense Trotter bound capped at dimension 4096")
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    total = 0.0
-    nfrag = len(frags)
-    for b in range(nfrag):
-        for c in range(b + 1, nfrag):
-            inner = comm(frags[b], frags[c])
-            for a in range(b + 1, nfrag):
-                total += np.linalg.norm(comm(frags[a], inner), 2)
-            total += 0.5 * np.linalg.norm(comm(frags[b], inner), 2)
-    return total / 12.0

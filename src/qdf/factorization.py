@@ -28,7 +28,6 @@ __all__ = [
     "read_cache",
     "reconstruct_two_body",
     "save_cache",
-    "schatten_norm",
     "single_factorize",
 ]
 
@@ -275,11 +274,6 @@ def alpha_from_squares(one_body_eigenvalues: np.ndarray, squares: np.ndarray) ->
     with np.errstate(over="ignore"):  # a loop's float sum overflows to inf silently
         two_body = float(np.cumsum(squares)[-1]) if squares.size else 0.0
     return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
-
-
-def schatten_norm(a: np.ndarray) -> float:
-    """Schatten 1-norm of a symmetric matrix: sum of absolute eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def alpha_df(df: DoubleFactorization) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "build_from_df",
     "build_from_integrals",
     "ground_energy",
-    "majorana_pair_matrix",
     "one_body_norm_check",
     "particle_number_commutator_norm",
     "spectral_norm",
@@ -252,15 +251,6 @@ def build_from_integrals(m: MolecularIntegrals) -> FockOperator:
     one = (h @ flat).reshape(size, size) + 0.5 * same_spin
     right = (0.5 * (g + g.T) @ flat).reshape(exc.shape)
     return FockOperator(n, _assemble(n, one, exc, right), m.core_energy)
-
-
-def majorana_pair_matrix(l_matrix: np.ndarray) -> FockOperator:
-    """Sector blocks of G_L = (i/2) sum_{ij,s} L_ij gamma_{i,s,0} gamma_{j,s,1}
-    on 2N Jordan-Wigner qubits.  ValueError for an asymmetric L, whose
-    pair-creating terms couple sectors."""
-    l_matrix = _real(l_matrix)
-    n = l_matrix.shape[0]
-    return FockOperator(n, _df_blocks(l_matrix, np.empty((0, n, n)), np.empty(0)))
 
 
 def build_from_df(df: DoubleFactorization, removed=None,

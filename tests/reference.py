@@ -25,7 +25,7 @@ within a tolerance, not bit for bit.  The package never forms a 4^N matrix;
 ``dense_matrix`` places an operator's sector blocks in one for these
 comparisons, and ``max_entry`` takes the largest |entry| from the blocks.
 ``df_fragments``, the input of the product-formula bound, is built here from
-the package's public ``majorana_pair_matrix``.
+``majorana_pair_matrix`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from qdf.factorization import (
     NotPositiveSemidefiniteError,
     SingleFactorization,
 )
-from qdf.oracle import FockOperator, majorana_pair_matrix
+from qdf.oracle import FockOperator
 from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
@@ -63,6 +63,7 @@ from qdf.integrals import (
     _parse_header,
     canonical_orbit,
 )
+from tests.conftest import majorana_pair_matrix
 
 
 def orbit_members(i: int, j: int, k: int, l: int) -> set[tuple[int, int, int, int]]:

@@ -16,20 +16,16 @@ import numpy as np
 
 from qdf.costmodel import (
     ErrorBudget,
-    angles_to_unit_vector,
     closed_form_walk_toffoli,
     estimate,
     lookup_clean,
     lookup_clean_uncompute,
     lookup_dirty,
     lookup_dirty_uncompute,
-    majorana_angles,
     pe_repetitions,
-    rotation_array_cost,
     state_prep_cost,
-    trotter_step_bound,
 )
-from qdf.factorization import reconstruct_two_body, schatten_norm
+from qdf.factorization import reconstruct_two_body
 from qdf.oracle import (
     build_from_df,
     build_from_integrals,
@@ -37,7 +33,17 @@ from qdf.oracle import (
     spectral_norm,
 )
 from qdf.truncation import default_grid, truncate
-from tests.conftest import entrywise_norm, factorize, fixture_path, random_molecular_integrals
+from tests.conftest import (
+    angles_to_unit_vector,
+    entrywise_norm,
+    factorize,
+    fixture_path,
+    majorana_angles,
+    random_molecular_integrals,
+    rotation_array_cost,
+    schatten_norm,
+    trotter_step_bound,
+)
 from tests.reference import df_fragments, max_entry
 
 REFERENCE_ROWS = [
@@ -316,7 +322,7 @@ def test_criterion_08_cost_function_oracle_equivalence():
                         for lp in range(1, budget // width + 1)
                     ),
                 )
-            assert state_prep_cost(d, mu, budget)[0] == bf, (d, mu, budget)
+            assert state_prep_cost(d, mu, budget, width) == bf, (d, mu, budget)
 
         if b <= 8 and d >= 1:
             kappa = 8

@@ -271,20 +271,44 @@ class TestSweep:
         assert main(["sweep", "--fcidump", H2, "--grid", "nope"]) == 3
         capsys.readouterr()
 
-    def test_grid_count_refused_before_the_grid_is_built(self, capsys, monkeypatch):
+    def test_grid_count_refused_before_the_grid_is_built(self, capsys, monkeypatch, tmp_path):
         from qdf import cli
 
         def unreachable(*args):
-            raise AssertionError("the grid was built")
+            raise AssertionError("the grid was built or the input read")
 
-        assert cli._parse_grid(f"1e-4:1e-1:{cli.GRID_MAX_POINTS}").size == cli.GRID_MAX_POINTS
+        assert cli._grid(f"1e-4:1e-1:{cli.GRID_MAX_POINTS}").size == cli.GRID_MAX_POINTS
         monkeypatch.setattr(cli.truncation, "default_grid", unreachable)
-        for count in (cli.GRID_MAX_POINTS + 1, 10**9):
-            assert main(["sweep", "--fcidump", H2, "--grid", f"1e-4:1e-1:{count}"]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (f"error: bad --grid '1e-4:1e-1:{count}' (expected lo:hi:n): "
-                                    "n is at most 1000000\n")
+        monkeypatch.setattr(cli, "_factorization", unreachable)
+        for fcidump in (H2, str(tmp_path / "missing.fcidump")):
+            for count in (cli.GRID_MAX_POINTS + 1, 10**9):
+                assert main(["sweep", "--fcidump", fcidump, "--grid", f"1e-4:1e-1:{count}"]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (f"error: qdf sweep: argument --grid: expected lo:hi:n, "
+                                        f"got '1e-4:1e-1:{count}': n is at most 1000000\n")
+
+    def test_default_format_is_csv(self):
+        _, default = run_cli(["sweep", "--fcidump", H4])
+        _, csv_text = run_cli(["sweep", "--fcidump", H4, "--format", "csv"])
+        assert default == csv_text
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.45 GiB for an array with shape (1000000000,)",
+         "memory error: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"),
+        ("", "memory error: out of memory\n"),
+    ])
+    def test_memory_error_exit_three_with_one_line(self, capsys, monkeypatch, message, line):
+        from qdf import cli
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.truncation, "threshold_sweep", exhausted)
+        assert main(["sweep", "--fcidump", H2]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
 
     @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
     def test_h4_matches_golden_file(self, tmp_path, scheme):
@@ -316,6 +340,7 @@ class TestSweep:
     (["sweep", "--grid", "1e-2:1e-3:3"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--grid", "1e-3:1e-2:0"], "needs finite 0 < lo <= hi and n >= 1"),
     (["sweep", "--delta-e", "nan"], "argument --delta-e: expected a finite number > 0"),
+    (["sweep", "--format", "table"], "argument --format: invalid choice: 'table'"),
     (["validate", "--delta-e", "1e-3"], "unrecognized arguments: --delta-e 1e-3"),
     (["validate", "--mode", "fixed"], "unrecognized arguments: --mode fixed"),
     (["validate", "--lambda", "2"], "unrecognized arguments: --lambda 2"),
@@ -327,6 +352,15 @@ def test_bad_flag_exit_three_with_one_line(capsys, args, message):
     assert captured.out == ""
     assert message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
+def test_missing_fcidump_exit_three_with_one_line(capsys, command):
+    assert main([command]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: qdf {command}: the following arguments are required: "
+                            "--fcidump\n")
 
 
 class TestValidate:

@@ -9,23 +9,25 @@ from qdf.costmodel import (
     ErrorBudget,
     PrecisionParams,
     _tradeoff_min,
-    angles_to_unit_vector,
     closed_form_walk_toffoli,
     estimate,
     lookup_clean,
     lookup_clean_uncompute,
     lookup_dirty,
     lookup_dirty_uncompute,
-    majorana_angles,
     pe_repetitions,
-    rotation_array_cost,
-    rotation_bits,
     sparse_multiplexed_lookup,
     state_prep_cost,
-    trotter_step_bound,
     walk_operator_cost,
 )
 from qdf.factorization import alpha_df
+from tests.conftest import (
+    angles_to_unit_vector,
+    majorana_angles,
+    rotation_array_cost,
+    rotation_bits,
+    trotter_step_bound,
+)
 
 # ---------------------------------------------------------------------------
 # Brute-force reference scans (no windowing, no shortcuts)
@@ -127,7 +129,7 @@ class TestLookupDirty:
 class TestSparseMultiplexedLookup:
     def test_single_outer_index_degenerates(self):
         q, b, lam = 512, 16, 2
-        comp, unc, _ = sparse_multiplexed_lookup(q, 1, b, lam)
+        comp, unc = sparse_multiplexed_lookup(q, 1, b, lam)
         bits = math.ceil(math.log2(q))
         # shift lookup on one entry costs nothing; two adders remain
         assert comp == lookup_clean(q, b, lam) + 2 * bits
@@ -135,14 +137,13 @@ class TestSparseMultiplexedLookup:
 
     def test_catalyst_scale_configuration_pinned(self):
         # frozen from the exhaustive-scan reference implementation
-        comp, unc, clean = sparse_multiplexed_lookup(23566, 613, 52 * 33, 3)
+        comp, unc = sparse_multiplexed_lookup(23566, 613, 52 * 33, 3)
         assert comp == 11693
         assert unc == 960
-        assert clean == 15 + 3 * 52 * 33
 
     def test_compute_dominates_main_lookup(self):
         for (q, j, b, lam) in [(100, 10, 8, 2), (5000, 200, 64, 4), (64, 64, 3, 0)]:
-            comp, _, _ = sparse_multiplexed_lookup(q, j, b, lam)
+            comp, _ = sparse_multiplexed_lookup(q, j, b, lam)
             assert comp >= lookup_clean(q, b, lam)
 
     def test_invalid_shapes_rejected(self):
@@ -152,17 +153,11 @@ class TestSparseMultiplexedLookup:
 
 class TestStatePrep:
     def test_single_coefficient_costs_mu_only(self):
-        toffoli, garbage, clean = state_prep_cost(1, 12, 1000)
-        assert toffoli == 12
-        assert garbage == 24
-        assert clean == 0
+        assert state_prep_cost(1, 12, 1000, 12) == 12
 
     def test_catalyst_scale_pinned(self):
         # frozen from the exhaustive scan: width 10 + 12, dirty-assisted
-        toffoli, garbage, clean = state_prep_cost(613, 12, 5000)
-        assert toffoli == 583
-        assert garbage == 2 * 12 + 10
-        assert clean == 10
+        assert state_prep_cost(613, 12, 5000, 10 + 12) == 583
 
     def test_amplitude_error_bound_documented(self):
         # per-coefficient error 2^-mu/d implies l1 error 2^-mu
@@ -358,7 +353,7 @@ class TestWalkOperatorCost:
                 assert all(y <= x for x, y in zip(seq, seq[1:]))
 
     def test_state_prep_and_rotation_array_monotone_in_budget(self):
-        preps = [state_prep_cost(613, 12, q)[0] for q in range(0, 4000, 40)]
+        preps = [state_prep_cost(613, 12, q, 10 + 12) for q in range(0, 4000, 40)]
         assert all(y <= x for x, y in zip(preps, preps[1:]))
         arrays = [rotation_array_cost(8, 4096, 8, 64, lam) for lam in range(0, 2000, 16)]
         assert all(y <= x for x, y in zip(arrays, arrays[1:]))

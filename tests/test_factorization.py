@@ -17,7 +17,6 @@ from qdf.factorization import (
     read_cache,
     reconstruct_two_body,
     save_cache,
-    schatten_norm,
     schatten_squares,
     single_factorize,
 )
@@ -29,6 +28,7 @@ from tests.conftest import (
     fixture_path,
     packed,
     random_molecular_integrals,
+    schatten_norm,
     without_pair,
 )
 

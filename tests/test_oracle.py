@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdf import oracle
-from qdf.factorization import alpha_df, schatten_norm
+from qdf.factorization import alpha_df
 from qdf.integrals import MolecularIntegrals
 from qdf.oracle import (
     DENSE_ORBITAL_CAP,
@@ -12,13 +12,18 @@ from qdf.oracle import (
     build_from_df,
     build_from_integrals,
     ground_energy,
-    majorana_pair_matrix,
     one_body_norm_check,
     particle_number_commutator_norm,
     spectral_norm,
 )
 from qdf.truncation import truncate
-from tests.conftest import factorize, random_molecular_integrals, without_pair
+from tests.conftest import (
+    factorize,
+    majorana_pair_matrix,
+    random_molecular_integrals,
+    schatten_norm,
+    without_pair,
+)
 from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,

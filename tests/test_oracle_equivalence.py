@@ -11,12 +11,11 @@ from qdf.oracle import (
     build_from_df,
     build_from_integrals,
     ground_energy,
-    majorana_pair_matrix,
     one_body_norm_check,
     spectral_norm,
 )
 from qdf.truncation import score_eigenpairs, truncate
-from tests.conftest import factorize, random_molecular_integrals
+from tests.conftest import factorize, majorana_pair_matrix, random_molecular_integrals
 from tests.reference import (
     build_from_df_kron,
     build_from_integrals_kron,
