@@ -22,6 +22,7 @@ from qdf.integrals import (
 from qdf.factorization import (
     CacheHeader,
     DoubleFactorization,
+    NotACacheError,
     NotPositiveSemidefiniteError,
     SingleFactorization,
     alpha_df,
@@ -68,6 +69,7 @@ __all__ = [
     "FcidumpError",
     "FockOperator",
     "MolecularIntegrals",
+    "NotACacheError",
     "NotPositiveSemidefiniteError",
     "PrecisionParams",
     "SingleFactorization",

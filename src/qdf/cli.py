@@ -172,19 +172,21 @@ def _file_sha256(path: str) -> bytes:
 
 def _cache_hit(path: str, fcidump_sha256: bytes):
     """The header and factorization of the cache at ``path`` when it is a hit:
-    a v2 cache whose every header field matches the FCIDUMP's digest and the
+    a cache whose every header field matches the FCIDUMP's digest and the
     factorization settings.  Anything else is a miss, reported in one stderr
-    line, except a missing file, which is a silent miss."""
+    line, except a missing file, which is a silent miss, and a file that no
+    qdf format starts as, which is refused and never overwritten."""
     try:
         header, df = factorization.read_cache(path)
     except FileNotFoundError:
         return None
+    except factorization.NotACacheError as exc:
+        raise CliError(f"--cache {path} is not a qdf cache ({exc}); it is left as it is",
+                       EXIT_CONFIG) from None
     except (OSError, ValueError) as exc:
         reason = f"is unreadable ({exc})"
     else:
-        if header is None:
-            reason = "is a v1 cache, which is not bound to its input"
-        elif header.fcidump_sha256 != fcidump_sha256:
+        if header.fcidump_sha256 != fcidump_sha256:
             reason = "was built from other integrals"
         elif (header.tol, header.eigenvalue_cutoff) != (
                 factorization.CHOLESKY_TOL, factorization.EIGENVALUE_CUTOFF):

@@ -9,6 +9,7 @@ representation whose eigenpairs are truncated and cost-modeled downstream.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "CHOLESKY_TOL",
     "CacheHeader",
     "DoubleFactorization",
+    "NotACacheError",
     "NotPositiveSemidefiniteError",
     "SingleFactorization",
     "alpha_df",
@@ -298,38 +300,29 @@ def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Binary cache
 #
-# A v2 file is a header that binds the cache to its input, then the v1 byte
-# stream unchanged.  All little-endian:
-#   magic  4s   = b"QDF2"
-#   version u32 = 2
+# One flat file, all little-endian:
+#   magic 4s = b"QDF3"
+#   digest 32s    SHA-256 of every byte after it
 #   fcidump_sha256 32s    SHA-256 of the FCIDUMP bytes the cache was built from
 #   tol f64, eigenvalue_cutoff f64    the factorization settings
-#   payload_length u64    bytes of the v1 stream
-#   warnings_length u32, warnings     the parser's warning texts, ASCII, one a line
-#   the v1 stream:
-#     magic  4s   = b"QDF1"
-#     version u32 = 1
-#     n_orbitals u32, rank u32, n_one_body_eigs u32
-#     scalar_shift f64, core_energy f64
-#     h_tilde   n*n f64
-#     l_minus1  n*n f64
-#     one-body eigenvalues  K f64
-#     one-body eigenvectors K*n f64 (row per eigenpair)
-#     per rank group:
-#       rank_index u32, m u32, schatten_norm f64,
-#       eigenvalues m f64, eigenvectors m*n f64 (row per eigenpair)
+#   N u32, R u32, K u32, M u32, warnings_length u32
+#   f64 arrays, from byte 104, so that each is 8-byte aligned:
+#     scalar_shift and core_energy (2), h_tilde (N*N), l_minus1 (N*N),
+#     one-body eigenvalues (K) and eigenvectors (K*N, a row per eigenpair),
+#     Schatten norms (R), eigenvalues (M) and eigenvectors (M*N, a row per
+#     eigenpair), the eigenpairs of each rank in turn
+#   eigenpairs per rank  R u32
+#   warnings  the parser's warning texts, ASCII, one a line
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"QDF1"
-_VERSION = 1
-_MAGIC_V2 = b"QDF2"
-_VERSION_V2 = 2
-_HEADER_V2 = struct.Struct("<4sI32sddQI")
+_MAGIC = b"QDF3"
+_SEALED = 4 + 32  # the magic and the digest, which covers every later byte
+_HEADER = struct.Struct("<32sddIIIII")
 
 
 @dataclass(frozen=True)
 class CacheHeader:
-    """What a v2 cache is bound to (the SHA-256 of the FCIDUMP bytes it was
+    """What a cache is bound to (the SHA-256 of the FCIDUMP bytes it was
     built from, the Cholesky ``tol`` and ``EIGENVALUE_CUTOFF``), and the texts
     of the warnings the parser gave on that FCIDUMP."""
 
@@ -339,120 +332,82 @@ class CacheHeader:
     warnings: tuple[str, ...]
 
 
+class NotACacheError(ValueError):
+    """The file does not start with b"QDF", as a cache of every qdf format does."""
+
+
 def save_cache(df: DoubleFactorization, path, fcidump_sha256: bytes, tol: float,
                warnings=()) -> None:
-    """Write a v2 cache: ``df`` bound to the SHA-256 digest of the FCIDUMP
-    bytes it was factorized from with Cholesky ``tol``, and the texts of the
+    """Write the cache of ``df``, bound to the SHA-256 digest of the FCIDUMP
+    bytes it was factorized from with Cholesky ``tol``, with the texts of the
     parser's ``warnings`` on that file (ASCII, without newlines)."""
     if len(fcidump_sha256) != 32:
         raise ValueError(f"expected a 32-byte SHA-256 digest, got {len(fcidump_sha256)} bytes")
     if any("\n" in text for text in warnings):
         raise ValueError("a cached warning text holds a newline")
     texts = "\n".join(warnings).encode("ascii")
-    payload = _v1_parts(df)
-    header = _HEADER_V2.pack(_MAGIC_V2, _VERSION_V2, fcidump_sha256, tol, EIGENVALUE_CUTOFF,
-                             sum(map(len, payload)), len(texts))
+    one_body, (ob_vals, ob_vecs) = df.one_body, df.one_body_eigs
+    floats = ([one_body.scalar_shift, one_body.core_energy], one_body.h_tilde, one_body.l_minus1,
+              ob_vals, ob_vecs, df.schatten_norms, df.eigenvalues, df.eigenvectors)
+    body = b"".join([
+        _HEADER.pack(fcidump_sha256, tol, EIGENVALUE_CUTOFF, df.n_orbitals, df.rank,
+                     ob_vals.size, df.total_eigenpairs, len(texts)),
+        *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in floats),
+        np.diff(df.offsets).astype("<u4").tobytes(),
+        texts,
+    ])
     with open(path, "wb") as fh:
-        fh.write(b"".join([header, texts, *payload]))
-
-
-def _v1_parts(df: DoubleFactorization) -> list[bytes]:
-    """The v1 byte stream of ``df``, in pieces."""
-    n = df.n_orbitals
-    ob_vals, ob_vecs = df.one_body_eigs
-    parts = [
-        _MAGIC,
-        struct.pack("<IIII", _VERSION, n, df.rank, ob_vals.size),
-        struct.pack("<dd", df.one_body.scalar_shift, df.one_body.core_energy),
-        *(np.ascontiguousarray(a, dtype="<f8").tobytes()
-          for a in (df.one_body.h_tilde, df.one_body.l_minus1, ob_vals, ob_vecs)),
-    ]
-    values = np.ascontiguousarray(df.eigenvalues, dtype="<f8")
-    vectors = np.ascontiguousarray(df.eigenvectors, dtype="<f8")
-    for r, (lo, hi) in enumerate(zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())):
-        parts.append(struct.pack("<IId", r, hi - lo, float(df.schatten_norms[r])))
-        parts += [values[lo:hi].tobytes(), vectors[lo:hi].tobytes()]
-    return parts
+        fh.write(_MAGIC + hashlib.sha256(body).digest())
+        fh.write(body)
 
 
 def load_cache(path) -> DoubleFactorization:
-    """Read the DoubleFactorization of a v1 or v2 cache file; ValueError
-    unless the file is a complete, well-formed cache."""
+    """The DoubleFactorization of a cache file; ValueError unless the file
+    is a complete, well-formed cache."""
     return read_cache(path)[1]
 
 
-def read_cache(path) -> tuple[CacheHeader | None, DoubleFactorization]:
-    """Read a v1 or v2 cache file: its header (None for v1, which carries
-    none) and its DoubleFactorization.  ValueError unless the file is a
-    complete, well-formed cache."""
+def read_cache(path) -> tuple[CacheHeader, DoubleFactorization]:
+    """What a cache file is bound to, and its DoubleFactorization, whose
+    arrays are read-only views of the file's bytes.  ValueError unless the
+    file is a complete, well-formed cache whose digest matches its bytes;
+    NotACacheError, a ValueError, when it does not start with b"QDF"."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] == _MAGIC:
-        return None, _from_v1_bytes(data, 0)
-    if data[:4] != _MAGIC_V2:
-        raise ValueError(f"bad cache magic {data[:4]!r}")
-    if len(data) < _HEADER_V2.size:
+    if data[:4] != _MAGIC:
+        foreign = len(data) >= 3 and data[:3] != _MAGIC[:3]
+        raise (NotACacheError if foreign else ValueError)(f"bad cache magic {data[:4]!r}")
+    if hashlib.sha256(memoryview(data)[_SEALED:]).digest() != data[4:_SEALED]:
+        raise ValueError("cache digest does not match its bytes")
+    if len(data) < _SEALED + _HEADER.size:
         raise ValueError(f"cache is truncated: {len(data)} bytes")
-    _, version, digest, tol, cutoff, payload_length, texts_length = _HEADER_V2.unpack_from(data)
-    if version != _VERSION_V2:
-        raise ValueError(f"unsupported cache version {version}")
-    start = _HEADER_V2.size + texts_length
-    if start + payload_length != len(data):
-        raise ValueError(f"cache has {len(data)} bytes, its header gives {start + payload_length}")
+    fcidump_sha256, tol, cutoff, n, r, k, m, texts_length = _HEADER.unpack_from(data, _SEALED)
+    sizes = [2, n * n, n * n, k, k * n, r, m, m * n]
+    counts_at = _SEALED + _HEADER.size + 8 * sum(sizes)
+    if counts_at + 4 * r + texts_length != len(data):
+        raise ValueError(f"cache has {len(data)} bytes, its header gives "
+                         f"{counts_at + 4 * r + texts_length}")
+    floats = np.frombuffer(data, "<f8", sum(sizes), _SEALED + _HEADER.size)
+    shift_core, h_tilde, l_minus1, ob_vals, ob_vecs, norms, values, vectors = np.split(
+        floats, np.cumsum(sizes[:-1]))
+    if not (np.isfinite(floats).all() and (norms >= 0).all()):
+        raise ValueError("cache holds a non-finite value or a negative Schatten norm")
+    counts = np.frombuffer(data, "<u4", r, counts_at)
+    if (counts > n).any() or counts.sum() != m:
+        raise ValueError(f"cache eigenpair counts exceed N={n} or do not add up to M={m}")
     try:
-        texts = data[_HEADER_V2.size:start].decode("ascii")
+        texts = data[counts_at + 4 * r:].decode("ascii")
     except UnicodeDecodeError:
         raise ValueError("cache warning texts are not ASCII") from None
-    header = CacheHeader(digest, tol, cutoff, tuple(texts.split("\n")) if texts else ())
-    return header, _from_v1_bytes(data, start)
-
-
-def _from_v1_bytes(data: bytes, pos: int) -> DoubleFactorization:
-    """The DoubleFactorization of the v1 stream from ``data[pos:]`` to the end."""
-    if data[pos:pos + 4] != _MAGIC:
-        raise ValueError(f"bad cache magic {data[pos:pos + 4]!r}")
-    pos += 4
-
-    def take(dtype: str, count: int) -> np.ndarray:
-        nonlocal pos
-        size = np.dtype(dtype).itemsize * count
-        if pos + size > len(data):
-            raise ValueError(f"cache is truncated: {len(data)} bytes")
-        out = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-        pos += size
-        return out
-
-    version, n, rank, k = take("<u4", 4).tolist()
-    if version != _VERSION:
-        raise ValueError(f"unsupported cache version {version}")
-    scalar, core = take("<f8", 2).tolist()
-    h_tilde = take("<f8", n * n).reshape(n, n).copy()
-    l_minus1 = take("<f8", n * n).reshape(n, n).copy()
-    ob_vals = take("<f8", k).copy()
-    ob_vecs = take("<f8", k * n).reshape(k, n).copy()
-    norms, values, vectors = [], [np.empty(0)], [np.empty(0)]
-    for r in range(rank):
-        index, count = take("<u4", 2).tolist()
-        if index != r or count > n:
-            raise ValueError(f"cache record {r} has rank index {index} and {count} eigenpairs")
-        norms += take("<f8", 1).tolist()
-        values.append(take("<f8", count))
-        vectors.append(take("<f8", count * n))
-    if pos != len(data):
-        raise ValueError(f"cache has {len(data) - pos} bytes after its last record")
-    eigenvalues = np.concatenate(values)
-    eigenvectors = np.concatenate(vectors).reshape(-1, n)
-    schatten_norms = np.array(norms)
-    stored = (h_tilde, l_minus1, ob_vals, ob_vecs, eigenvalues, eigenvectors, schatten_norms,
-              (scalar, core))
-    if not (all(np.isfinite(a).all() for a in stored) and (schatten_norms >= 0).all()):
-        raise ValueError("cache holds a non-finite value or a negative Schatten norm")
-    return DoubleFactorization(
-        one_body=AdjustedOneBody(h_tilde, l_minus1, scalar_shift=scalar, core_energy=core),
-        one_body_eigs=(ob_vals, ob_vecs),
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        offsets=np.cumsum([v.size for v in values]),
-        schatten_norms=schatten_norms,
+    scalar, core = shift_core.tolist()
+    header = CacheHeader(fcidump_sha256, tol, cutoff, tuple(texts.split("\n")) if texts else ())
+    return header, DoubleFactorization(
+        one_body=AdjustedOneBody(h_tilde.reshape(n, n), l_minus1.reshape(n, n),
+                                 scalar_shift=scalar, core_energy=core),
+        one_body_eigs=(ob_vals, ob_vecs.reshape(k, n)),
+        eigenvalues=values,
+        eigenvectors=vectors.reshape(m, n),
+        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+        schatten_norms=norms,
         n_orbitals=n,
     )

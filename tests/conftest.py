@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -204,6 +205,14 @@ def without_pair(df, index):
         eigenvectors=np.delete(df.eigenvectors, index, axis=0),
         offsets=offsets,
     )
+
+
+def sealed(blob: bytes) -> bytes:
+    """A cache's bytes with its digest (bytes 4-36) recomputed over every
+    byte after it.  Damage sealed this way reads as a well-formed cache: it
+    models a wrong writer, where unsealed damage models bit rot, which the
+    digest turns into a miss."""
+    return blob[:4] + hashlib.sha256(blob[36:]).digest() + blob[36:]
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from qdf.cli import main
 from qdf.integrals import MolecularIntegrals
-from tests.conftest import fixture_path
+from tests.conftest import fixture_path, sealed
 
 VALIDATE_CHECKS = [
     "validate_symmetry", "factorization_reconstruction", "representation_identity",
@@ -120,6 +121,20 @@ class TestEstimate:
         ])
         assert code2 == 0
         assert text1 == text2
+
+    @pytest.mark.parametrize("target", ["the fcidump", "a text file"])
+    def test_other_file_is_never_overwritten(self, tmp_path, capsys, target):
+        fcidump = tmp_path / "h4.fcidump"
+        fcidump.write_bytes(Path(H4).read_bytes())
+        cache = fcidump if target == "the fcidump" else tmp_path / "notes.txt"
+        if target == "a text file":
+            cache.write_text("notes on H4\n")
+        before = cache.read_bytes()
+        assert run_cli(["estimate", "--fcidump", str(fcidump), "--cache", str(cache)]) == (3, "")
+        assert capsys.readouterr().err == (
+            f"error: --cache {cache} is not a qdf cache (bad cache magic {before[:4]!r}); "
+            "it is left as it is\n")
+        assert cache.read_bytes() == before
 
     @pytest.mark.parametrize("foreign", ["scaled_h4", "h2"])
     def test_foreign_cache_is_rebuilt(self, tmp_path, capsys, foreign):
@@ -409,14 +424,17 @@ class TestValidate:
             save_cache(df, cache, hashlib.sha256(fh.read()).digest(), 1e-10)
         # flip one stored eigenvalue so the cached factorization no longer
         # reconstructs the input tensor
-        blob = bytearray(cache.read_bytes())
+        clean = cache.read_bytes()
+        blob = bytearray(clean)
         df_ref = load_cache(cache)
         target = df_ref.eigenvalues[0]
         idx = blob.find(np.float64(target).tobytes())
         assert idx > 0
         blob[idx : idx + 8] = np.float64(target + 0.25).tobytes()
-        cache.write_bytes(bytes(blob))
-        code = main(["validate", "--fcidump", H2, "--cache", str(cache)])
+        args = ["validate", "--fcidump", H2, "--cache", str(cache)]
+        assert_rebuilt(args, cache, bytes(blob), clean)
+        cache.write_bytes(sealed(bytes(blob)))
+        code = main(args)
         assert code == 2
         err = capsys.readouterr().err
         assert "factorization_reconstruction" in err or "representation_identity" in err
@@ -503,9 +521,11 @@ class CleanRun:
 
 
 class TestMalformedCache:
-    """Every prefix cut and single-byte flip of a v2 cache either misses and
-    is rebuilt, or hits; a hit that moves an eigenvalue far enough for the
-    reconstruction check to see it fails validate."""
+    """Every cut, overlong file and single-byte flip of a cache is a miss
+    reported in one stderr line, rebuilt to the clean output, warnings and
+    cache bytes; only a flip in the first three bytes, which makes it no qdf
+    file, is refused instead.  A fault sealed with a recomputed digest
+    models a wrong writer: it is a hit, and validate must catch it."""
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
@@ -522,42 +542,21 @@ class TestMalformedCache:
         path = clean.fcidump.with_suffix(".case.qdfcache")
         path.write_bytes(blob)
         code, out, err, warned = run_captured(estimate_args(clean.fcidump, path))
-        if err.startswith(f"cache {path} "):
-            assert code == 0 and err.count("\n") == 1 and err.endswith("; rebuilding it\n")
-            assert (out, warned, path.read_bytes()) == (clean.out, clean.warned, clean.cache)
+        if len(blob) >= 3 and blob[:3] != b"QDF":
+            assert (code, out, warned, path.read_bytes()) == (3, "", [], blob)
+            assert err == (f"error: --cache {path} is not a qdf cache "
+                           f"(bad cache magic {blob[:4]!r}); it is left as it is\n")
             return
-        assert path.read_bytes() == blob
-        if out == clean.out:
-            assert (code, err) == (0, "")
-            return
-        from qdf.factorization import read_cache
-
-        # A hit whose output moved: the header is intact, so the flip sits in
-        # one payload float that estimate reads.  The format has no payload
-        # checksum; validate is what guards the payload.
-        good = read_cache(clean.fcidump.with_suffix(".qdfcache"))[1]
-        bad = read_cache(path)[1]
-        moved = [name for name, a, b in (
-            ("eigenvalues", good.eigenvalues, bad.eigenvalues),
-            ("schatten_norms", good.schatten_norms, bad.schatten_norms),
-            ("one_body_eigenvalues", good.one_body_eigs[0], bad.one_body_eigs[0]),
-        ) if not np.array_equal(a, b)]
-        assert len(moved) == 1
-        if code != 0:
-            # a value so large that the cost arithmetic overflows
-            assert (code, out) == (2, "") and err.startswith("numeric error: ")
-            assert err.count("\n") == 1
-            return
-        if visible_to_validate(good, bad):
-            code, _, _, _ = run_captured(
-                ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
-            assert code == 2
+        reason = (f"bad cache magic {blob[:4]!r}" if blob[:4] != b"QDF3"
+                  else "cache digest does not match its bytes")
+        assert (code, err) == (0, f"cache {path} is unreadable ({reason}); rebuilding it\n")
+        assert (out, warned, path.read_bytes()) == (clean.out, clean.warned, clean.cache)
 
     @pytest.mark.parametrize("mask", [0x01, 0x10, 0x80])
     @pytest.mark.parametrize("field", ["one_body_eigenvalue", "schatten_norm"])
     def test_moved_value_fails_validate(self, clean, field, mask):
         # A flip in the high bytes of the first one-body eigenvalue or Schatten
-        # norm leaves the header intact, so estimate takes the cache as a hit.
+        # norm, sealed with its digest, is a hit for estimate.
         from qdf.factorization import read_cache
 
         good = read_cache(clean.fcidump.with_suffix(".qdfcache"))[1]
@@ -567,7 +566,8 @@ class TestMalformedCache:
         assert at > 0 and blob.count(np.float64(value).tobytes()) == 1
         blob[at + 6] ^= mask
         path = clean.fcidump.with_suffix(".moved.qdfcache")
-        path.write_bytes(bytes(blob))
+        assert_rebuilt(estimate_args(clean.fcidump, path), path, bytes(blob), clean.cache)
+        path.write_bytes(sealed(bytes(blob)))
         assert visible_to_validate(good, read_cache(path)[1])
         code, _, err, _ = run_captured(estimate_args(clean.fcidump, path))
         assert code == 0 and "rebuilding" not in err
@@ -594,17 +594,20 @@ class TestMalformedCache:
 
     @pytest.mark.parametrize("command", ["estimate", "sweep"])
     def test_overflow_names_the_schatten_sum(self, tmp_path, command):
-        # an eigenvalue of 1e307 is finite, so the cache loads and is a hit
+        # an eigenvalue of 1e307 is finite, so the sealed cache loads and is a hit
         from qdf.factorization import read_cache
 
         cache = tmp_path / "h4.qdfcache"
-        assert run_cli(["estimate", "--fcidump", H4, "--cache", str(cache)])[0] == 0
+        args = [command, "--fcidump", H4, "--cache", str(cache)]
+        assert run_cli(args)[0] == 0
         value = np.float64(read_cache(cache)[1].eigenvalues[0]).tobytes()
         blob = cache.read_bytes()
         assert blob.count(value) == 1
-        cache.write_bytes(blob.replace(value, np.float64(1e307).tobytes()))
+        damaged = blob.replace(value, np.float64(1e307).tobytes())
+        assert_rebuilt(args, cache, damaged, blob)
+        cache.write_bytes(sealed(damaged))
         proc = subprocess.run(
-            [sys.executable, "-m", "qdf.cli", command, "--fcidump", H4, "--cache", str(cache)],
+            [sys.executable, "-m", "qdf.cli", *args],
             capture_output=True, text=True, env=dict(os.environ),
         )
         assert (proc.returncode, proc.stdout) == (2, "")
@@ -612,18 +615,28 @@ class TestMalformedCache:
                                "sum 1e+307 is out of float range\n")
 
     @pytest.mark.parametrize("command, bad", [
-        ("estimate", "cut"), ("sweep", "directory"), ("validate", "v1"), ("estimate", "garbage"),
+        ("estimate", "cut"), ("sweep", "directory"), ("validate", "v1"), ("sweep", "v2"),
+        ("estimate", "garbage"), ("estimate", "two bytes"),
     ])
     def test_no_traceback(self, tmp_path, clean, command, bad):
         cache = tmp_path / "bad.qdfcache"
+        v1 = open(fixture_path("h4_cache_v1.qdfcache"), "rb").read()
         if bad == "cut":
             cache.write_bytes(clean.cache[:100])
         elif bad == "directory":
             cache.mkdir()
         elif bad == "v1":
-            cache.write_bytes(open(fixture_path("h4_cache_v1.qdfcache"), "rb").read())
-        else:
+            cache.write_bytes(v1)
+        elif bad == "v2":
+            # the earlier v2 header, bound to H4, in front of its v1 stream
+            sha = hashlib.sha256(open(H4, "rb").read()).digest()
+            cache.write_bytes(struct.pack("<4sI32sddQI", b"QDF2", 2, sha, 1e-10, 1e-13,
+                                          len(v1), 0) + v1)
+        elif bad == "garbage":
             cache.write_bytes(b"QDF2" + b"\xff" * 80)
+        else:
+            # too short to tell from a cut cache, so it is rewritten
+            cache.write_bytes(b"ab")
         proc = subprocess.run(
             [sys.executable, "-m", "qdf.cli", command, "--fcidump", H4, "--cache", str(cache)],
             capture_output=True, text=True, env=dict(os.environ),
@@ -632,6 +645,16 @@ class TestMalformedCache:
         assert proc.stderr.startswith(f"cache {cache} ")
         expected = 3 if bad == "directory" else 0
         assert proc.returncode == expected, proc.stderr
+
+
+def assert_rebuilt(args, cache: Path, damaged: bytes, clean: bytes):
+    """``damaged`` as the --cache of the CLI ``args`` is a miss, reported in
+    one stderr line, after which the cache holds the ``clean`` bytes again."""
+    cache.write_bytes(damaged)
+    code, _, err, _ = run_captured(args)
+    assert (code, err) == (
+        0, f"cache {cache} is unreadable (cache digest does not match its bytes); rebuilding it\n")
+    assert cache.read_bytes() == clean
 
 
 def visible_to_validate(good, bad) -> bool:

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from tests.conftest import (
     packed,
     random_molecular_integrals,
     schatten_norm,
+    sealed,
     without_pair,
 )
 
@@ -333,6 +333,37 @@ class TestCache:
         np.testing.assert_array_equal(again.one_body.l_minus1, h4_df.one_body.l_minus1)
         assert again.one_body.core_energy == h4_df.one_body.core_energy
         assert_same_arrays(again, h4_df)
+        assert again.offsets.dtype == np.int64 and not again.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan_eigenvalue", "non-finite"),
+        ("negative_norm", "negative Schatten norm"),
+        ("count_above_n", "counts exceed"),
+        ("counts_short_of_m", "counts exceed"),
+        ("texts_not_ascii", "not ASCII"),
+    ])
+    def test_wrong_writer_rejected(self, h4_df, tmp_path, fault, message):
+        # The digest is recomputed over each planted fault, so only the
+        # checks on the values can catch it.
+        path = tmp_path / "h4.qdfcache"
+        save_cache(h4_df, path, hashlib.sha256(b"h4").digest(), 1e-10, ["a warning"])
+        blob = bytearray(path.read_bytes())
+        n, r, m = h4_df.n_orbitals, h4_df.rank, h4_df.total_eigenpairs
+        norms_at = 104 + 8 * (2 + 3 * n * n + n)
+        counts_at = norms_at + 8 * (r + m + m * n)
+        c0, c1 = np.diff(h4_df.offsets)[:2].tolist()
+        planted = {
+            "nan_eigenvalue": (norms_at + 8 * r, np.float64(np.nan).tobytes()),
+            "negative_norm": (norms_at, np.float64(-1.0).tobytes()),
+            "count_above_n": (counts_at, np.array([n + 1, c0 + c1 - n - 1], "<u4").tobytes()),
+            "counts_short_of_m": (counts_at, np.array([c0 - 1], "<u4").tobytes()),
+            "texts_not_ascii": (len(blob) - 1, b"\xe9"),
+        }
+        at, value = planted[fault]
+        blob[at:at + len(value)] = value
+        path.write_bytes(sealed(bytes(blob)))
+        with pytest.raises(ValueError, match=message):
+            load_cache(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.qdfcache"
@@ -351,12 +382,12 @@ def assert_same_arrays(a, b):
     assert a.n_orbitals == b.n_orbitals
 
 
-# sha256 of the v1 cache bytes of the fixtures, as written by the earlier
-# per-rank writer; h*_cache_v1.qdfcache are those files.  A v2 cache ends in
-# the same v1 bytes.
+# The v3 digest of the H2 and H4 caches: bytes 4-36, the SHA-256 of every
+# later byte.  The arrays of the v1 caches that the earlier per-rank writer
+# wrote give the same digests when written again.
 CACHE_SHA256 = {
-    "h2": "3e65a8f5db3eee43889fdd05b4bbd30095f56fb696d23ce4719e7fef6b5a8663",
-    "h4": "ee072ba990908c7990aaaa048e37ef1f827403b3a6d5be3a133135ebbe46cd59",
+    "h2": "4b1fb0ae8dd727997c1a84c1a4069701c4f08c2130ce276e2954164f13862c8d",
+    "h4": "6a05fd06c5d938645a18c1fe2b4412248d840b215344b8a586abe2e783d70bbc",
 }
 
 
@@ -369,23 +400,17 @@ class TestCacheFormat:
             digest = hashlib.sha256(fh.read()).digest()
         save_cache(factorize(load_fcidump(fcidump)), path, digest, 1e-10)
         blob = path.read_bytes()
-        (payload_length,) = struct.unpack_from("<Q", blob, 56)
-        assert blob[:4] == b"QDF2" and blob[8:40] == digest
-        assert hashlib.sha256(blob[-payload_length:]).hexdigest() == CACHE_SHA256[name]
+        assert blob[:4] == b"QDF3" and blob[36:68] == digest
+        assert blob[4:36] == hashlib.sha256(blob[36:]).digest()
+        assert blob[4:36].hex() == CACHE_SHA256[name]
 
-    @pytest.mark.parametrize("name", ["h2", "h4"])
-    def test_earlier_cache_loads_to_same_arrays(self, name):
-        path = fixture_path(f"{name}_cache_v1.qdfcache")
-        with open(path, "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == CACHE_SHA256[name]
-        fresh = factorize(load_fcidump(fixture_path(f"{name}_sto3g.fcidump")))
-        assert_same_arrays(load_cache(path), fresh)
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        with open(fixture_path("h4_cache_v1.qdfcache"), "rb") as fh:
-            blob = fh.read()
+    def test_truncated_cache_rejected(self, h4_df, tmp_path):
         path = tmp_path / "cut.qdfcache"
+        save_cache(h4_df, path, hashlib.sha256(b"h4").digest(), 1e-10)
+        blob = path.read_bytes()
         for size in (3, 20, 60, 300, len(blob) - 8, len(blob) - 1, len(blob) + 3):
-            path.write_bytes((blob + b"\0" * 8)[:size])
-            with pytest.raises(ValueError):
-                load_cache(path)
+            # a cut fails the digest; sealed, it fails the magic or the length
+            for cut in (blob + b"\0" * 8)[:size], sealed((blob + b"\0" * 8)[:size]):
+                path.write_bytes(cut)
+                with pytest.raises(ValueError):
+                    load_cache(path)

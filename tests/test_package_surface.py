@@ -18,7 +18,7 @@ MODULES = [costmodel, oracle, factorization, truncation, integrals]
 
 #: Public names that no qdf command reaches, each with the reason it stays.
 ALLOWED = {
-    "factorization.load_cache": "reads v1 caches for perfbench/checks.py and perfbench/spans.py",
+    "factorization.load_cache": "reads a cache for perfbench/checks.py and perfbench/spans.py",
     "integrals.write_fcidump": "writes the FCIDUMP inputs of perfbench and "
                                "scripts/make_fixtures.py",
 }
