@@ -41,11 +41,14 @@ def _json_dumps(payload) -> str:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc.strerror}", EXIT_CONFIG) from None
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -404,8 +407,7 @@ def cmd_validate(args) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         sys.stdout.write(f"{c['name']:{width}s}  {status}  {c['detail']}\n")
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(_json_dumps(payload))
+        _emit(_json_dumps(payload), args.out)
 
     if not all_passed:
         failing = ", ".join(c["name"] for c in checks if not c["passed"])

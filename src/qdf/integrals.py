@@ -16,6 +16,7 @@ Indices are 0-based internally; FCIDUMP files are 1-based.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import re
 import warnings
@@ -243,9 +244,9 @@ _NORMALIZE_BODY = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1eDd", b"  \n\n\n\
 # The bytes of a plain body: separators, digits and what a decimal or
 # exponent value needs.  Any other byte sends the body to the line reader.
 _PLAIN_BYTES = b" \n0123456789+-.eE"
-# Index tokens of at most this many digits are decoded by array arithmetic
-# (int64 holds every 18-digit number); longer ones by the line reader.
-_INDEX_DIGITS = 18
+# A record as ``np.loadtxt`` reads it: the value, then i, j, k and l.
+_RECORD = np.dtype([("value", "f8"), ("index", "i8", (4,))])
+_BLANK_LINE = re.compile(rb"\n *(?=\n)")  # matches the newline before a blank line
 _INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -270,17 +271,6 @@ def _ascii_bytes(text) -> bytes:
     raise FcidumpError(f"non-ASCII byte {data[pos]:#04x}", line=line)
 
 
-def _floats(text: bytes) -> np.ndarray | None:
-    """The whitespace-separated numbers of ``text``, or None if a token is
-    not one.  Older numpy warns about such a token instead of raising."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.fromstring(text, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-
-
 def _store_key(i, j, k, l, norb: int) -> np.ndarray:
     """Sort key of one-body records (k = l = 0), a*N + b for h_ab with a >= b,
     and of two-body records, N^2 plus the (pair, pair) index of the canonical
@@ -294,79 +284,48 @@ def _store_key(i, j, k, l, norb: int) -> np.ndarray:
     return np.where(k == 0, a * norb + b, two_body)
 
 
-def _indices(b: np.ndarray, pos: np.ndarray) -> np.ndarray | None:
-    """The tokens of ``b`` that start at ``pos`` as int64, decoded by digit
-    arithmetic, or None unless each is 1 to 18 ASCII digits."""
-    index = np.zeros(pos.size, dtype=np.int64)
-    live = np.ones(pos.size, dtype=bool)  # still reading digits
-    for _ in range(_INDEX_DIGITS + 1):
-        c = b[pos]
-        digit = c - np.uint8(48)  # wraps above 9 for any other byte
-        more = live & (digit < 10)
-        if (live & ~more & (c > 32)).any():  # a token ends at whitespace
-            return None
-        live = more
-        if not live.any():
-            return index
-        np.multiply(index, 10, out=index, where=live)
-        np.add(index, digit, out=index, where=live)
-        pos += live
-    return None  # a token of more than 18 digits
-
-
-def _records(body: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The values (n,), 1-based (i, j, k, l) indices (n, 4) and body lines
-    (n,) of the records, or None unless ``body`` is plain: only
-    ``_PLAIN_BYTES``, blank or five-token lines, values ``np.fromstring``
-    reads and indices of 1 to 18 digits.  ``body`` starts with the newline
-    that ends the header (body line 0 is the header's last line) and ends
-    with one, so every token follows and is followed by whitespace."""
+def _records(body: bytes) -> np.ndarray | None:
+    """The records of ``body`` as ``_RECORD``s, or None unless ``body`` is
+    plain: only ``_PLAIN_BYTES``, and blank or five-token lines that
+    ``np.loadtxt`` reads (in these bytes it accepts what float() and int()
+    do; numpy 1.23-1.26 only warn when they read ``1.0`` as an int)."""
     if body.translate(None, _PLAIN_BYTES):
         return None
-    b = np.frombuffer(body, dtype=np.uint8)
-    ws = b <= 32  # only b" " and b"\n" are left at or below 32
-    starts = np.flatnonzero(ws[:-1] > ws[1:])
-    starts += 1
-    del ws
-    # The tokens before each newline, hence in each line (no token follows
-    # the last newline).
-    counts = np.diff(np.concatenate(([0], np.searchsorted(starts, np.flatnonzero(b == 10)))))
-    if ((counts != 0) & (counts != 5)).any():
-        return None
-    rec_line = np.flatnonzero(counts)
-    del counts
-    # One np.fromstring reads the value tokens alone: from each value token
-    # to the record's next token, the value and the whitespace after it.
-    rec = starts.reshape(-1, 5)
-    span = np.diff(np.concatenate(([0], rec[:, :2].ravel(), [len(body)])))
-    inside = np.zeros(span.size, dtype=bool)
-    inside[1::2] = True
-    values = _floats(b[np.repeat(inside, span)].tobytes())
-    del span, inside
-    if values is None or values.size != len(rec):
-        return None
-    pos = rec[:, 1:].ravel()
-    del starts, rec  # free the token starts before the decoding arrays
-    index = _indices(b, pos)
-    return None if index is None else (values, index.reshape(-1, 4), rec_line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a body with no record
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(io.BytesIO(body), dtype=_RECORD, ndmin=1)
+        except (ValueError, OverflowError, DeprecationWarning):
+            return None
+
+
+def _body_lines(body: bytes, rows: np.ndarray) -> np.ndarray:
+    """The body line of each record in ``rows`` (line 0 ends the header)."""
+    before, line, start = [], 0, 0  # the records before each blank line
+    for match in _BLANK_LINE.finditer(body):
+        line += body.count(b"\n", start, match.start() + 1)
+        start = match.start() + 1
+        before.append(line - 1 - len(before))
+    return rows + 1 + np.searchsorted(before, rows, side="right")
 
 
 def _plain_entries(data: bytes, n_header: int, norb: int):
     """What ``_line_entries`` returns, by whole-array operations, if the body
     is plain (see ``_records``) and no record fails a check; else None, with
-    no warning.  Masks classify the records, and a stable sort on
-    ``_store_key`` groups duplicates in file order."""
+    no warning.  Masks classify the records, a stable sort on ``_store_key``
+    groups duplicates in file order, and only orbital-energy records, whose
+    warnings name a line, have their lines counted."""
     brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
     body = b"".join((memoryview(data)[len(data) if brk is None else brk.start():], b"\n"))
     if b"\r" in body:
         body = body.replace(b"\r\n", b"\n")
     body = body.translate(_NORMALIZE_BODY)
     records = _records(body)
-    del body  # the text is not needed again: free it before classifying
     if records is None:
         return None
-    value, index, rec_line = records
-    if (index > norb).any():
+    value, index = records["value"], records["index"]
+    if ((index < 0) | (index > norb)).any():
         return None
     i, j, k, l = index.T
     core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
@@ -376,6 +335,9 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
     two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
     if not (core | orbital | one | two).all():
         return None
+    orbital = np.flatnonzero(orbital)
+    orbital_lines = n_header + _body_lines(body, orbital) if orbital.size else orbital
+    del body  # the text is not needed again: free it before sorting
     core_value = value[core]
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
         if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
@@ -393,9 +355,8 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
     with np.errstate(invalid="ignore"):
         if (repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)).any():
             return None
-    for r in np.flatnonzero(orbital):
-        warnings.warn(f"fcidump line {n_header + rec_line[r]}: "
-                      f"ignoring orbital-energy record for orbital {i[r]}")
+    for r, line in zip(orbital, orbital_lines):
+        warnings.warn(f"fcidump line {line}: ignoring orbital-energy record for orbital {i[r]}")
     last = np.append(~repeat, True)[: key.size]
     core_energy = float(core_value[-1]) if core_value.size else 0.0
     return core_energy, key[last], stored_value[last], int(repeat.sum())
@@ -494,12 +455,13 @@ def parse_fcidump(text) -> MolecularIntegrals:
 
     The body is read on one of two paths, chosen by the input.  A plainly
     spelled body without errors is read with whole-array operations
-    (``_plain_entries``): values in decimal or E/D exponent form, indices
-    of 1 to 18 unsigned digits.  Any other body, whether it holds an error
-    or a valid but unusual spelling (inf or nan, underscores, signed or
-    longer indices), is read one line at a time (``_line_entries``), and
-    that reader alone raises record errors: each names the first offending
-    line.  Both paths give the same entries and warnings.
+    (``_plain_entries``, one ``np.loadtxt``): values in decimal or E/D
+    exponent form, indices of digits with an optional sign that int64
+    holds.  Any other body, whether it holds an error or a valid but
+    unusual spelling (inf or nan, underscores, indices past int64), is read
+    one line at a time (``_line_entries``), and that reader alone raises
+    record errors: each names the first offending line.  Both paths give
+    the same entries and warnings.
 
     Raises
     ------

@@ -378,6 +378,21 @@ def test_missing_fcidump_exit_three_with_one_line(capsys, command):
                             "--fcidump\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--fcidump", H2],
+    ["sweep", "--fcidump", H2],
+    ["validate", "--fcidump", H2],
+    ["cost", "--n", "4", "--r", "8", "--m", "24", "--alpha", "8"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_exit_three_with_one_line(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing_directory" else tmp_path
+    assert main([*command, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestValidate:
     def test_h2_passes(self, capsys):
         assert main(["validate", "--fcidump", H2]) == 0

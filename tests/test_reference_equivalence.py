@@ -5,6 +5,7 @@ numbers and bytes bit for bit, and the same errors on the same lines.  The
 factor and tensor rebuilds, matrix products in the package, match their loops
 within a tolerance."""
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -453,6 +454,22 @@ def test_index_and_value_decoding_match_line_reference(text):
     _assert_same_outcome(text)
 
 
+# Every token of 1 to 4 of the bytes that spell a plain number, as a value
+# and as an index: the whole-array reader accepts exactly what float() and
+# int() accept, and reads the same number, down to the sign of a zero.
+_TOKENS = ["".join(t) for n in range(1, 5) for t in itertools.product("019+-.eE", repeat=n)]
+
+
+def test_every_short_token_matches_line_reference():
+    assert len(_TOKENS) == 4680
+    for token in _TOKENS:
+        for text in (_HEAD + f"{token} 2 2 2 2\n", _HEAD + f"0.25 2 2 {token} 1\n"):
+            new, ref = _outcome(parse_fcidump, text), _outcome(parse_fcidump_lines, text)
+            assert new == ref, text
+            if isinstance(ref[0], MolecularIntegrals):
+                assert new[0].pair_matrix.tobytes() == ref[0].pair_matrix.tobytes(), text
+
+
 @pytest.mark.parametrize("text, line", [
     ("&FCI NORB=1,NELEC=1,\n&END\n0.5 1 1 1 1\n\xe9\n", 4),
     ("&FCI NORB=1,NELEC=1,\r\n&END\r\n0.5 1 1 1 1 \n", 3),
@@ -498,13 +515,13 @@ def _fixture_text(name: str) -> str:
         return fh.read()
 
 
-# CRLF, D and d exponents, tabs and \x1f, blank lines, an orbital energy,
-# benign duplicates (one written with an 18-digit index).
+# CRLF, D and d exponents, tabs and \x1f, blank lines, orbital energies,
+# signed indices, benign duplicates (one written with an 18-digit index).
 _PLAIN_TEXT = (
     "&FCI NORB=3,NELEC=2,\r\n&END\r\n0.25D-01\t2 2\t2 2  \r\n\r\n-1.5d+00 1 1 0 0\r\n"
     "0.5 3 0 0 0\r\n  \r\n0.25E-01 2 2 2 2\r\n7.5e-1 2 1 1 1\r\n0.75 1 1 1 2\r\n"
     "1 1 0 0 0\r\n-1.5 1 1 0 0\r\n2.5D0 0 0 0 0\r\n0.125 3 1\x1f2 1\r\n"
-    "0.125 1 2 1 " + "0" * 17 + "3\r\n"
+    "0.125 1 2 1 " + "0" * 17 + "3\r\n0.375 +3 1 -0 0\r\n"
 )
 
 
@@ -541,9 +558,6 @@ def test_generated_texts_read_by_whole_arrays(text):
     _HEAD + "inf 1 0 0 0\n",
     _HEAD + "1_0 2 2 2 2\n",
     _HEAD + "0.25 2 2 1_0 1\n",
-    _HEAD + "0.25 +3 1 1 1\n",
-    _HEAD + "0.25 2 -0 0 0\n",
-    _HEAD + "0.25 1 1 " + "0" * 18 + "3 1\n",
 ])
 def test_unusual_spelling_read_by_lines(text):
     with _line_reader_counted() as reader:
@@ -551,10 +565,22 @@ def test_unusual_spelling_read_by_lines(text):
     assert reader.call_count == 1
 
 
+# Signed and zero-padded indices that int() accepts and int64 holds are plain.
+@pytest.mark.parametrize("text", [
+    _HEAD + "0.25 +3 1 1 1\n",
+    _HEAD + "0.25 2 -0 0 0\n",
+    _HEAD + "0.25 1 1 " + "0" * 18 + "3 1\n",
+])
+def test_signed_and_padded_indices_read_by_whole_arrays(text):
+    with _line_reader_refused():
+        _assert_same_outcome(text)
+
+
 # The line reader decodes the text a block of 4 KiB at a time: a file of
-# many blocks, read whole (a signed index) or rejected on its last line.
+# many blocks, read whole (an underscore in an index) or rejected on its
+# last line.
 @pytest.mark.parametrize("at, edit", [
-    (4, lambda line: line.replace(" ", " +", 1)),
+    (4, lambda line: line.replace(" ", " 0_", 1)),
     (-1, lambda line: line + " 1"),
 ])
 def test_line_reader_across_blocks(at, edit):
