@@ -8,6 +8,7 @@ Exit codes: 1 parse error, 2 numeric/validation error, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -15,14 +16,13 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
-from qdf import costmodel, factorization, integrals, oracle, truncation
+from qdf import costmodel, factorization, integrals, oracle, truncation, validate
 
 EXIT_PARSE = 1
 EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
 GRID_MAX_POINTS = 10**6  # a larger --grid count is refused before the grid is allocated
+MODES = {"min-qubits": "min_qubits", "min-toffolis": "min_toffoli", "fixed": "fixed"}  # --mode
 
 ESTIMATE_CSV_COLUMNS = ["Step", "epsilon_in", "N", "R", "M", "alpha_df", "Qubits", "Toffoli"]
 SWEEP_CSV_COLUMNS = [
@@ -85,10 +85,6 @@ def _human_time(seconds: float) -> str:
     return f"{seconds / 86400:.3g} days"
 
 
-def _mode_name(raw: str) -> str:
-    return {"min-qubits": "min_qubits", "min-toffolis": "min_toffoli", "fixed": "fixed"}[raw]
-
-
 def _checked(kind, accept, requirement: str):
     """argparse type function: ``kind(text)`` if ``accept`` holds for it."""
 
@@ -109,7 +105,7 @@ _lambda = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _count = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _grid(spec: str) -> np.ndarray:
+def _grid(spec: str):
     """argparse type function: the log grid of a ``lo:hi:n`` spec."""
     try:
         lo, hi, n = spec.split(":")
@@ -241,6 +237,17 @@ def _write_report(report: costmodel.CostReport, args, step: str, epsilon: float,
         _emit(_report_table(report), args.out)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that is a directory or lies in no directory, as _emit
+    would, but before any input is read.  The file itself is not opened."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path), "."))  # fails unless a directory
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_CONFIG) from None
+    if os.path.isdir(path):
+        raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}", EXIT_CONFIG)
+
+
 def _check_mode(args) -> None:
     """--lambda is the ancilla count of --mode fixed, and read by no other mode."""
     if args.mode == "fixed" and args.lam is None:
@@ -254,7 +261,7 @@ def _cost(args, **scalars) -> costmodel.CostReport:
     """The cost estimate of ``n, rank, m_total, m_max, alpha`` under
     --delta-e, --mode and --lambda."""
     return costmodel.estimate(**scalars, budget=costmodel.ErrorBudget(delta_e=args.delta_e),
-                              mode=_mode_name(args.mode), lam=args.lam)
+                              mode=MODES[args.mode], lam=args.lam)
 
 
 def cmd_estimate(args) -> int:
@@ -284,18 +291,13 @@ def cmd_cost(args) -> int:
     return 0
 
 
-def _sweep_rows(df, args):
+def cmd_sweep(args) -> int:
+    df = _factorization(args)
     rows = []
     for eps, r, m, m_max, alpha, coh, inc in truncation.threshold_sweep(df, args.scheme, args.grid):
         report = _cost(args, n=df.n_orbitals, rank=r, m_total=m, m_max=m_max, alpha=alpha)
         values = [eps, r, m, alpha, coh, inc, report.logical_qubits, report.total_toffoli]
         rows.append(dict(zip(SWEEP_CSV_COLUMNS, values)))
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    df = _factorization(args)
-    rows = _sweep_rows(df, args)
     if args.format == "json":
         payload = {"schema": "qdf-sweep/1", "scheme": str(args.scheme), "rows": rows}
         _emit(_json_dumps(payload), args.out)
@@ -308,112 +310,22 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     mol, warned = _parse(_fcidump_path(args))
     if mol.n_orbitals > oracle.DENSE_ORBITAL_CAP:
-        raise CliError(
-            f"validate needs N <= {oracle.DENSE_ORBITAL_CAP} (dense oracle cap), "
-            f"got N={mol.n_orbitals}",
-            EXIT_CONFIG,
-        )
+        raise CliError(f"validate needs N <= {oracle.DENSE_ORBITAL_CAP} (dense oracle cap), "
+                       f"got N={mol.n_orbitals}", EXIT_CONFIG)
     df = _factorization(args, (mol, warned))
-
-    checks = []
-
-    def check(name: str, passed: bool, detail: str):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    violations = integrals.validate_symmetry(mol)
-    check(
-        "validate_symmetry",
-        not violations,
-        "no violations" if not violations else "; ".join(str(v) for v in violations[:5]),
-    )
-
-    # W and l_minus1, each rebuilt from its eigenpairs.
-    recon = factorization.reconstruct_two_body(df)
-    l_minus1 = factorization.from_eigenpairs(*df.one_body_eigs)
-    recon_err = max(float(np.abs(recon - mol.pair_matrix).max()),
-                    float(np.abs(l_minus1 - df.one_body.l_minus1).max()))
-    check("factorization_reconstruction", recon_err <= 1e-8, f"sup-norm error {recon_err:.3e}")
-
-    h_ref = oracle.build_from_integrals(mol)
-    h_df = oracle.build_from_df(df)
-    diff = h_ref - h_df
-    ident_err = max(float(np.abs(stack + diff.shift * np.eye(stack.shape[-1])).max())
-                    for _, stack in diff.blocks)
-    check("representation_identity", ident_err <= 1e-8, f"sup-norm error {ident_err:.3e}")
-
-    number_comm = oracle.particle_number_commutator_norm(h_ref)
-    check("particle_number_symmetry", number_comm <= 1e-10, f"[H, N] max entry {number_comm:.3e}")
-    del h_ref, diff  # the rest needs h_df alone
-
-    # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
-    g_norms, s_norms = oracle.one_body_norm_check(df.factor_matrices())
-    norm_dev = float(max(np.abs(g_norms - s_norms).max(initial=0.0),
-                         np.abs(g_norms - df.schatten_norms).max(initial=0.0)))
-    check("one_body_norm_identity", norm_dev <= 1e-8, f"max |deviation| {norm_dev:.3e}")
-
-    alpha = factorization.alpha_df(df)
-    # The norms come from the eigenvalues, as in alpha_df, so that a damaged
-    # stored norm fails one_body_norm_identity alone.
-    t2_const = 0.25 * float(np.sum(factorization.rank_sums(df.padded_abs_eigenvalues())**2))
-    shift = df.one_body.scalar_shift + df.one_body.core_energy + t2_const
-    norm_shifted = oracle.spectral_norm(h_df - shift)
-    check(
-        "alpha_dominates_spectral_norm",
-        norm_shifted <= alpha + 1e-8,
-        f"||H - shift|| = {norm_shifted:.6g} vs alpha_df = {alpha:.6g}",
-    )
-
-    # Each grid point's truncation error H_df - H_trunc is built from the
-    # ranks it removes eigenpairs from.  One sweep gives every point's count
-    # of removed eigenpairs and scores; a scheme removes eigenpairs in the one
-    # fixed order of score_eigenpairs, so the count names the set, and points
-    # that remove the same set share one result: the error's norm (coherent)
-    # or the ground energy of H_trunc (incoherent, on its n_electrons sectors).
-    order = truncation.score_eigenpairs(df)[0]
-    sound = True
-    worst = 0.0
-    coherent = args.sweep_scheme == "coherent"
-    if coherent:
-        known = {0: 0.0}
-    else:
-        h_df = oracle.build_from_df(df, n_electrons=mol.n_electrons)
-        known = {0: oracle.ground_energy(h_df, mol.n_electrons)}
-    for _, _, m, _, _, coh, inc in truncation.threshold_sweep(
-            df, args.sweep_scheme, truncation.default_grid()):
-        count = df.total_eigenpairs - m
-        if count not in known:
-            known[count] = (
-                oracle.spectral_norm(oracle.build_from_df(df, order[:count])) if coherent
-                else oracle.ground_energy(
-                    h_df - oracle.build_from_df(df, order[:count], mol.n_electrons),
-                    mol.n_electrons))
-        if coherent:
-            sound &= known[count] <= coh + 1e-10
-            worst = max(worst, known[count] - coh)
-        else:
-            # Informational for the incoherent scheme: the score is not a
-            # rigorous bound, so record the worst exceedance without failing.
-            worst = max(worst, abs(known[0] - known[count]) - inc)
-    if coherent:
-        check("truncation_soundness", sound, f"worst (error - bound) = {worst:.3e}")
-    else:
-        check("truncation_sweep", True, f"worst (|dE0| - score) = {worst:.3e} (informational)")
-
-    payload = {"schema": "qdf-validate/1", "n_orbitals": mol.n_orbitals, "checks": checks}
-    all_passed = all(c["passed"] for c in checks)
-
+    checks = [{"name": name, "passed": bool(passed), "detail": detail}
+              for name, passed, detail in validate.checks(mol, df, args.sweep_scheme)]
     width = max(len(c["name"]) for c in checks)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         sys.stdout.write(f"{c['name']:{width}s}  {status}  {c['detail']}\n")
     if args.out:
+        payload = {"schema": "qdf-validate/1", "n_orbitals": mol.n_orbitals, "checks": checks}
         _emit(_json_dumps(payload), args.out)
-
-    if not all_passed:
-        failing = ", ".join(c["name"] for c in checks if not c["passed"])
+    failing = ", ".join(c["name"] for c in checks if not c["passed"])
+    if failing:
         sys.stderr.write(f"validation failed: {failing}\n")
-        return EXIT_NUMERIC
-    return 0
+    return EXIT_NUMERIC if failing else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cost:
             p.add_argument("--delta-e", type=_positive, default=1e-3, dest="delta_e",
                            help="target energy standard deviation, Hartree (default 1e-3)")
-            p.add_argument("--mode", choices=["min-qubits", "min-toffolis", "fixed"],
-                           default="min-qubits")
+            p.add_argument("--mode", choices=MODES, default="min-qubits")
             p.add_argument("--lambda", type=_lambda, default=None, dest="lam",
                            help="ancilla tradeoff parameter for --mode fixed")
         p.add_argument("--out", help="write output to this path instead of stdout")
@@ -479,6 +390,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "lam" in vars(args):  # a subcommand with the cost-model flags
             _check_mode(args)
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

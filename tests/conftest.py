@@ -7,14 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from qdf import (
-    MolecularIntegrals,
-    adjusted_one_body,
-    double_factorize,
-    load_fcidump,
-    single_factorize,
-)
 from qdf.costmodel import _iceil, _tradeoff_min
+from qdf.factorization import double_factorize, single_factorize
+from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
 from qdf.oracle import FockOperator, _df_blocks, _real
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -384,13 +384,25 @@ def test_missing_fcidump_exit_three_with_one_line(capsys, command):
     ["validate", "--fcidump", H2],
     ["cost", "--n", "4", "--r", "8", "--m", "24", "--alpha", "8"],
 ], ids=lambda command: command[0])
-@pytest.mark.parametrize("target", ["missing_directory", "directory"])
-def test_unwritable_out_exit_three_with_one_line(tmp_path, capsys, command, target):
-    out = tmp_path / "missing" / "out.txt" if target == "missing_directory" else tmp_path
+@pytest.mark.parametrize("target", ["missing_directory", "directory", "file_as_directory"])
+def test_unwritable_out_exit_three_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    from qdf import costmodel, integrals
+
+    (tmp_path / "file").write_text("")
+    out = {"missing_directory": tmp_path / "missing" / "out.txt", "directory": tmp_path,
+           "file_as_directory": tmp_path / "file" / "out.txt"}[target]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input was read or a cost computed")
+
+    # the refusal comes before any input is read or any cost is computed
+    monkeypatch.setattr(integrals, "load_fcidump", unreachable)
+    monkeypatch.setattr(costmodel, "estimate", unreachable)
     assert main([*command, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 class TestValidate:
@@ -409,6 +421,41 @@ class TestValidate:
         payload = json.loads(report.read_text())
         assert payload["schema"] == "qdf-validate/1"
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scheme, last", [
+        ("coherent", "truncation_soundness"), ("incoherent", "truncation_sweep"),
+    ])
+    def test_out_json_matches_stdout(self, tmp_path, scheme, last):
+        report = tmp_path / "validation.json"
+        code, text = run_cli([
+            "validate", "--fcidump", H4, "--sweep-scheme", scheme, "--out", str(report),
+        ])
+        assert code == 0
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["name"] for c in checks] == [*VALIDATE_CHECKS[:-1], last]
+        lines = [line.split(None, 2) for line in text.splitlines()]
+        assert lines == [[c["name"], "PASS" if c["passed"] else "FAIL", c["detail"]]
+                         for c in checks]
+
+    def test_oracle_calls_go_through_the_module(self, monkeypatch):
+        # perfbench/spans.py times the oracle by replacing these attributes
+        from qdf import oracle
+
+        calls = []
+
+        def counted(name):
+            fn = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("spectral_norm", "build_from_df"):
+            monkeypatch.setattr(oracle, name, counted(name))
+        assert run_cli(["validate", "--fcidump", H2])[0] == 0
+        assert {"spectral_norm", "build_from_df"} <= set(calls)
 
     def test_symmetry_conflicting_record_caught_at_parse(self, tmp_path, capsys):
         # a record contradicting its own symmetry orbit never reaches the

@@ -11,10 +11,10 @@ import ast
 from pathlib import Path
 
 import qdf
-from qdf import costmodel, factorization, integrals, oracle, truncation
+from qdf import costmodel, factorization, integrals, oracle, truncation, validate
 
 PACKAGE = Path(qdf.__file__).parent
-MODULES = [costmodel, oracle, factorization, truncation, integrals]
+MODULES = [costmodel, oracle, factorization, truncation, integrals, validate]
 
 #: Public names that no qdf command reaches, each with the reason it stays.
 ALLOWED = {
