@@ -126,15 +126,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", EXIT_CONFIG)
 
 
-def _fcidump_path(args) -> str:
-    if not os.path.exists(args.fcidump):
-        raise CliError(f"no such file: {args.fcidump}", EXIT_PARSE)
-    return args.fcidump
-
-
 def _warn(texts) -> None:
     for text in texts:
-        warnings.warn(text)
+        sys.stderr.write(f"warning: {text}\n")
 
 
 def _parse(path: str) -> tuple[integrals.MolecularIntegrals, list[str]]:
@@ -201,7 +195,7 @@ def _factorization(args, parsed=None) -> factorization.DoubleFactorization:
     without parsing the FCIDUMP (its stored parser warnings are shown again);
     on a miss the factorization is computed and written over the cache.
     ``parsed`` is the caller's ``_parse`` result, if it has one."""
-    path = _fcidump_path(args)
+    path = args.fcidump
     digest = _file_sha256(path) if args.cache else None
     hit = _cache_hit(args.cache, digest) if args.cache else None
     if hit is not None:
@@ -210,11 +204,8 @@ def _factorization(args, parsed=None) -> factorization.DoubleFactorization:
             _warn(header.warnings)
         return df
     mol, texts = parsed or _parse(path)
-    try:
-        sf = factorization.single_factorize(mol, tol=factorization.CHOLESKY_TOL)
-        df = factorization.double_factorize(sf, integrals.adjusted_one_body(mol))
-    except (factorization.NotPositiveSemidefiniteError, ArithmeticError) as exc:
-        raise CliError(str(exc), EXIT_NUMERIC) from None
+    sf = factorization.single_factorize(mol, tol=factorization.CHOLESKY_TOL)
+    df = factorization.double_factorize(sf, integrals.adjusted_one_body(mol))
     if args.cache:
         try:
             factorization.save_cache(df, args.cache, digest, factorization.CHOLESKY_TOL, texts)
@@ -271,7 +262,7 @@ def cmd_estimate(args) -> int:
                    m_max=reduced.max_eigenpairs_per_rank, alpha=factorization.alpha_df(reduced))
     step = os.path.splitext(os.path.basename(args.fcidump))[0]
     truncated = {
-        "scheme": plan.scheme.value,
+        "scheme": plan.scheme,
         "epsilon": plan.epsilon,
         "removed": len(plan.removed),
         "coherent_score": plan.coherent_score,
@@ -299,7 +290,7 @@ def cmd_sweep(args) -> int:
         values = [eps, r, m, alpha, coh, inc, report.logical_qubits, report.total_toffoli]
         rows.append(dict(zip(SWEEP_CSV_COLUMNS, values)))
     if args.format == "json":
-        payload = {"schema": "qdf-sweep/1", "scheme": str(args.scheme), "rows": rows}
+        payload = {"schema": "qdf-sweep/1", "scheme": args.scheme, "rows": rows}
         _emit(_json_dumps(payload), args.out)
     else:
         table = [[r[c] for c in SWEEP_CSV_COLUMNS] for r in rows]
@@ -308,7 +299,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    mol, warned = _parse(_fcidump_path(args))
+    mol, warned = _parse(args.fcidump)
     if mol.n_orbitals > oracle.DENSE_ORBITAL_CAP:
         raise CliError(f"validate needs N <= {oracle.DENSE_ORBITAL_CAP} (dense oracle cap), "
                        f"got N={mol.n_orbitals}", EXIT_CONFIG)
@@ -351,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="full pipeline from an FCIDUMP file")
     common(p_est)
     p_est.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    p_est.add_argument("--scheme", choices=["coherent", "incoherent"], default="incoherent")
+    p_est.add_argument("--scheme", choices=truncation.SCHEMES, default="incoherent")
     p_est.add_argument("--epsilon", type=_epsilon, default=1e-3,
                        help="truncation threshold, Hartree (default 1e-3)")
     p_est.set_defaults(func=cmd_estimate)
@@ -371,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="threshold sweep with per-point costs")
     common(p_sweep)
     p_sweep.add_argument("--format", choices=["json", "csv"], default="csv")
-    p_sweep.add_argument("--scheme", choices=["coherent", "incoherent"], default="incoherent")
+    p_sweep.add_argument("--scheme", choices=truncation.SCHEMES, default="incoherent")
     p_sweep.add_argument("--grid", type=_grid, default="1e-4:1e-1:16",
                          help="lo:hi:n log grid (Hartree)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="exact-diagonalization validation (N <= 7)")
     common(p_val, cost=False)
-    p_val.add_argument("--sweep-scheme", choices=["coherent", "incoherent"],
+    p_val.add_argument("--sweep-scheme", choices=truncation.SCHEMES,
                        default="coherent", dest="sweep_scheme")
     p_val.set_defaults(func=cmd_validate)
 

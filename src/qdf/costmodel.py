@@ -406,38 +406,30 @@ def estimate(
     rank, m_total, m_max = (max(int(x), 1) for x in (rank, m_total, m_max))
 
     reps = pe_repetitions(alpha, budget)
+    walks: dict[int, tuple[int, WalkCost]] = {}
 
     def total_at(lam_value: int) -> tuple[int, WalkCost]:
-        wc = walk_operator_cost(n, rank, m_total, m_max, budget, alpha, lam_value)
-        return wc.toffoli * reps, wc
+        """(total Toffolis, walk cost) at ``lam_value``, each computed once."""
+        if lam_value not in walks:
+            wc = walk_operator_cost(n, rank, m_total, m_max, budget, alpha, lam_value)
+            walks[lam_value] = wc.toffoli * reps, wc
+        return walks[lam_value]
 
+    scan = range(LAMBDA_SCAN_MAX + 1)
     if mode == "fixed":
         if lam is None:
             raise ValueError("fixed mode requires lam")
         chosen = int(lam)
-        total, wc = total_at(chosen)
     elif mode == "min_toffoli":
-        chosen = 0
-        total, wc = total_at(0)
-        for lam_value in range(1, LAMBDA_SCAN_MAX + 1):
-            candidate = total_at(lam_value)
-            if candidate[0] < total:
-                chosen, (total, wc) = lam_value, candidate
+        chosen = min(scan, key=lambda lam_value: total_at(lam_value)[0])  # first minimum
     elif mode == "min_qubits":
-        # The Toffoli-optimal lam is 0 exactly when no lam >= 1 is strictly
-        # cheaper than lam = 0; otherwise lam = 1 is chosen, so the scan stops
-        # at the first lam that beats lam = 0.
-        chosen = 0
-        total, wc = total_at(0)
-        for lam_value in range(1, LAMBDA_SCAN_MAX + 1):
-            candidate = total_at(lam_value)
-            if lam_value == 1:
-                at_one = candidate
-            if candidate[0] < total:
-                chosen, (total, wc) = 1, at_one
-                break
+        # lam = 0 only when it is Toffoli-optimal, i.e. no lam >= 1 is cheaper;
+        # ``any`` stops at the first lam that is.
+        t0 = total_at(0)[0]
+        chosen = int(any(total_at(lam_value)[0] < t0 for lam_value in scan[1:]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    total, wc = total_at(chosen)
 
     cf = closed_form_walk_toffoli(n, m_total, wc.precision.beta, chosen)
     return CostReport(

@@ -10,7 +10,6 @@ eigenpairs first.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -19,18 +18,15 @@ import numpy as np
 from qdf.factorization import DoubleFactorization, alpha_from_squares, rank_sums, schatten_squares
 
 __all__ = [
+    "SCHEMES",
     "TruncationPlan",
-    "TruncationScheme",
     "default_grid",
     "score_eigenpairs",
     "threshold_sweep",
     "truncate",
 ]
 
-
-class TruncationScheme(str, enum.Enum):
-    COHERENT = "coherent"
-    INCOHERENT = "incoherent"
+SCHEMES = ("coherent", "incoherent")
 
 
 @dataclass(frozen=True)
@@ -44,19 +40,13 @@ class TruncationPlan:
     which scheme drove the removal.
     """
 
-    scheme: TruncationScheme
+    scheme: str
     epsilon: float
     removed: np.ndarray
     coherent_score: float
     incoherent_score: float
     surviving_R: int
     surviving_M: int
-
-
-def _coerce_scheme(scheme) -> TruncationScheme:
-    if isinstance(scheme, TruncationScheme):
-        return scheme
-    return TruncationScheme(str(scheme).lower())
 
 
 def score_eigenpairs(df: DoubleFactorization) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +61,7 @@ def score_eigenpairs(df: DoubleFactorization) -> tuple[np.ndarray, np.ndarray]:
     return order, scores[order]
 
 
-def _removal_prefixes(df: DoubleFactorization, scheme: TruncationScheme, epsilons):
+def _removal_prefixes(df: DoubleFactorization, scheme, epsilons):
     """The truncation kernel shared by ``truncate`` and ``threshold_sweep``.
 
     Returns the order of ``score_eigenpairs`` and, per threshold, how many
@@ -80,6 +70,8 @@ def _removal_prefixes(df: DoubleFactorization, scheme: TruncationScheme, epsilon
     (or ``sqrt(acc_sq + s * s) <= eps``), and both prefix sums are
     non-decreasing, so the admitted count is a ``searchsorted``.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     eps = np.asarray(epsilons, dtype=float)
     if not (np.isfinite(eps).all() and (eps >= 0).all()):
         raise ValueError(f"epsilon must be finite and non-negative, got {eps.tolist()}")
@@ -87,7 +79,7 @@ def _removal_prefixes(df: DoubleFactorization, scheme: TruncationScheme, epsilon
     linear = np.concatenate(([0.0], np.cumsum(scores)))
     with np.errstate(over="ignore"):  # a score above 1e154 squares to inf, which no budget admits
         root_sq = np.concatenate(([0.0], np.sqrt(np.cumsum(scores * scores))))
-    used = linear if scheme is TruncationScheme.COHERENT else root_sq
+    used = linear if scheme == "coherent" else root_sq
     counts = np.searchsorted(used[1:], eps, side="right")
     return order, counts, linear[counts], root_sq[counts]
 
@@ -100,9 +92,9 @@ def truncate(
     Returns the reduced factorization (ranks left with no eigenpairs are
     dropped; surviving factors keep their frozen Schatten norms) and the plan.
     ``epsilon = 0`` removes only exactly-zero scores.  Raises ValueError
-    unless ``epsilon`` is finite and non-negative.
+    unless ``scheme`` is one of ``SCHEMES`` and ``epsilon`` is finite and
+    non-negative.
     """
-    scheme = _coerce_scheme(scheme)
     order, counts, coherent, incoherent = _removal_prefixes(df, scheme, [epsilon])
     removed = order[: counts[0]]
     keep = np.ones(df.total_eigenpairs, dtype=bool)
@@ -145,7 +137,6 @@ def threshold_sweep(
     grid must be ascending, so each point only removes pairs its predecessor
     kept.
     """
-    scheme = _coerce_scheme(scheme)
     grid = [float(e) for e in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be sorted ascending")

@@ -54,7 +54,6 @@ from qdf.factorization import (
     SingleFactorization,
 )
 from qdf.oracle import FockOperator
-from qdf.truncation import TruncationScheme
 from qdf.integrals import (
     DUPLICATE_TOLERANCE,
     AdjustedOneBody,
@@ -333,10 +332,10 @@ def alpha_df_loop(one_body_eigenvalues: np.ndarray, groups) -> float:
     return 2.0 * float(np.abs(one_body_eigenvalues).sum()) + 0.25 * two_body
 
 
-def _greedy_removal_count(scores: list[float], scheme: TruncationScheme, epsilon: float) -> int:
+def _greedy_removal_count(scores: list[float], scheme: str, epsilon: float) -> int:
     """How many of the ascending ``scores`` the budget admits (inclusive)."""
     count = 0
-    if scheme is TruncationScheme.COHERENT:
+    if scheme == "coherent":
         acc = 0.0
         for s in scores:
             if acc + s <= epsilon:
@@ -369,7 +368,6 @@ def score_eigenpairs_loop(df: DoubleFactorization) -> list[tuple[tuple[int, int]
 def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
     """Object-form truncation: the removed (r, m) keys, both scores, the kept
     eigenpairs per surviving rank with their frozen norms, and alpha_DF."""
-    scheme = TruncationScheme(str(scheme).lower())
     scored = score_eigenpairs_loop(df)
     removed = scored[: _greedy_removal_count([s for _, s in scored], scheme, epsilon)]
     removed_set = {key for key, _ in removed}

@@ -55,12 +55,18 @@ def run_cli(args):
 
 
 def run_captured(args):
-    """In-process invocation: (exit code, stdout, stderr, warning texts)."""
+    """In-process invocation: (exit code, stdout, stderr without its
+    ``warning:`` lines, the texts of those lines).  No Python warning may
+    escape: the parser's notes reach the user as stderr lines only."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(args)
-    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+    assert [str(w.message) for w in caught] == []
+    lines = err.getvalue().splitlines(keepends=True)
+    notes = [line for line in lines if line.startswith("warning: ")]
+    rest = "".join(line for line in lines if line not in notes)
+    return code, out.getvalue(), rest, [line[len("warning: "):-1] for line in notes]
 
 
 def load_schema(name):
@@ -378,6 +384,46 @@ def test_missing_fcidump_exit_three_with_one_line(capsys, command):
                             "--fcidump\n")
 
 
+@pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_missing_file_exit_one_with_one_line(tmp_path, capsys, command, cached):
+    missing, cache = tmp_path / "missing.fcidump", tmp_path / "c.qdfcache"
+    assert main([command, "--fcidump", str(missing), *(["--cache", str(cache)] * cached)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "validate"])
+def test_not_psd_numeric_error_exit_two_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "not_psd.fcidump"
+    path.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n-0.5 1 1 1 1\n0.0 0 0 0 0\n")
+    assert main([command, "--fcidump", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numeric error: residual diagonal -5.000e-01 at pair index 0 is below "
+                            "-0.000e+00; ERI supermatrix is not PSD\n")
+
+
+def test_parser_notes_are_stderr_lines_under_warnings_as_errors(tmp_path):
+    # an orbital-energy record and a duplicate: a valid file with two notes,
+    # shown once when parsed (cache miss) and again from the cache (hit)
+    path, cache = tmp_path / "notes.fcidump", tmp_path / "notes.qdfcache"
+    path.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n0.5 1 1 1 1\n"
+                    "-1.0 1 1 0 0\n-0.5 1 0 0 0\n0.0 0 0 0 0\n")
+    args = ["estimate", "--fcidump", str(path), "--format", "json"]
+    code, expected, rest, notes = run_captured(args)
+    assert (code, rest, len(notes)) == (0, "", 2)
+    for run in ("miss", "hit"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qdf.cli", *args, "--cache", str(cache)],
+            capture_output=True, text=True, env=dict(os.environ),
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), (run, proc.stderr)
+        assert proc.stderr == "".join(f"warning: {note}\n" for note in notes), run
+
+
 @pytest.mark.parametrize("command", [
     ["estimate", "--fcidump", H2],
     ["sweep", "--fcidump", H2],
@@ -410,6 +456,29 @@ class TestValidate:
         assert main(["validate", "--fcidump", H2]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("scheme, name, label, suffix", [
+        ("coherent", "truncation_soundness", "worst (error - bound) = ", ""),
+        ("incoherent", "truncation_sweep", "worst (|dE0| - score) = ", " (informational)"),
+    ])
+    def test_truncation_detail_shows_slack(self, tmp_path, capsys, scheme, name, label, suffix):
+        # the worst error - bound over the points that remove an eigenpair,
+        # which is negative on a passing input; a point that removes nothing
+        # has error = bound = 0 and shows no slack
+        def last_line(path):
+            assert main(["validate", "--fcidump", str(path), "--sweep-scheme", scheme]) == 0
+            name_, status, detail = capsys.readouterr().out.splitlines()[-1].split(maxsplit=2)
+            assert (name_, status) == (name, "PASS") and detail.endswith(suffix)
+            return detail
+
+        for path in (H2, H4):
+            detail = last_line(path)
+            assert detail.startswith(label) and float(detail[len(label):].split()[0]) < 0, detail
+        # one eigenpair, whose score is above the grid's top, 0.1
+        one = tmp_path / "one_pair.fcidump"
+        one.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n-1.0 1 1 0 0\n"
+                       "0.0 0 0 0 0\n")
+        assert last_line(one) == "no grid point removes an eigenpair" + suffix
 
     def test_incoherent_sweep_mode(self, capsys, tmp_path):
         report = tmp_path / "validation.json"

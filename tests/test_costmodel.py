@@ -398,6 +398,29 @@ class TestEstimate:
         assert rpt_q.lambda_ancilla == 0
         assert rpt_q.logical_qubits <= rpt_t.logical_qubits
 
+    @pytest.mark.parametrize("scalars, mode, lam, calls, chosen", [
+        (dict(n=54, rank=567, m_total=24000, alpha=339.1), "fixed", 7, 1, 7),
+        # lam = 1 already beats lam = 0, so the scan stops there
+        (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_qubits", None, 2, 1),
+        (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_toffoli", None, 65, 3),
+        # no lam beats lam = 0: the whole scan runs, and lam = 0 is not recomputed
+        (dict(n=2, rank=1, m_total=2, alpha=0.5), "min_qubits", None, 65, 0),
+    ])
+    def test_walk_cost_calls_per_mode(self, monkeypatch, scalars, mode, lam, calls, chosen):
+        from qdf import costmodel
+
+        seen = []
+        real = costmodel.walk_operator_cost
+
+        def counting(*args):
+            seen.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(costmodel, "walk_operator_cost", counting)
+        rpt = costmodel.estimate(**scalars, mode=mode, lam=lam)
+        assert (len(seen), rpt.lambda_ancilla) == (calls, chosen)
+        assert len(set(seen)) == len(seen)
+
     def test_df_input(self, h2_df):
         rpt = estimate_df(h2_df, mode="min_qubits")
         assert rpt.n_orbitals == 2

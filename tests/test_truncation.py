@@ -9,7 +9,7 @@ from qdf import integrals
 from qdf.factorization import DoubleFactorization, alpha_df
 from qdf.integrals import AdjustedOneBody, parse_fcidump, write_fcidump
 from qdf.truncation import (
-    TruncationScheme,
+    SCHEMES,
     default_grid,
     score_eigenpairs,
     threshold_sweep,
@@ -237,8 +237,16 @@ class TestSweep:
         assert leading == [1.0, 1.58, 2.51, 3.98, 6.31]
 
 
-def test_scheme_coercion():
-    assert TruncationScheme("coherent") is TruncationScheme.COHERENT
+def test_plan_keeps_the_scheme_name():
     df = make_df([[1.0]])
-    _, plan = truncate(df, TruncationScheme.INCOHERENT, 0.0)
-    assert plan.scheme is TruncationScheme.INCOHERENT
+    assert [truncate(df, scheme, 0.0)[1].scheme for scheme in SCHEMES] == ["coherent", "incoherent"]
+
+
+@pytest.mark.parametrize("scheme", ["COHERENT", "Incoherent", "linear", ""])
+@pytest.mark.parametrize("kernel", ["truncate", "threshold_sweep"])
+def test_other_scheme_names_refused(kernel, scheme):
+    # only the exact names of SCHEMES; no case folding
+    df = make_df([[1.0]])
+    run = {"truncate": truncate, "threshold_sweep": threshold_sweep}[kernel]
+    with pytest.raises(ValueError, match=r"scheme must be one of \('coherent', 'incoherent'\)"):
+        run(df, scheme, [0.0] if kernel == "threshold_sweep" else 0.0)
