@@ -248,6 +248,8 @@ _PLAIN_BYTES = b" \n0123456789+-.eE"
 _RECORD = np.dtype([("value", "f8"), ("index", "i8", (4,))])
 _BLANK_LINE = re.compile(rb"\n *(?=\n)")  # matches the newline before a blank line
 _INDEX_MAX = int(np.iinfo(np.int64).max)
+# The whole-array reader reads the body about this many bytes at a time.
+_PLAIN_BLOCK = 1 << 20
 
 
 def _lines(data: bytes):
@@ -313,50 +315,72 @@ def _body_lines(body: bytes, rows: np.ndarray) -> np.ndarray:
 def _plain_entries(data: bytes, n_header: int, norb: int):
     """What ``_line_entries`` returns, by whole-array operations, if the body
     is plain (see ``_records``) and no record fails a check; else None, with
-    no warning.  Masks classify the records, a stable sort on ``_store_key``
-    groups duplicates in file order, and only orbital-energy records, whose
-    warnings name a line, have their lines counted."""
+    no warning.
+
+    The body is read a block at a time, each block cut right after the
+    first b"\n" past ``_PLAIN_BLOCK`` bytes, so that no line, and no
+    b"\r\n", spans two blocks.  Masks classify a block's records, and only
+    what the checks need is kept: the ``_store_key`` and value of each
+    stored record, the core values, and the line and orbital of each
+    orbital-energy record, whose warning names its line (counted from the
+    newlines of the blocks before).  Then a stable sort on the keys of all
+    blocks groups duplicates in file order."""
     brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
-    body = b"".join((memoryview(data)[len(data) if brk is None else brk.start():], b"\n"))
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")
-    body = body.translate(_NORMALIZE_BODY)
-    records = _records(body)
-    if records is None:
-        return None
-    value, index = records["value"], records["index"]
-    if ((index < 0) | (index > norb)).any():
-        return None
-    i, j, k, l = index.T
-    core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
-    pair_only = (i != 0) & (k == 0) & (l == 0)
-    orbital = pair_only & (j == 0)
-    one = pair_only & (j != 0)
-    two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
-    if not (core | orbital | one | two).all():
-        return None
-    orbital = np.flatnonzero(orbital)
-    orbital_lines = n_header + _body_lines(body, orbital) if orbital.size else orbital
-    del body  # the text is not needed again: free it before sorting
-    core_value = value[core]
+    start = len(data) if brk is None else brk.end()
+    keys, values, cores, orbital_lines, orbitals = [], [], [], [], []
+    line = n_header  # the file line of the block's line 0, the b"\n" put before it
+    while True:
+        end = data.find(b"\n", start + _PLAIN_BLOCK) + 1 or len(data)
+        body = b"".join((b"\n", memoryview(data)[start:end], b"\n"))
+        if b"\r" in body:
+            body = body.replace(b"\r\n", b"\n")
+        body = body.translate(_NORMALIZE_BODY)
+        records = _records(body)
+        if records is None:
+            return None
+        value, index = records["value"], records["index"]
+        if ((index < 0) | (index > norb)).any():
+            return None
+        i, j, k, l = index.T
+        core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
+        pair_only = (i != 0) & (k == 0) & (l == 0)
+        orbital = pair_only & (j == 0)
+        one = pair_only & (j != 0)
+        two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
+        if not (core | orbital | one | two).all():
+            return None
+        orbital = np.flatnonzero(orbital)
+        if orbital.size:
+            orbital_lines.append(line + _body_lines(body, orbital))
+            orbitals.append(i[orbital])
+        cores.append(value[core])
+        stored = np.flatnonzero(one | two)
+        keys.append(_store_key(i[stored], j[stored], k[stored], l[stored], norb))
+        values.append(value[stored])
+        if end == len(data):
+            break
+        line += body.count(b"\n") - 2  # the last line of this block
+        start = end
+    del body, records, value, index, i, j, k, l, stored  # free the last block before sorting
+    core_value = np.concatenate(cores)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
         if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
             return None
     # A stable sort groups each key's records in file order: "last wins" is
     # the last of each group, and each repeat is checked against the record
     # before it, which is the value a line-by-line reading would hold.
-    stored = np.flatnonzero(one | two)
-    key = _store_key(i[stored], j[stored], k[stored], l[stored], norb)
+    key, stored_value = np.concatenate(keys), np.concatenate(values)
+    del keys, values
     order = np.argsort(key, kind="stable")
-    key, stored = key[order], stored[order]
+    key = key[order]
+    stored_value = stored_value[order]
     del order
     repeat = key[1:] == key[:-1]
-    stored_value = value[stored]
     with np.errstate(invalid="ignore"):
         if (repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)).any():
             return None
-    for r, line in zip(orbital, orbital_lines):
-        warnings.warn(f"fcidump line {line}: ignoring orbital-energy record for orbital {i[r]}")
+    for at, orbital in zip(itertools.chain(*orbital_lines), itertools.chain(*orbitals)):
+        warnings.warn(f"fcidump line {at}: ignoring orbital-energy record for orbital {orbital}")
     last = np.append(~repeat, True)[: key.size]
     core_energy = float(core_value[-1]) if core_value.size else 0.0
     return core_energy, key[last], stored_value[last], int(repeat.sum())
@@ -455,13 +479,16 @@ def parse_fcidump(text) -> MolecularIntegrals:
 
     The body is read on one of two paths, chosen by the input.  A plainly
     spelled body without errors is read with whole-array operations
-    (``_plain_entries``, one ``np.loadtxt``): values in decimal or E/D
-    exponent form, indices of digits with an optional sign that int64
-    holds.  Any other body, whether it holds an error or a valid but
-    unusual spelling (inf or nan, underscores, indices past int64), is read
-    one line at a time (``_line_entries``), and that reader alone raises
-    record errors: each names the first offending line.  Both paths give
-    the same entries and warnings.
+    (``_plain_entries``): values in decimal or E/D exponent form, indices
+    of digits with an optional sign that int64 holds.  It reads about
+    1 MiB of the body at a time with one ``np.loadtxt``, and keeps 16
+    bytes a record (key and value), so the parse's memory grows with the
+    records and W, not with a copy of the text.  Any other body, whether
+    it holds an error or a valid but unusual spelling (inf or nan,
+    underscores, indices past int64), is read one line at a time
+    (``_line_entries``), and that reader alone raises record errors: each
+    names the first offending line.  Both paths give the same entries and
+    warnings.
 
     Raises
     ------

@@ -593,6 +593,67 @@ def test_line_reader_across_blocks(at, edit):
     assert reader.call_count == 1
 
 
+# The whole-array reader reads the body _PLAIN_BLOCK bytes at a time.  With
+# blocks of a few bytes a body spans many blocks, and the blocks' records,
+# line numbers and checks must add up to the one-block reading: the same
+# entries, warnings in the same order, and the same error and line.
+def _plain_block(size: int):
+    return mock.patch.object(integrals, "_PLAIN_BLOCK", size)
+
+
+def _assert_same_across_blocks(text, sizes, plain: bool):
+    ref = _outcome(parse_fcidump_lines, text)
+    with _plain_block(1 << 30):
+        assert _outcome(parse_fcidump, text) == ref
+    for size in sizes:
+        with _plain_block(size):
+            if plain:
+                with _line_reader_refused():
+                    assert _outcome(parse_fcidump, text) == ref, size
+            else:
+                with _line_reader_counted() as reader:
+                    assert _outcome(parse_fcidump, text) == ref, size
+                assert reader.call_count == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(fcidump_texts(), st.sampled_from([0, 1, 5, 40]))
+def test_generated_texts_read_across_blocks(text, size):
+    plain = isinstance(_outcome(parse_fcidump_lines, text)[0], MolecularIntegrals)
+    _assert_same_across_blocks(text, [size], plain)
+
+
+_BLOCK_HEAD = "&FCI NORB=3,NELEC=2,\n&END\n"
+
+
+# Each text is read with every block size up to its length, so that a cut
+# falls after every byte where one can: between the two bytes of a b"\r\n",
+# before and after blank lines, and between records of one orbit.
+@pytest.mark.parametrize("text, plain", [
+    pytest.param(_PLAIN_TEXT, True, id="crlf-at-a-cut"),
+    pytest.param(_BLOCK_HEAD + "0.5 1 1 1 1\n\n  \n0.25 2 2 1 1\n\n0.75 2 1 0 0\n"
+                 "0.125 3 3 3 3\n\n0.5 3 1 2 2\n0.5 1 0 0 0\n0.25 2 2 2 2\n",
+                 True, id="orbital-energy-after-blank-lines"),
+    pytest.param("&FCI NORB=3,NELEC=2,\r&END\r0.5 1 1 1 1\r\n\x0c0.25 2 2 1 1\r\r"
+                 "0.75 2 1 0 0\x0b\x1c0.125 3 3 3 3\n\r\n0.5 3 0 0 0\x1d\x1e0.5 1 0 0 0\r",
+                 True, id="every-line-break"),
+    pytest.param(_BLOCK_HEAD + "0.5 2 2 2 2\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2\n0.6 2 2 2 2\n0.25 2 2 1 1\n",
+                 False, id="conflicting-duplicate"),
+    pytest.param(_BLOCK_HEAD + "1.5 0 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2\n1.5 0 0 0 0\n0.25 2 2 1 1\n",
+                 True, id="core-energy-repeated"),
+    pytest.param(_BLOCK_HEAD + "1.5 0 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2\n2.5 0 0 0 0\n0.25 2 2 1 1\n",
+                 False, id="conflicting-core-energy"),
+    pytest.param(_BLOCK_HEAD + "0.5 2 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2\n0.5 1 0 0 0\n0.25 2 2 1",
+                 False, id="declines-in-last-block"),
+])
+def test_block_cuts_match_one_block(text, plain):
+    _assert_same_across_blocks(text, range(len(text) + 1), plain)
+
+
 # ---------------------------------------------------------------------------
 # Eigendecomposition and truncation
 # ---------------------------------------------------------------------------
