@@ -210,27 +210,30 @@ def test_pair_matrix_stored_as_given(h2):
         MolecularIntegrals(2, 2, 0.0, h2.one_body, np.zeros((2, 2)))
 
 
-def _traced_peak(fn, *args) -> int:
-    """The peak of the memory traced while ``fn(*args)`` runs, in bytes."""
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_parse_memory_bounded_by_records_not_text(monkeypatch):
-    # An input of 11 blocks (1.4 MiB, blocks of 128 KiB): the whole-array
-    # reader holds one block of text and 16 bytes a record (key and value),
-    # where a reading of the whole body held about 4.9 times the input.  The
-    # parse then adds W and the fill's index arithmetic.
+    # An input of 11 blocks (1.4 MiB, blocks of 128 KiB) already in memory.
+    # The whole-array reader holds one block of text and 16 bytes a record
+    # (key and value), about the input's size at its sort; a copy of the
+    # whole body would take it past 1.5 times.  The parse then adds W and
+    # the fill's index arithmetic.
     monkeypatch.setattr(integrals, "_PLAIN_BLOCK", 1 << 17)
     data = write_fcidump(make_integrals(integrals, 24, 240, 0, 0)).encode("ascii")
     assert len(data) >= 10 * integrals._PLAIN_BLOCK
     norb, _, n_header = integrals._parse_header(integrals._lines(data))
-    assert _traced_peak(integrals._plain_entries, data, n_header, norb) <= 1.5 * len(data)
-    assert _traced_peak(parse_fcidump, data) <= 2.0 * len(data)
+    entries, peak = _traced(integrals._plain_entries, data, n_header, norb)
+    assert entries is not None and peak <= 1.5 * len(data)
+    del entries
+    mol, peak = _traced(parse_fcidump, data)
+    assert mol.n_orbitals == norb and peak <= 2.0 * len(data)
 
 
 def test_canonical_orbit_is_orbit_invariant():
