@@ -372,7 +372,7 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
     key, stored_value = np.concatenate(keys), np.concatenate(values)
     del keys, values
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key = key[order]  # one gather at a time, so one old array is freed before the next
     stored_value = stored_value[order]
     del order
     repeat = key[1:] == key[:-1]
