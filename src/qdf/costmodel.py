@@ -389,8 +389,15 @@ def estimate(
     Modes
     -----
     ``min_toffoli``
-        Scan lam in [0, LAMBDA_SCAN_MAX] and keep the smallest total Toffoli
-        count (smallest lam on ties).
+        The smallest lam in [0, LAMBDA_SCAN_MAX] with the least total Toffoli
+        count.  The walk cost is non-increasing in lam: every term that
+        depends on lam is a minimum over an integer interval whose upper end
+        does not fall as lam grows (``lookup_clean`` up to lam and its
+        uncompute up to lam*b; ``lookup_dirty`` up to budget // b, where the
+        budget is N*beta*(1+lam) + 2N or 1 + b*(1+lam)), and the other terms
+        and the repetitions do not depend on lam.  So the least count is the
+        one at LAMBDA_SCAN_MAX, and the scan stops at the first lam that
+        reaches it.
     ``min_qubits``
         Pin lam = 1, the small-footprint configuration (lam = 0 is used only
         when the Toffoli-optimal lam is 0, i.e. the instance is so small that
@@ -421,7 +428,8 @@ def estimate(
             raise ValueError("fixed mode requires lam")
         chosen = int(lam)
     elif mode == "min_toffoli":
-        chosen = min(scan, key=lambda lam_value: total_at(lam_value)[0])  # first minimum
+        floor = total_at(LAMBDA_SCAN_MAX)[0]
+        chosen = next(lam_value for lam_value in scan if total_at(lam_value)[0] == floor)
     elif mode == "min_qubits":
         # lam = 0 only when it is Toffoli-optimal, i.e. no lam >= 1 is cheaper;
         # ``any`` stops at the first lam that is.

@@ -237,16 +237,15 @@ def _parse_header(lines) -> tuple[int, int, int]:
 
 # Line boundaries as ``str.splitlines`` sees them in ASCII text.
 _LINE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
-# In the body (after b"\r\n" -> b"\n"), translated in one pass: whitespace as
-# ``str.split`` sees it becomes b" ", line boundaries b"\n", and Fortran
-# double-precision exponents E.
+# In the body, translated in one pass: whitespace as ``str.split`` sees it
+# becomes b" ", line boundaries b"\n" (a b"\r\n" two, around a blank line),
+# and Fortran double-precision exponents E.
 _NORMALIZE_BODY = bytes.maketrans(b"\t\x1f\r\x0b\x0c\x1c\x1d\x1eDd", b"  \n\n\n\n\n\nEe")
 # The bytes of a plain body: separators, digits and what a decimal or
 # exponent value needs.  Any other byte sends the body to the line reader.
 _PLAIN_BYTES = b" \n0123456789+-.eE"
 # A record as ``np.loadtxt`` reads it: the value, then i, j, k and l.
 _RECORD = np.dtype([("value", "f8"), ("index", "i8", (4,))])
-_BLANK_LINE = re.compile(rb"\n *(?=\n)")  # matches the newline before a blank line
 _INDEX_MAX = int(np.iinfo(np.int64).max)
 # The whole-array reader reads the body about this many bytes at a time.
 _PLAIN_BLOCK = 1 << 20
@@ -302,40 +301,22 @@ def _records(body: bytes) -> np.ndarray | None:
             return None
 
 
-def _body_lines(body: bytes, rows: np.ndarray) -> np.ndarray:
-    """The body line of each record in ``rows`` (line 0 ends the header)."""
-    before, line, start = [], 0, 0  # the records before each blank line
-    for match in _BLANK_LINE.finditer(body):
-        line += body.count(b"\n", start, match.start() + 1)
-        start = match.start() + 1
-        before.append(line - 1 - len(before))
-    return rows + 1 + np.searchsorted(before, rows, side="right")
-
-
 def _plain_entries(data: bytes, n_header: int, norb: int):
     """What ``_line_entries`` returns, by whole-array operations, if the body
-    is plain (see ``_records``) and no record fails a check; else None, with
-    no warning.
+    is plain (see ``_records``) and no record fails a check; else None.
 
     The body is read a block at a time, each block cut right after the
-    first b"\n" past ``_PLAIN_BLOCK`` bytes, so that no line, and no
-    b"\r\n", spans two blocks.  Masks classify a block's records, and only
-    what the checks need is kept: the ``_store_key`` and value of each
-    stored record, the core values, and the line and orbital of each
-    orbital-energy record, whose warning names its line (counted from the
-    newlines of the blocks before).  Then a stable sort on the keys of all
-    blocks groups duplicates in file order."""
+    first b"\n" past ``_PLAIN_BLOCK`` bytes, so that no line spans two
+    blocks.  Masks classify a block's records, and only what the checks
+    need is kept: the ``_store_key`` and value of each stored record, the
+    core values and the number of orbital-energy records.  Then a stable
+    sort on the keys of all blocks groups duplicates in file order."""
     brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
     start = len(data) if brk is None else brk.end()
-    keys, values, cores, orbital_lines, orbitals = [], [], [], [], []
-    line = n_header  # the file line of the block's line 0, the b"\n" put before it
+    keys, values, cores, orbitals = [], [], [], 0
     while True:
         end = data.find(b"\n", start + _PLAIN_BLOCK) + 1 or len(data)
-        body = b"".join((b"\n", memoryview(data)[start:end], b"\n"))
-        if b"\r" in body:
-            body = body.replace(b"\r\n", b"\n")
-        body = body.translate(_NORMALIZE_BODY)
-        records = _records(body)
+        records = _records(data[start:end].translate(_NORMALIZE_BODY))
         if records is None:
             return None
         value, index = records["value"], records["index"]
@@ -349,19 +330,15 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
         two = (i != 0) & (j != 0) & (k != 0) & (l != 0)
         if not (core | orbital | one | two).all():
             return None
-        orbital = np.flatnonzero(orbital)
-        if orbital.size:
-            orbital_lines.append(line + _body_lines(body, orbital))
-            orbitals.append(i[orbital])
+        orbitals += int(orbital.sum())
         cores.append(value[core])
         stored = np.flatnonzero(one | two)
         keys.append(_store_key(i[stored], j[stored], k[stored], l[stored], norb))
         values.append(value[stored])
         if end == len(data):
             break
-        line += body.count(b"\n") - 2  # the last line of this block
         start = end
-    del body, records, value, index, i, j, k, l, stored  # free the last block before sorting
+    del records, value, index, i, j, k, l, stored  # free the last block before sorting
     core_value = np.concatenate(cores)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
         if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
@@ -379,23 +356,21 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
     with np.errstate(invalid="ignore"):
         if (repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)).any():
             return None
-    for at, orbital in zip(itertools.chain(*orbital_lines), itertools.chain(*orbitals)):
-        warnings.warn(f"fcidump line {at}: ignoring orbital-energy record for orbital {orbital}")
     last = np.append(~repeat, True)[: key.size]
     core_energy = float(core_value[-1]) if core_value.size else 0.0
-    return core_energy, key[last], stored_value[last], int(repeat.sum())
+    return core_energy, key[last], stored_value[last], int(repeat.sum()), orbitals
 
 
 def _line_entries(data: bytes, n_header: int, norb: int):
     """The core energy, the distinct ``_store_key`` keys of the one- and
-    two-body records with the last value of each, and the number of repeated
-    records, reading the body one line at a time.  Warns about each
-    orbital-energy record and raises FcidumpError at the first line that
-    fails a check, in the order of a line-by-line reading."""
+    two-body records with the last value of each, the number of repeated
+    records and the number of orbital-energy records, reading the body one
+    line at a time.  Raises FcidumpError at the first line that fails a
+    check."""
     n_pairs = norb * (norb + 1) // 2
     core = None
     store: dict[int, float] = {}
-    repeats = 0
+    repeats = orbitals = 0
     for lineno, raw in enumerate(itertools.islice(_lines(data), n_header, None), n_header + 1):
         tokens = raw.split()
         if not tokens:
@@ -423,8 +398,7 @@ def _line_entries(data: bytes, n_header: int, norb: int):
         a, b = (i, j) if i >= j else (j, i)
         if k == l == 0 and i != 0:
             if j == 0:
-                warnings.warn(f"fcidump line {lineno}: "
-                              f"ignoring orbital-energy record for orbital {i}")
+                orbitals += 1
                 continue
             key = (a - 1) * norb + b - 1
         elif 0 in (i, j, k, l):
@@ -447,20 +421,21 @@ def _line_entries(data: bytes, n_header: int, norb: int):
         store[key] = value
     key = np.fromiter(store, dtype=np.int64, count=len(store))
     value = np.fromiter(store.values(), dtype=float, count=len(store))
-    return 0.0 if core is None else core, key, value, repeats
+    return 0.0 if core is None else core, key, value, repeats, orbitals
 
 
 def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h_ij and W from the stored values at their distinct ``_store_key``
-    keys.  Each two-body value goes to both (pair, pair) entries of W."""
+    keys, whose flat indices in h_ij and, less N^2, in W name the entry; each
+    value goes to that entry and its mirror."""
     n_pairs = norb * (norb + 1) // 2
     h1 = np.zeros((norb, norb))
     pair_matrix = np.zeros((n_pairs, n_pairs))
-    one = key < norb * norb
-    a, b = np.divmod(key[one], norb)
-    h1[a, b] = h1[b, a] = value[one]
-    ab, cd = np.divmod(key[~one] - norb * norb, n_pairs)
-    pair_matrix[ab, cd] = pair_matrix[cd, ab] = value[~one]
+    two = key >= norb * norb
+    flat = key[~two]
+    h1.flat[flat] = h1.T.flat[flat] = value[~two]
+    flat = key[two] - norb * norb
+    pair_matrix.flat[flat] = pair_matrix.T.flat[flat] = value[two]
     return h1, pair_matrix
 
 
@@ -472,10 +447,10 @@ def parse_fcidump(text) -> MolecularIntegrals:
     text : str, bytes or file-like
         FCIDUMP content, ASCII.  The body holds ``value i j k l`` records
         with 1-based indices: ``0 0 0 0`` marks the core energy, ``i j 0 0``
-        a one-body entry, ``i 0 0 0`` an orbital energy (ignored with a
-        warning), and four nonzero indices a two-body entry (chemist
-        convention).  Each stored two-body value populates the entry of
-        its orbit in W and that entry's mirror.
+        a one-body entry, ``i 0 0 0`` an orbital energy (ignored, and
+        counted in one warning), and four nonzero indices a two-body entry
+        (chemist convention).  Each stored two-body value populates the
+        entry of its orbit in W and that entry's mirror.
 
     The body is read on one of two paths, chosen by the input.  A plainly
     spelled body without errors is read with whole-array operations
@@ -488,7 +463,8 @@ def parse_fcidump(text) -> MolecularIntegrals:
     underscores, indices past int64), is read one line at a time
     (``_line_entries``), and that reader alone raises record errors: each
     names the first offending line.  Both paths give the same entries and
-    warnings.
+    counts, and neither warns: once the body is read, this gives one
+    warning for each kind of ignored or overwritten record.
 
     Raises
     ------
@@ -510,8 +486,10 @@ def parse_fcidump(text) -> MolecularIntegrals:
     # The text is needed only by the line reader; freeing it before W is
     # filled keeps it out of the process's peak memory.
     del data
-    core_energy, key, value, duplicates = entries
+    core_energy, key, value, duplicates, orbitals = entries
 
+    if orbitals:
+        warnings.warn(f"fcidump: {orbitals} orbital-energy record(s) ignored")
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
     try:

@@ -133,7 +133,7 @@ def parse_fcidump_lines(text) -> MolecularIntegrals:
     core_seen = False
     one: dict[tuple[int, int], float] = {}
     two: dict[tuple[int, int, int, int], float] = {}
-    duplicates = 0
+    duplicates = orbitals = 0
 
     def _store(store, key, value, lineno):
         nonlocal duplicates
@@ -177,9 +177,7 @@ def parse_fcidump_lines(text) -> MolecularIntegrals:
             if j == 0:
                 # Orbital-energy record emitted by some programs; not part of
                 # the Hamiltonian.
-                warnings.warn(
-                    f"fcidump line {lineno0}: ignoring orbital-energy record for orbital {i}"
-                )
+                orbitals += 1
                 continue
             _store(one, (max(i, j) - 1, min(i, j) - 1), value, lineno0)
         elif 0 in (i, j, k, l):
@@ -191,6 +189,8 @@ def parse_fcidump_lines(text) -> MolecularIntegrals:
         else:
             _store(two, canonical_orbit(i - 1, j - 1, k - 1, l - 1), value, lineno0)
 
+    if orbitals:
+        warnings.warn(f"fcidump: {orbitals} orbital-energy record(s) ignored")
     if duplicates:
         warnings.warn(f"fcidump: {duplicates} duplicate entr(y/ies) overwritten (last wins)")
 

@@ -402,7 +402,8 @@ class TestEstimate:
         (dict(n=54, rank=567, m_total=24000, alpha=339.1), "fixed", 7, 1, 7),
         # lam = 1 already beats lam = 0, so the scan stops there
         (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_qubits", None, 2, 1),
-        (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_toffoli", None, 65, 3),
+        # the walk cost at LAMBDA_SCAN_MAX is the floor; the scan stops at the first lam on it
+        (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_toffoli", None, 5, 3),
         # no lam beats lam = 0: the whole scan runs, and lam = 0 is not recomputed
         (dict(n=2, rank=1, m_total=2, alpha=0.5), "min_qubits", None, 65, 0),
     ])

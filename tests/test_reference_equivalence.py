@@ -595,8 +595,8 @@ def test_line_reader_across_blocks(at, edit):
 
 # The whole-array reader reads the body _PLAIN_BLOCK bytes at a time.  With
 # blocks of a few bytes a body spans many blocks, and the blocks' records,
-# line numbers and checks must add up to the one-block reading: the same
-# entries, warnings in the same order, and the same error and line.
+# counts and checks must add up to the one-block reading: the same entries,
+# warnings in the same order, and the same error and line.
 def _plain_block(size: int):
     return mock.patch.object(integrals, "_PLAIN_BLOCK", size)
 
@@ -649,6 +649,15 @@ _BLOCK_HEAD = "&FCI NORB=3,NELEC=2,\n&END\n"
     pytest.param(_BLOCK_HEAD + "0.5 2 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
                  "0.5 3 1 2 2\n0.5 1 0 0 0\n0.25 2 2 1",
                  False, id="declines-in-last-block"),
+    pytest.param(_BLOCK_HEAD + "0.5 1 0 0 0\n0.25 1 1 1 1\n0.5 2 0 0 0\n0.75 2 1 0 0\n"
+                 "0.125 3 3 3 3\n0.5 3 0 0 0\n0.5 3 1 2 2\n0.5 1 0 0 0\n",
+                 True, id="orbital-energies-in-many-blocks"),
+    pytest.param(_BLOCK_HEAD + "0.5 1 0 0 0\n0.25 1 1 1 1\n0.5 2 0 0 0\n0.75 2 1 0 0\n"
+                 "0.125 3 0 3 3\n0.5 3 0 0 0\n0.5 3 1 2 2\n",
+                 False, id="orbital-energies-before-an-error"),
+    pytest.param(_BLOCK_HEAD + "0.5 2 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2\n0.5 1 0 0 0\n0.2_5 2 2 1 1\n",
+                 False, id="valid-but-declines-in-last-block"),
 ])
 def test_block_cuts_match_one_block(text, plain):
     _assert_same_across_blocks(text, range(len(text) + 1), plain)
@@ -934,6 +943,8 @@ def _small_or_large(hi: int):
 )
 @example(n=1, rank=1, m_total=1, m_max=1, alpha=1e-3, delta_e=1e-3,
          mode="min_qubits", lam=0)  # lam = 0 is Toffoli-optimal here
+@example(n=1, rank=1, m_total=1, m_max=1, alpha=1e-3, delta_e=1e-3,
+         mode="min_toffoli", lam=0)
 def test_estimate_matches_full_scan(n, rank, m_total, m_max, alpha, delta_e, mode, lam):
     kwargs = dict(n=n, rank=rank, m_total=m_total, m_max=m_max, alpha=alpha,
                   budget=ErrorBudget(delta_e=delta_e), mode=mode, lam=lam)
