@@ -204,8 +204,10 @@ def _factorization(args, parsed=None) -> factorization.DoubleFactorization:
             _warn(header.warnings)
         return df
     mol, texts = parsed or _parse(path)
+    adj = integrals.adjusted_one_body(mol)
     sf = factorization.single_factorize(mol, tol=factorization.CHOLESKY_TOL)
-    df = factorization.double_factorize(sf, integrals.adjusted_one_body(mol))
+    del mol  # W is read no more: freed before the eigendecomposition
+    df = factorization.double_factorize(sf, adj)
     if args.cache:
         try:
             factorization.save_cache(df, args.cache, digest, factorization.CHOLESKY_TOL, texts)

@@ -401,7 +401,8 @@ def estimate(
     ``min_qubits``
         Pin lam = 1, the small-footprint configuration (lam = 0 is used only
         when the Toffoli-optimal lam is 0, i.e. the instance is so small that
-        extra ancillas buy nothing).
+        extra ancillas buy nothing).  By the same monotonicity, the walk costs
+        at lam = 0, 1 and LAMBDA_SCAN_MAX decide it.
     ``fixed``
         Use ``lam`` as given.
     """
@@ -422,19 +423,20 @@ def estimate(
             walks[lam_value] = wc.toffoli * reps, wc
         return walks[lam_value]
 
-    scan = range(LAMBDA_SCAN_MAX + 1)
     if mode == "fixed":
         if lam is None:
             raise ValueError("fixed mode requires lam")
         chosen = int(lam)
     elif mode == "min_toffoli":
         floor = total_at(LAMBDA_SCAN_MAX)[0]
-        chosen = next(lam_value for lam_value in scan if total_at(lam_value)[0] == floor)
+        chosen = next(lam_value for lam_value in range(LAMBDA_SCAN_MAX + 1)
+                      if total_at(lam_value)[0] == floor)
     elif mode == "min_qubits":
-        # lam = 0 only when it is Toffoli-optimal, i.e. no lam >= 1 is cheaper;
-        # ``any`` stops at the first lam that is.
+        # lam = 0 only when it is Toffoli-optimal, i.e. no lam >= 1 is cheaper:
+        # the cost being non-increasing in lam, the floor at LAMBDA_SCAN_MAX
+        # decides, unless lam = 1 already beats lam = 0.
         t0 = total_at(0)[0]
-        chosen = int(any(total_at(lam_value)[0] < t0 for lam_value in scan[1:]))
+        chosen = int(total_at(1)[0] < t0 or total_at(LAMBDA_SCAN_MAX)[0] < t0)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     total, wc = total_at(chosen)

@@ -47,6 +47,9 @@ CHOLESKY_TOL = 1e-10
 #: concern (qdf.truncation).
 EIGENVALUE_CUTOFF = 1e-13
 
+# double_factorize eigendecomposes about this many bytes of factors at a time.
+_EIGH_CHUNK = 1 << 20
+
 
 class NotPositiveSemidefiniteError(ValueError):
     """The ERI supermatrix has an eigenvalue below the PSD tolerance."""
@@ -178,8 +181,8 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
     packed = pair_index(n)[rows, cols]  # the row of W of each i <= j
     diag = w[packed, packed]
     bound = PSD_TOLERANCE * max(float(diag.max()), 0.0)
-    # buf: W's pivot column, then each earlier column times its pivot entry
-    chol, buf = np.empty((2, packed.size, packed.size))
+    chol = np.empty((packed.size, packed.size))
+    buf = np.empty_like(chol)  # W's pivot column, then each earlier column times its pivot entry
     k = 0
     while k < n * n:
         if diag.min() < -bound:
@@ -198,32 +201,36 @@ def single_factorize(m: MolecularIntegrals, tol: float = CHOLESKY_TOL) -> Single
         chol[k] = np.subtract.reduce(buf[:k + 1], axis=0) / np.sqrt(diag[q])
         diag -= chol[k] * chol[k]
         k += 1
+    del buf  # freed before the gather of the factors
 
     pair_of = np.empty((n, n), dtype=np.intp)
     pair_of[rows, cols] = pair_of[cols, rows] = np.arange(packed.size)
     return SingleFactorization(chol[:k, pair_of], float(np.abs(diag).max()))
 
 
-def _eigh_sorted(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompositions of a stack of symmetric (N, N) matrices: the
-    eigenvalues (B, N) by descending |eigenvalue| and the eigenvectors as rows
-    (B, N, N), each with its first component of magnitude > 1e-12 positive."""
+def _eigh_sorted(mats: np.ndarray, what: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompositions of a stack of symmetric (N, N) matrices, numbered
+    from ``first``: the eigenvalues (B, N) by descending |eigenvalue| and the
+    eigenvectors as rows (B, N, N), each with its first component of
+    magnitude > 1e-12 positive."""
     try:
         vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         # Only the first matrix that fails, found one by one, is named.
-        for b, a in enumerate(mats):
+        for b, a in enumerate(mats, first):
             try:
                 np.linalg.eigh(a)
             except np.linalg.LinAlgError as one:
                 raise ArithmeticError(f"eigendecomposition failed for {what} {b}: {one}") from one
         raise ArithmeticError(f"eigendecomposition failed for a {what}: {exc}") from exc
     order = np.argsort(-np.abs(vals), axis=1, kind="stable")
-    rows = np.take_along_axis(vecs, order[:, None, :], axis=2).transpose(0, 2, 1)
+    # The eigenvector columns, gathered as rows in one copy, by (B, N) indices
+    rows = vecs.transpose(0, 2, 1)[np.arange(len(mats))[:, None], order]
+    del vecs
     rows = rows.reshape(-1, mats.shape[-1])
     above = np.abs(rows) > 1e-12
     flip = above.any(axis=1) & (rows[np.arange(rows.shape[0]), above.argmax(axis=1)] < 0)
-    rows[flip] = -rows[flip]  # exact
+    np.negative(rows, out=rows, where=flip[:, None])  # exact
     return np.take_along_axis(vals, order, axis=1), rows.reshape(mats.shape)
 
 
@@ -231,20 +238,35 @@ def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFac
     """Eigendecompose every Cholesky factor and the adjusted one-body matrix.
 
     Eigenpairs with |lambda| <= EIGENVALUE_CUTOFF * max|lambda| within their
-    factor are numerical zeros and dropped.
+    factor are numerical zeros and dropped.  The factors are decomposed
+    ``_EIGH_CHUNK`` bytes at a time, each by the same ``eigh`` call as in one
+    batch, and the kept eigenpairs go straight into arrays sized for every
+    eigenpair, returned as views of their first M rows.
     """
     n = adj.l_minus1.shape[0]
-    vals, vecs = _eigh_sorted(np.reshape(sf.factors, (-1, n, n)), "factor")
-    abs_vals = np.abs(vals)
-    keep = abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None]
+    factors = np.reshape(sf.factors, (-1, n, n))
+    rank = len(factors)
+    eigenvalues, eigenvectors = np.empty(rank * n), np.empty((rank * n, n))
+    counts, norms = np.empty(rank, dtype=np.int64), np.empty(rank)
+    step, m = max(1, _EIGH_CHUNK // (8 * n * n)), 0
+    for lo in range(0, rank, step):
+        vals, vecs = _eigh_sorted(factors[lo:lo + step], "factor", lo)
+        abs_vals = np.abs(vals)
+        keep = abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None]
+        counts[lo:lo + step] = keep.sum(axis=1)
+        norms[lo:lo + step] = rank_sums(np.where(keep, abs_vals, 0.0))
+        kept = int(keep.sum())
+        eigenvalues[m:m + kept] = vals[keep]
+        np.compress(keep.reshape(-1), vecs.reshape(-1, n), axis=0, out=eigenvectors[m:m + kept])
+        m += kept
     ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1[None], "one-body matrix")
     return DoubleFactorization(
         one_body=adj,
         one_body_eigs=(ob_vals[0], ob_vecs[0]),
-        eigenvalues=vals[keep],
-        eigenvectors=vecs[keep],
-        offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
-        schatten_norms=rank_sums(np.where(keep, abs_vals, 0.0)),
+        eigenvalues=eigenvalues[:m],
+        eigenvectors=eigenvectors[:m],
+        offsets=np.concatenate(([0], np.cumsum(counts))),
+        schatten_norms=norms,
         n_orbitals=n,
     )
 
@@ -349,16 +371,21 @@ def save_cache(df: DoubleFactorization, path, fcidump_sha256: bytes, tol: float,
     one_body, (ob_vals, ob_vecs) = df.one_body, df.one_body_eigs
     floats = ([one_body.scalar_shift, one_body.core_energy], one_body.h_tilde, one_body.l_minus1,
               ob_vals, ob_vecs, df.schatten_norms, df.eigenvalues, df.eigenvectors)
-    body = b"".join([
+    # The parts are hashed, then written, one at a time: no joined copy.
+    parts = [
         _HEADER.pack(fcidump_sha256, tol, EIGENVALUE_CUTOFF, df.n_orbitals, df.rank,
                      ob_vals.size, df.total_eigenpairs, len(texts)),
-        *(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in floats),
-        np.diff(df.offsets).astype("<u4").tobytes(),
+        *(np.ascontiguousarray(a, dtype="<f8") for a in floats),
+        np.diff(df.offsets).astype("<u4"),
         texts,
-    ])
+    ]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + hashlib.sha256(body).digest())
-        fh.write(body)
+        fh.write(_MAGIC + digest.digest())
+        for part in parts:
+            fh.write(part)
 
 
 def load_cache(path) -> DoubleFactorization:

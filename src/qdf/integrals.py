@@ -273,16 +273,19 @@ def _ascii_bytes(text) -> bytes:
 
 
 def _store_key(i, j, k, l, norb: int) -> np.ndarray:
-    """Sort key of one-body records (k = l = 0), a*N + b for h_ab with a >= b,
-    and of two-body records, N^2 plus the (pair, pair) index of the canonical
-    orbit; 1-based index arrays in."""
+    """Sort key of two-body records, the (pair, pair) index of the canonical
+    orbit, and of one-body records (k = l = 0), P^2 plus a*N + b for h_ab with
+    a >= b, where P = N(N+1)/2; 1-based index arrays in, and any key for a
+    record that is neither.  A file that lists its two-body records in
+    canonical order and then its one-body records, as the usual writers do,
+    gives ascending keys."""
     a, b = np.maximum(i, j) - 1, np.minimum(i, j) - 1
     c, d = np.maximum(k, l) - 1, np.minimum(k, l) - 1
     ab = a * (a + 1) // 2 + b
     cd = c * (c + 1) // 2 + d
     n_pairs = norb * (norb + 1) // 2
-    two_body = norb * norb + np.maximum(ab, cd) * n_pairs + np.minimum(ab, cd)
-    return np.where(k == 0, a * norb + b, two_body)
+    one_body = n_pairs * n_pairs + a * norb + b
+    return np.where(k == 0, one_body, np.maximum(ab, cd) * n_pairs + np.minimum(ab, cd))
 
 
 def _records(body: bytes) -> np.ndarray | None:
@@ -301,26 +304,55 @@ def _records(body: bytes) -> np.ndarray | None:
             return None
 
 
-def _plain_entries(data: bytes, n_header: int, norb: int):
+def _body_blocks(data: bytes, n_header: int):
+    """The body of ``data``, after its ``n_header`` header lines, a block at a
+    time: each block is cut right after the first b"\n" past ``_PLAIN_BLOCK``
+    bytes, so that no line spans two blocks.  At least one block, maybe empty."""
+    brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
+    start = len(data) if brk is None else brk.end()
+    while True:
+        end = data.find(b"\n", start + _PLAIN_BLOCK) + 1 or len(data)
+        yield data[start:end]
+        if end == len(data):
+            return
+        start = end
+
+
+def _file_blocks(fh):
+    """Binary file ``fh`` from where it stands, about ``_PLAIN_BLOCK`` bytes at
+    a time, each block cut right after a b"\n" or at the end of the file."""
+    return iter(lambda: fh.read(_PLAIN_BLOCK) + fh.readline(), b"")
+
+
+def _grown(a: np.ndarray, used: int, need: int) -> np.ndarray:
+    """A copy of ``a[:used]`` with room for at least ``need`` entries, and for
+    twice ``a``'s: the stored records are kept in a few large arrays, not in
+    one array a block, whose scattered holes the heap would keep once freed."""
+    out = np.empty(max(need, 2 * a.size), a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
+def _plain_entries(blocks, norb: int):
     """What ``_line_entries`` returns, by whole-array operations, if the body
     is plain (see ``_records``) and no record fails a check; else None.
 
-    The body is read a block at a time, each block cut right after the
-    first b"\n" past ``_PLAIN_BLOCK`` bytes, so that no line spans two
-    blocks.  Masks classify a block's records, and only what the checks
-    need is kept: the ``_store_key`` and value of each stored record, the
-    core values and the number of orbital-energy records.  Then a stable
-    sort on the keys of all blocks groups duplicates in file order."""
-    brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
-    start = len(data) if brk is None else brk.end()
-    keys, values, cores, orbitals = [], [], [], 0
-    while True:
-        end = data.find(b"\n", start + _PLAIN_BLOCK) + 1 or len(data)
-        records = _records(data[start:end].translate(_NORMALIZE_BODY))
+    ``blocks`` are the body's bytes, at least one block, each ending at a
+    line end, so that no line spans two.  Masks classify a block's records,
+    and only what the checks need is kept: the ``_store_key`` and value of
+    each stored record, the core values and the number of orbital-energy
+    records.  Then a stable sort on the keys of all blocks, unless they are
+    in order already, groups duplicates in file order, and the keys come out
+    ascending."""
+    key, stored_value, size = np.empty(0, np.int64), np.empty(0), 0
+    cores, orbitals = [], 0
+    for block in blocks:
+        block = block.translate(_NORMALIZE_BODY)
+        records = _records(block)
         if records is None:
             return None
         value, index = records["value"], records["index"]
-        if ((index < 0) | (index > norb)).any():
+        if index.min(initial=0) < 0 or index.max(initial=0) > norb:
             return None
         i, j, k, l = index.T
         core = (i == 0) & (j == 0) & (k == 0) & (l == 0)
@@ -332,40 +364,50 @@ def _plain_entries(data: bytes, n_header: int, norb: int):
             return None
         orbitals += int(orbital.sum())
         cores.append(value[core])
-        stored = np.flatnonzero(one | two)
-        keys.append(_store_key(i[stored], j[stored], k[stored], l[stored], norb))
-        values.append(value[stored])
-        if end == len(data):
-            break
-        start = end
-    del records, value, index, i, j, k, l, stored  # free the last block before sorting
+        stored = one | two
+        end = size + int(np.count_nonzero(stored))
+        if end > key.size:  # one array at a time, so one old array is freed before the next
+            key = _grown(key, size, end)
+            stored_value = _grown(stored_value, size, end)
+        np.compress(stored, _store_key(i, j, k, l, norb), out=key[size:end])
+        np.compress(stored, value, out=stored_value[size:end])
+        size = end
+    del block, records, value, index, i, j, k, l  # free the last block before sorting
     core_value = np.concatenate(cores)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
         if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
             return None
+    # In place, giving back the room past the last record; nothing else
+    # refers to either array.
+    key.resize(size, refcheck=False)
+    stored_value.resize(size, refcheck=False)
     # A stable sort groups each key's records in file order: "last wins" is
     # the last of each group, and each repeat is checked against the record
-    # before it, which is the value a line-by-line reading would hold.
-    key, stored_value = np.concatenate(keys), np.concatenate(values)
-    del keys, values
-    order = np.argsort(key, kind="stable")
-    key = key[order]  # one gather at a time, so one old array is freed before the next
-    stored_value = stored_value[order]
-    del order
+    # before it, which is the value a line-by-line reading would hold.  Keys
+    # already in order (the usual file) are not sorted.
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        key = key[order]  # one gather at a time, so one old array is freed before the next
+        stored_value = stored_value[order]
+        del order
     repeat = key[1:] == key[:-1]
-    with np.errstate(invalid="ignore"):
-        if (repeat & (np.abs(stored_value[:-1] - stored_value[1:]) > DUPLICATE_TOLERANCE)).any():
-            return None
-    last = np.append(~repeat, True)[: key.size]
+    repeats = int(np.count_nonzero(repeat))
+    if repeats:
+        at = np.flatnonzero(repeat)
+        with np.errstate(invalid="ignore"):
+            if (np.abs(stored_value[at] - stored_value[at + 1]) > DUPLICATE_TOLERANCE).any():
+                return None
+        last = np.append(~repeat, True)
+        key, stored_value = key[last], stored_value[last]
     core_energy = float(core_value[-1]) if core_value.size else 0.0
-    return core_energy, key[last], stored_value[last], int(repeat.sum()), orbitals
+    return core_energy, key, stored_value, repeats, orbitals
 
 
 def _line_entries(data: bytes, n_header: int, norb: int):
     """The core energy, the distinct ``_store_key`` keys of the one- and
-    two-body records with the last value of each, the number of repeated
-    records and the number of orbital-energy records, reading the body one
-    line at a time.  Raises FcidumpError at the first line that fails a
+    two-body records, ascending, with the last value of each, the number of
+    repeated records and the number of orbital-energy records, reading the
+    body one line at a time.  Raises FcidumpError at the first line that fails a
     check."""
     n_pairs = norb * (norb + 1) // 2
     core = None
@@ -400,7 +442,7 @@ def _line_entries(data: bytes, n_header: int, norb: int):
             if j == 0:
                 orbitals += 1
                 continue
-            key = (a - 1) * norb + b - 1
+            key = n_pairs * n_pairs + (a - 1) * norb + b - 1
         elif 0 in (i, j, k, l):
             raise FcidumpError(
                 f"malformed index pattern ({i} {j} {k} {l}): zeros are only "
@@ -410,7 +452,7 @@ def _line_entries(data: bytes, n_header: int, norb: int):
         else:
             c, d = (k, l) if k >= l else (l, k)
             ab, cd = a * (a - 1) // 2 + b - 1, c * (c - 1) // 2 + d - 1
-            key = norb * norb + (ab * n_pairs + cd if ab >= cd else cd * n_pairs + ab)
+            key = ab * n_pairs + cd if ab >= cd else cd * n_pairs + ab
         if key in store:
             if abs(store[key] - value) > DUPLICATE_TOLERANCE:
                 orbit = ((a - 1, b - 1) if k == 0
@@ -421,21 +463,24 @@ def _line_entries(data: bytes, n_header: int, norb: int):
         store[key] = value
     key = np.fromiter(store, dtype=np.int64, count=len(store))
     value = np.fromiter(store.values(), dtype=float, count=len(store))
-    return 0.0 if core is None else core, key, value, repeats, orbitals
+    order = np.argsort(key)
+    return 0.0 if core is None else core, key[order], value[order], repeats, orbitals
 
 
 def _fill(norb: int, key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h_ij and W from the stored values at their distinct ``_store_key``
-    keys, whose flat indices in h_ij and, less N^2, in W name the entry; each
-    value goes to that entry and its mirror."""
+    keys, ascending, whose flat indices in W and, less P^2, in h_ij name the
+    entry; each value goes to that entry and its mirror.  The one-body keys
+    are turned into their flat indices in place, so ``key`` is spent."""
     n_pairs = norb * (norb + 1) // 2
     h1 = np.zeros((norb, norb))
     pair_matrix = np.zeros((n_pairs, n_pairs))
-    two = key >= norb * norb
-    flat = key[~two]
-    h1.flat[flat] = h1.T.flat[flat] = value[~two]
-    flat = key[two] - norb * norb
-    pair_matrix.flat[flat] = pair_matrix.T.flat[flat] = value[two]
+    split = int(np.searchsorted(key, n_pairs * n_pairs))
+    flat = key[:split]
+    pair_matrix.flat[flat] = pair_matrix.T.flat[flat] = value[:split]
+    flat = key[split:]
+    flat -= n_pairs * n_pairs
+    h1.flat[flat] = h1.T.flat[flat] = value[split:]
     return h1, pair_matrix
 
 
@@ -482,12 +527,18 @@ def parse_fcidump(text) -> MolecularIntegrals:
         raise FcidumpError("empty input")
 
     norb, nelec, n_header = _parse_header(_lines(data))
-    entries = _plain_entries(data, n_header, norb) or _line_entries(data, n_header, norb)
+    entries = (_plain_entries(_body_blocks(data, n_header), norb)
+               or _line_entries(data, n_header, norb))
     # The text is needed only by the line reader; freeing it before W is
     # filled keeps it out of the process's peak memory.
     del data
-    core_energy, key, value, duplicates, orbitals = entries
+    return _integrals(norb, nelec, entries)
 
+
+def _integrals(norb: int, nelec: int, entries) -> MolecularIntegrals:
+    """The integrals of a read body's entries, after one warning for each kind
+    of ignored or overwritten record."""
+    core_energy, key, value, duplicates, orbitals = entries
     if orbitals:
         warnings.warn(f"fcidump: {orbitals} orbital-energy record(s) ignored")
     if duplicates:
@@ -504,9 +555,35 @@ def parse_fcidump(text) -> MolecularIntegrals:
 
 
 def load_fcidump(path) -> MolecularIntegrals:
-    """Parse an FCIDUMP file from disk."""
+    """Parse an FCIDUMP file from disk, as ``parse_fcidump`` parses its bytes.
+
+    The file is read a block of about ``_PLAIN_BLOCK`` bytes at a time, each
+    cut right after a line end, and the header is read from the first block,
+    so a plain body never has all its text in memory.  A file whose first
+    block holds no whole, valid ASCII header, and a file that cannot seek,
+    are read whole.  A block that the whole-array reader declines (a
+    non-ASCII byte, an error or an unusual spelling) has the file read
+    again, whole, for the ASCII check and the line reader."""
     with open(path, "rb") as fh:
-        return parse_fcidump(fh)
+        if not fh.seekable():
+            return parse_fcidump(fh)
+        blocks = _file_blocks(fh)
+        first = next(blocks, b"")
+        try:
+            norb, nelec, n_header = _parse_header(_lines(first))
+        except (FcidumpError, UnicodeDecodeError):  # the whole read gives the error and its line
+            fh.seek(0)
+            return parse_fcidump(fh)
+        blocks = itertools.chain(_body_blocks(first, n_header), blocks)
+        del first
+        entries = _plain_entries(blocks, norb)
+        del blocks
+        if entries is None:
+            fh.seek(0)
+            data = _ascii_bytes(fh.read())
+            entries = _line_entries(data, n_header, norb)
+            del data
+    return _integrals(norb, nelec, entries)
 
 
 def write_fcidump(m: MolecularIntegrals) -> str:

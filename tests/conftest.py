@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def trotter_step_bound(h_fragments: list[np.ndarray]) -> float:
                 total += np.linalg.norm(comm(frags[a], inner), 2)
             total += 0.5 * np.linalg.norm(comm(frags[b], inner), 2)
     return total / 12.0
+
+
+def traced(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def scaled(m: MolecularIntegrals, factor: float) -> MolecularIntegrals:

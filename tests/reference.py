@@ -6,7 +6,8 @@ These are the earlier implementations, kept only as test oracles: the
 per-line FCIDUMP parser, the quadruple-loop FCIDUMP writer, the
 rank-1-deflation Cholesky over a full copy of the ERI supermatrix, the
 adjusted one-body matrices by einsums over the (N, N, N, N) tensor, the
-per-factor eigendecomposition with a per-vector sign loop, the object-form
+per-factor eigendecomposition with a per-vector sign loop, the double
+factorization by one eigendecomposition of the whole factor stack, the object-form
 truncation (a Python list of scored eigenpairs, sorted, admitted one at a
 time, filtered through a set) and the full lambda scan of
 ``costmodel.estimate``.  The package must reproduce them exactly (the same
@@ -52,6 +53,8 @@ from qdf.factorization import (
     DoubleFactorization,
     NotPositiveSemidefiniteError,
     SingleFactorization,
+    _eigh_sorted,
+    rank_sums,
 )
 from qdf.oracle import FockOperator
 from qdf.integrals import (
@@ -278,6 +281,25 @@ def eigenpair_groups_loop(factors: list[np.ndarray]) -> list[list[tuple[float, n
         cutoff = EIGENVALUE_CUTOFF * (np.abs(vals).max() if vals.size else 0.0)
         groups.append([(float(v), vecs[:, i].copy()) for i, v in enumerate(vals) if abs(v) > cutoff])
     return groups
+
+
+def double_factorize_whole(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFactorization:
+    """``double_factorize`` as one ``_eigh_sorted`` call over the whole (R, N, N)
+    stack, with the kept eigenpairs picked from it by one mask."""
+    n = adj.l_minus1.shape[0]
+    vals, vecs = _eigh_sorted(np.reshape(sf.factors, (-1, n, n)), "factor")
+    abs_vals = np.abs(vals)
+    keep = abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None]
+    ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1[None], "one-body matrix")
+    return DoubleFactorization(
+        one_body=adj,
+        one_body_eigs=(ob_vals[0], ob_vecs[0]),
+        eigenvalues=vals[keep],
+        eigenvectors=vecs[keep],
+        offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+        schatten_norms=rank_sums(np.where(keep, abs_vals, 0.0)),
+        n_orbitals=n,
+    )
 
 
 def groups_of(df: DoubleFactorization) -> list[list[tuple[float, np.ndarray]]]:

@@ -404,8 +404,8 @@ class TestEstimate:
         (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_qubits", None, 2, 1),
         # the walk cost at LAMBDA_SCAN_MAX is the floor; the scan stops at the first lam on it
         (dict(n=54, rank=567, m_total=24000, alpha=339.1), "min_toffoli", None, 5, 3),
-        # no lam beats lam = 0: the whole scan runs, and lam = 0 is not recomputed
-        (dict(n=2, rank=1, m_total=2, alpha=0.5), "min_qubits", None, 65, 0),
+        # no lam beats lam = 0: lam = 1 and the floor at LAMBDA_SCAN_MAX show it
+        (dict(n=2, rank=1, m_total=2, alpha=0.5), "min_qubits", None, 3, 0),
     ])
     def test_walk_cost_calls_per_mode(self, monkeypatch, scalars, mode, lam, calls, chosen):
         from qdf import costmodel

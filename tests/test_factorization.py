@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdf import factorization
 from qdf.factorization import (
     EIGENVALUE_CUTOFF,
     CacheHeader,
     NotPositiveSemidefiniteError,
+    SingleFactorization,
     alpha_df,
     double_factorize,
     load_cache,
@@ -19,7 +21,7 @@ from qdf.factorization import (
     schatten_squares,
     single_factorize,
 )
-from qdf.integrals import MolecularIntegrals, adjusted_one_body, load_fcidump
+from qdf.integrals import AdjustedOneBody, MolecularIntegrals, adjusted_one_body, load_fcidump
 from qdf.truncation import score_eigenpairs, truncate
 from tests.conftest import (
     entrywise_norm,
@@ -29,6 +31,7 @@ from tests.conftest import (
     random_molecular_integrals,
     schatten_norm,
     sealed,
+    traced,
     without_pair,
 )
 
@@ -161,9 +164,12 @@ class TestDoubleFactorize:
         ([2, 3], "eigendecomposition failed for factor 2: did not converge"),
         ([], "eigendecomposition failed for one-body matrix 0: did not converge"),
     ])
-    def test_failed_eigendecomposition_names_first_matrix(self, h4, monkeypatch, failing, message):
-        # All factors go to one batched eigh; when it fails, the error still
-        # names the first matrix that fails on its own.
+    @pytest.mark.parametrize("chunk", [1 << 20, 8 * 4 * 4], ids=["one-chunk", "a-factor-a-chunk"])
+    def test_failed_eigendecomposition_names_first_matrix(self, h4, monkeypatch, failing, message,
+                                                          chunk):
+        # The factors go to batched eighs, one a chunk; when one fails, the
+        # error still names the first matrix that fails on its own, by its rank.
+        monkeypatch.setattr(factorization, "_EIGH_CHUNK", chunk)
         sf = single_factorize(h4, tol=1e-10)
         adj = adjusted_one_body(h4)
         marked = [sf.factors[r] for r in failing] or [adj.l_minus1]
@@ -414,3 +420,31 @@ class TestCacheFormat:
                 path.write_bytes(cut)
                 with pytest.raises(ValueError):
                     load_cache(path)
+
+
+def test_double_factorize_and_cache_memory_bounded_by_outputs(monkeypatch, tmp_path):
+    # A stack of 16 chunks of 64 KiB.  The eigendecomposition holds the
+    # arrays it returns, sized for every eigenpair, and the working set of
+    # one chunk: its eigh, the gathered eigenvector rows and their signs, a
+    # few times the chunk.  The cache is hashed and written from the arrays
+    # themselves.  One batched eigh over the whole stack, or a joined copy of
+    # the cache body, would add more than the whole stack again.
+    chunk = 1 << 16
+    monkeypatch.setattr(factorization, "_EIGH_CHUNK", chunk)
+    n, rank = 16, 512
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((rank + 1, n, n))
+    factors = 0.5 * (a + a.transpose(0, 2, 1))
+    assert factors[:rank].nbytes == 16 * chunk
+    sf = SingleFactorization(factors[:rank], 0.0)
+    adj = AdjustedOneBody(factors[rank], factors[rank], 0.0)
+
+    def factorize_and_save():
+        df = double_factorize(sf, adj)
+        save_cache(df, tmp_path / "memory.qdfcache", bytes(32), 1e-10)
+        return df
+
+    df, peak = traced(factorize_and_save)
+    assert df.total_eigenpairs == rank * n
+    returned = 8 * (rank * n + rank * n * n + 3 * rank + n * n + n)
+    assert peak <= returned + 6 * chunk

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from qdf.integrals import (
     validate_symmetry,
     write_fcidump,
 )
-from tests.conftest import fixture_path, random_molecular_integrals, scaled
+from tests.conftest import fixture_path, random_molecular_integrals, scaled, traced
 from tests.reference import canonical_orbits, fill_orbits, orbit_members
 
 MINIMAL = """&FCI NORB=2,NELEC=2,MS2=0,
@@ -211,30 +210,27 @@ def test_pair_matrix_stored_as_given(h2):
         MolecularIntegrals(2, 2, 0.0, h2.one_body, np.zeros((2, 2)))
 
 
-def _traced(fn, *args):
-    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_parse_memory_bounded_by_records_not_text(monkeypatch):
-    # An input of 11 blocks (1.4 MiB, blocks of 128 KiB) already in memory.
-    # The whole-array reader holds one block of text and 16 bytes a record
-    # (key and value), about the input's size at its sort; a copy of the
-    # whole body would take it past 1.5 times.  The parse then adds W and
-    # one flat index a stored two-body value, which W's mirror writes share.
+def test_parse_memory_bounded_by_records_not_text(monkeypatch, tmp_path):
+    # An input of 11 blocks (1.4 MiB, blocks of 128 KiB).  The whole-array
+    # reader holds one block of text and 16 bytes a record (key and value),
+    # kept in arrays that grow by doubling; a copy of the whole body would
+    # take it past 1.5 times.  The parse then adds W, filled from views of
+    # the keys and values.  Read from a file, no more than a block of the
+    # text is held at once.
     monkeypatch.setattr(integrals, "_PLAIN_BLOCK", 1 << 17)
     data = write_fcidump(make_integrals(integrals, 24, 240, 0, 0)).encode("ascii")
     assert len(data) >= 10 * integrals._PLAIN_BLOCK
     norb, _, n_header = integrals._parse_header(integrals._lines(data))
-    entries, peak = _traced(integrals._plain_entries, data, n_header, norb)
+    entries, peak = traced(integrals._plain_entries, integrals._body_blocks(data, n_header), norb)
     assert entries is not None and peak <= 1.5 * len(data)
     del entries
-    mol, peak = _traced(parse_fcidump, data)
-    assert mol.n_orbitals == norb and peak <= 1.7 * len(data)
+    mol, peak = traced(parse_fcidump, data)
+    assert mol.n_orbitals == norb and peak <= 1.3 * len(data)
+    path = tmp_path / "n24.fcidump"
+    path.write_bytes(data)
+    del data
+    loaded, peak = traced(integrals.load_fcidump, path)
+    assert loaded == mol and peak <= 1.5 * path.stat().st_size
 
 
 def test_canonical_orbit_is_orbit_invariant():

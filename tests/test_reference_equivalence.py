@@ -7,6 +7,8 @@ within a tolerance."""
 
 import itertools
 import math
+import os
+import threading
 import warnings
 from unittest import mock
 
@@ -16,11 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfbench.inputs import make_integrals
-from qdf import integrals
+from qdf import factorization, integrals
 from qdf.costmodel import ErrorBudget, estimate
 from qdf.factorization import (
     DoubleFactorization,
     NotPositiveSemidefiniteError,
+    SingleFactorization,
     alpha_df,
     double_factorize,
     rank_sums,
@@ -42,6 +45,7 @@ from tests.reference import (
     adjusted_one_body_einsum,
     alpha_df_loop,
     canonical_orbits,
+    double_factorize_whole,
     eigenpair_groups_loop,
     estimate_full_scan,
     factor_matrix_loop,
@@ -629,7 +633,7 @@ _BLOCK_HEAD = "&FCI NORB=3,NELEC=2,\n&END\n"
 # Each text is read with every block size up to its length, so that a cut
 # falls after every byte where one can: between the two bytes of a b"\r\n",
 # before and after blank lines, and between records of one orbit.
-@pytest.mark.parametrize("text, plain", [
+_BLOCK_CUT_TEXTS = [
     pytest.param(_PLAIN_TEXT, True, id="crlf-at-a-cut"),
     pytest.param(_BLOCK_HEAD + "0.5 1 1 1 1\n\n  \n0.25 2 2 1 1\n\n0.75 2 1 0 0\n"
                  "0.125 3 3 3 3\n\n0.5 3 1 2 2\n0.5 1 0 0 0\n0.25 2 2 2 2\n",
@@ -658,9 +662,76 @@ _BLOCK_HEAD = "&FCI NORB=3,NELEC=2,\n&END\n"
     pytest.param(_BLOCK_HEAD + "0.5 2 0 0 0\n0.25 1 1 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
                  "0.5 3 1 2 2\n0.5 1 0 0 0\n0.2_5 2 2 1 1\n",
                  False, id="valid-but-declines-in-last-block"),
-])
+]
+
+
+@pytest.mark.parametrize("text, plain", _BLOCK_CUT_TEXTS)
 def test_block_cuts_match_one_block(text, plain):
     _assert_same_across_blocks(text, range(len(text) + 1), plain)
+
+
+# ``load_fcidump`` reads the file itself by blocks, the header from the first
+# one, and reads it again, whole, when the whole-array reader declines a
+# block.  At every block size the file must read as its bytes do: the same
+# result and notes, or the same error and line, with the line reader run
+# once for a declined body and never otherwise (a plain body, or an error
+# found before the body: an empty file or a non-ASCII byte).
+_LONG_HEAD = "&FCI NORB=3,NELEC=2,MS2=0,\n ORBSYM=" + "1," * 40 + "\n ISYM=1,\n&END\n"
+_FILE_TEXTS = [pytest.param(p.values[0], 0 if p.values[1] else 1, id=p.id)
+               for p in _BLOCK_CUT_TEXTS] + [
+    pytest.param(_LONG_HEAD + "0.5 1 1 1 1\n0.25 2 1 0 0\n1.5 0 0 0 0\n", 0,
+                 id="header-longer-than-a-block"),
+    pytest.param("&FCI NORB=3,NELEC=2,\r&END\r0.5 1 1 1 1\r0.25 2 2 1 1\r\r0.75 2 1 0 0\r"
+                 "0.5 3 0 0 0\r", 0, id="cr-only-line-breaks"),
+    pytest.param(_BLOCK_HEAD + "0.5 1 1 1 1\n0.25 2 2 1 1\n0.75 2 1 0 0\n0.125 3 3 3 3\n"
+                 "0.5 3 1 2 2 \u00e9\n", 0, id="non-ascii-in-a-late-block"),
+    pytest.param("", 0, id="empty-file"),
+    pytest.param(_BLOCK_HEAD, 0, id="header-only"),
+]
+
+
+def _assert_file_reads_as_bytes(path, data: bytes, size: int, line_reads: int):
+    with _plain_block(size):
+        ref = _outcome(parse_fcidump, data)
+        with _line_reader_counted() as reader:
+            assert _outcome(integrals.load_fcidump, path) == ref, size
+        assert reader.call_count == line_reads, size
+
+
+@pytest.mark.parametrize("text, line_reads", _FILE_TEXTS)
+def test_file_read_by_blocks_matches_its_bytes(tmp_path, text, line_reads):
+    data = text.encode("utf-8")
+    path = tmp_path / "blocks.fcidump"
+    path.write_bytes(data)
+    for size in range(len(data) + 1):
+        _assert_file_reads_as_bytes(path, data, size, line_reads)
+
+
+def test_header_ending_at_the_first_block_end(tmp_path):
+    # The first block is _PLAIN_BLOCK bytes and the rest of their last line.
+    # At these sizes it ends exactly where the header does: the header is read
+    # from the first block, and the body from the blocks after it.
+    data = (_BLOCK_HEAD + "0.5 1 1 1 1\n0.25 2 1 0 0\n").encode("ascii")
+    path = tmp_path / "blocks.fcidump"
+    path.write_bytes(data)
+    for size in range(len("&FCI NORB=3,NELEC=2,\n"), len(_BLOCK_HEAD)):
+        with open(path, "rb") as fh:
+            assert fh.read(size) + fh.readline() == _BLOCK_HEAD.encode("ascii")
+        _assert_file_reads_as_bytes(path, data, size, line_reads=0)
+
+
+def test_unseekable_file_read_whole(tmp_path):
+    # A pipe cannot be read again: it is read whole, and a body the
+    # whole-array reader declines (an underscore) goes to the line reader.
+    path = tmp_path / "pipe.fcidump"
+    os.mkfifo(path)
+    text = _BLOCK_HEAD + "0.5 1 1 1 1\n0.2_5 2 1 0 0\n"
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        assert _outcome(integrals.load_fcidump, path) == _outcome(parse_fcidump_lines, text)
+    finally:
+        writer.join(timeout=10)
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +767,43 @@ def test_double_factorize_matches_loop(m):
 
 def test_h4_double_factorize_matches_loop(h4):
     _assert_same_double_factorization(h4)
+
+
+def _factors_with_zeros(n: int, rank: int, zero_ranks, seed: int) -> np.ndarray:
+    """Symmetric factors Q diag(lambda) Q^T; in ``zero_ranks`` half the
+    lambda are zero, which ``eigh`` returns as numerical zeros to drop."""
+    rng = np.random.default_rng(seed)
+    factors = np.empty((rank, n, n))
+    for r in range(rank):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = rng.standard_normal(n)
+        if r in zero_ranks:
+            lam[: n // 2] = 0.0
+        factors[r] = (q * lam) @ q.T
+        factors[r] = 0.5 * (factors[r] + factors[r].T)
+    return factors
+
+
+# double_factorize decomposes the factors a chunk at a time.  With chunks of
+# 1, 3 or 4 factors a rank of 10 spans 10, 4 or 3 chunks, the last one short
+# but for 1, and 10 factors are one chunk.  Factors 2 and 3, on each side of
+# the first cut of 3, and 9, the last, drop eigenpairs.
+@pytest.mark.parametrize("per_chunk", [1, 3, 4, 10])
+def test_chunked_double_factorize_matches_whole_stack(monkeypatch, per_chunk):
+    n = 6
+    sf = SingleFactorization(_factors_with_zeros(n, 10, {2, 3, 9}, seed=per_chunk), 0.0)
+    l_minus1 = _factors_with_zeros(n, 1, set(), seed=99)[0]
+    adj = AdjustedOneBody(l_minus1, l_minus1, 0.5, 1.5)
+    whole = double_factorize_whole(sf, adj)
+    assert (np.diff(whole.offsets)[[2, 3, 9]] < n).all()
+    monkeypatch.setattr(factorization, "_EIGH_CHUNK", per_chunk * 8 * n * n)
+    df = double_factorize(sf, adj)
+    for name in ("eigenvalues", "eigenvectors", "offsets", "schatten_norms"):
+        a, b = getattr(df, name), getattr(whole, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for a, b in zip(df.one_body_eigs, whole.one_body_eigs):
+        assert a.tobytes() == b.tobytes()
+    assert df.one_body is adj and df.n_orbitals == n
 
 
 @pytest.mark.parametrize("instance", ["h2", "h4", *range(1, 9), 36])
