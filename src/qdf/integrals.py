@@ -206,7 +206,7 @@ def _parse_header(lines) -> tuple[int, int, int]:
     for idx, raw in enumerate(lines):
         stripped = raw.strip()
         header_text.append(stripped)
-        if "&END" in stripped.upper() or stripped.endswith("/") or stripped == "/":
+        if "&END" in stripped.upper() or stripped.endswith("/"):
             end_idx = idx
             break
     if end_idx is None:
@@ -221,8 +221,8 @@ def _parse_header(lines) -> tuple[int, int, int]:
     if "NELEC" not in fields:
         raise FcidumpError("header is missing NELEC", line=1)
     try:
-        norb = int(fields["NORB"].split(",")[0])
-        nelec = int(fields["NELEC"].split(",")[0])
+        norb = int(fields["NORB"])
+        nelec = int(fields["NELEC"])
     except ValueError as exc:
         raise FcidumpError(f"non-integer NORB/NELEC: {exc}", line=1) from None
     if norb <= 0:
@@ -304,23 +304,15 @@ def _records(body: bytes) -> np.ndarray | None:
             return None
 
 
-def _body_blocks(data: bytes, n_header: int):
-    """The body of ``data``, after its ``n_header`` header lines, a block at a
-    time: each block is cut right after the first b"\n" past ``_PLAIN_BLOCK``
-    bytes, so that no line spans two blocks.  At least one block, maybe empty."""
+def _header_end(data: bytes, n_header: int) -> int:
+    """The offset in ``data`` right after its ``n_header`` header lines."""
     brk = next(itertools.islice(_LINE_BREAK.finditer(data), n_header - 1, None), None)
-    start = len(data) if brk is None else brk.end()
-    while True:
-        end = data.find(b"\n", start + _PLAIN_BLOCK) + 1 or len(data)
-        yield data[start:end]
-        if end == len(data):
-            return
-        start = end
+    return len(data) if brk is None else brk.end()
 
 
 def _file_blocks(fh):
-    """Binary file ``fh`` from where it stands, about ``_PLAIN_BLOCK`` bytes at
-    a time, each block cut right after a b"\n" or at the end of the file."""
+    """Binary stream ``fh`` from where it stands, about ``_PLAIN_BLOCK`` bytes
+    at a time, each block cut right after a b"\n" or at the end."""
     return iter(lambda: fh.read(_PLAIN_BLOCK) + fh.readline(), b"")
 
 
@@ -337,15 +329,15 @@ def _plain_entries(blocks, norb: int):
     """What ``_line_entries`` returns, by whole-array operations, if the body
     is plain (see ``_records``) and no record fails a check; else None.
 
-    ``blocks`` are the body's bytes, at least one block, each ending at a
-    line end, so that no line spans two.  Masks classify a block's records,
-    and only what the checks need is kept: the ``_store_key`` and value of
-    each stored record, the core values and the number of orbital-energy
-    records.  Then a stable sort on the keys of all blocks, unless they are
-    in order already, groups duplicates in file order, and the keys come out
+    ``blocks`` are the body's bytes, maybe none, each ending at a line end,
+    so that no line spans two.  Masks classify a block's records, and only
+    what the checks need is kept: the ``_store_key`` and value of each
+    stored record, the core values and the number of orbital-energy records.
+    Then a stable sort on the keys of all blocks, unless they are in order
+    already, groups duplicates in file order, and the keys come out
     ascending."""
     key, stored_value, size = np.empty(0, np.int64), np.empty(0), 0
-    cores, orbitals = [], 0
+    cores, orbitals = [np.empty(0)], 0
     for block in blocks:
         block = block.translate(_NORMALIZE_BODY)
         records = _records(block)
@@ -372,7 +364,7 @@ def _plain_entries(blocks, norb: int):
         np.compress(stored, _store_key(i, j, k, l, norb), out=key[size:end])
         np.compress(stored, value, out=stored_value[size:end])
         size = end
-    del block, records, value, index, i, j, k, l  # free the last block before sorting
+        del block, records, value, index, i, j, k, l  # freed before the next block is read
     core_value = np.concatenate(cores)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan never conflicts
         if (np.abs(core_value[:-1] - core_value[1:]) > DUPLICATE_TOLERANCE).any():
@@ -497,10 +489,11 @@ def parse_fcidump(text) -> MolecularIntegrals:
         (chemist convention).  Each stored two-body value populates the
         entry of its orbit in W and that entry's mirror.
 
-    The body is read on one of two paths, chosen by the input.  A plainly
-    spelled body without errors is read with whole-array operations
-    (``_plain_entries``): values in decimal or E/D exponent form, indices
-    of digits with an optional sign that int64 holds.  It reads about
+    The ASCII content is read as an in-memory stream by ``load_fcidump``'s
+    driver (``_read``), and the body on one of two paths, chosen by the
+    input.  A plainly spelled body without errors is read with whole-array
+    operations (``_plain_entries``): values in decimal or E/D exponent form,
+    indices of digits with an optional sign that int64 holds.  It reads about
     1 MiB of the body at a time with one ``np.loadtxt``, and keeps 16
     bytes a record (key and value), so the parse's memory grows with the
     records and W, not with a copy of the text.  Any other body, whether
@@ -521,17 +514,45 @@ def parse_fcidump(text) -> MolecularIntegrals:
     """
     if hasattr(text, "read"):
         text = text.read()
-    data = _ascii_bytes(text)
-    del text
-    if not data:
-        raise FcidumpError("empty input")
+    fh = io.BytesIO(_ascii_bytes(text))
+    del text  # the stream holds the bytes, and frees them once read
+    return _read(fh)
 
-    norb, nelec, n_header = _parse_header(_lines(data))
-    entries = (_plain_entries(_body_blocks(data, n_header), norb)
-               or _line_entries(data, n_header, norb))
-    # The text is needed only by the line reader; freeing it before W is
-    # filled keeps it out of the process's peak memory.
-    del data
+
+def load_fcidump(path) -> MolecularIntegrals:
+    """Parse an FCIDUMP file from disk, as ``parse_fcidump`` parses its bytes:
+    a block at a time, so that only a declined block has the whole text read.
+    A file that cannot seek (a pipe) is read whole by ``parse_fcidump``."""
+    with open(path, "rb") as fh:
+        return _read(fh) if fh.seekable() else parse_fcidump(fh)
+
+
+def _read(fh) -> MolecularIntegrals:
+    """The integrals of the FCIDUMP in seekable binary stream ``fh``, closed
+    once read, so that an in-memory text is freed before W is filled.  The
+    header is parsed from the first block, or, failing there, from the whole
+    stream, so that an error names its line in the whole bytes.  The body is
+    read a block at a time from the header's end; a block the whole-array
+    reader declines has the whole stream read again for the line reader."""
+    with fh:
+        head = fh.read(_PLAIN_BLOCK) + fh.readline()
+        try:
+            header = _parse_header(_lines(head))
+        except (FcidumpError, UnicodeDecodeError):
+            header = None
+        if header is None:
+            fh.seek(0)
+            head = _ascii_bytes(fh.read())
+            if not head:
+                raise FcidumpError("empty input")
+            header = _parse_header(_lines(head))
+        norb, nelec, n_header = header
+        fh.seek(_header_end(head, n_header))
+        del head
+        entries = _plain_entries(_file_blocks(fh), norb)
+        if entries is None:
+            fh.seek(0)
+            entries = _line_entries(_ascii_bytes(fh.read()), n_header, norb)
     return _integrals(norb, nelec, entries)
 
 
@@ -552,38 +573,6 @@ def _integrals(norb: int, nelec: int, entries) -> MolecularIntegrals:
     if not (np.isfinite(core_energy) and np.isfinite(value).all()):
         raise FcidumpError("non-finite integral value")
     return MolecularIntegrals(norb, nelec, core_energy, h1, w)
-
-
-def load_fcidump(path) -> MolecularIntegrals:
-    """Parse an FCIDUMP file from disk, as ``parse_fcidump`` parses its bytes.
-
-    The file is read a block of about ``_PLAIN_BLOCK`` bytes at a time, each
-    cut right after a line end, and the header is read from the first block,
-    so a plain body never has all its text in memory.  A file whose first
-    block holds no whole, valid ASCII header, and a file that cannot seek,
-    are read whole.  A block that the whole-array reader declines (a
-    non-ASCII byte, an error or an unusual spelling) has the file read
-    again, whole, for the ASCII check and the line reader."""
-    with open(path, "rb") as fh:
-        if not fh.seekable():
-            return parse_fcidump(fh)
-        blocks = _file_blocks(fh)
-        first = next(blocks, b"")
-        try:
-            norb, nelec, n_header = _parse_header(_lines(first))
-        except (FcidumpError, UnicodeDecodeError):  # the whole read gives the error and its line
-            fh.seek(0)
-            return parse_fcidump(fh)
-        blocks = itertools.chain(_body_blocks(first, n_header), blocks)
-        del first
-        entries = _plain_entries(blocks, norb)
-        del blocks
-        if entries is None:
-            fh.seek(0)
-            data = _ascii_bytes(fh.read())
-            entries = _line_entries(data, n_header, norb)
-            del data
-    return _integrals(norb, nelec, entries)
 
 
 def write_fcidump(m: MolecularIntegrals) -> str:

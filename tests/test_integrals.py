@@ -1,4 +1,6 @@
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,7 +223,9 @@ def test_parse_memory_bounded_by_records_not_text(monkeypatch, tmp_path):
     data = write_fcidump(make_integrals(integrals, 24, 240, 0, 0)).encode("ascii")
     assert len(data) >= 10 * integrals._PLAIN_BLOCK
     norb, _, n_header = integrals._parse_header(integrals._lines(data))
-    entries, peak = traced(integrals._plain_entries, integrals._body_blocks(data, n_header), norb)
+    body = io.BytesIO(data)
+    body.seek(integrals._header_end(data, n_header))
+    entries, peak = traced(integrals._plain_entries, integrals._file_blocks(body), norb)
     assert entries is not None and peak <= 1.5 * len(data)
     del entries
     mol, peak = traced(parse_fcidump, data)

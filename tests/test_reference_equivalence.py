@@ -5,6 +5,7 @@ numbers and bytes bit for bit, and the same errors on the same lines.  The
 factor and tensor rebuilds, matrix products in the package, match their loops
 within a tolerance."""
 
+import io
 import itertools
 import math
 import os
@@ -672,10 +673,11 @@ def test_block_cuts_match_one_block(text, plain):
 
 # ``load_fcidump`` reads the file itself by blocks, the header from the first
 # one, and reads it again, whole, when the whole-array reader declines a
-# block.  At every block size the file must read as its bytes do: the same
-# result and notes, or the same error and line, with the line reader run
-# once for a declined body and never otherwise (a plain body, or an error
-# found before the body: an empty file or a non-ASCII byte).
+# block.  At every block size the file must read as its bytes do, and both
+# as the line-by-line reference reads the text: the same result and notes,
+# or the same error and line, with the line reader run once for a declined
+# body and never otherwise (a plain body, or an error found before the
+# body: an empty file or a non-ASCII byte).
 _LONG_HEAD = "&FCI NORB=3,NELEC=2,MS2=0,\n ORBSYM=" + "1," * 40 + "\n ISYM=1,\n&END\n"
 _FILE_TEXTS = [pytest.param(p.values[0], 0 if p.values[1] else 1, id=p.id)
                for p in _BLOCK_CUT_TEXTS] + [
@@ -690,9 +692,20 @@ _FILE_TEXTS = [pytest.param(p.values[0], 0 if p.values[1] else 1, id=p.id)
 ]
 
 
-def _assert_file_reads_as_bytes(path, data: bytes, size: int, line_reads: int):
+def _reference_outcome(text: str):
+    """``parse_fcidump_lines``'s outcome of ``text``, or, for a text with a
+    non-ASCII character, which that reference reads as any other, the error
+    that names the character's first byte on its line."""
+    at = next((at for at, char in enumerate(text) if not char.isascii()), None)
+    if at is None:
+        return _outcome(parse_fcidump_lines, text)
+    line = len((text[:at] + "x").splitlines())
+    return (line, f"line {line}: non-ASCII byte {text[at].encode()[0]:#04x}"), []
+
+
+def _assert_file_reads_as_bytes(path, data: bytes, ref, size: int, line_reads: int):
     with _plain_block(size):
-        ref = _outcome(parse_fcidump, data)
+        assert _outcome(parse_fcidump, data) == ref, size
         with _line_reader_counted() as reader:
             assert _outcome(integrals.load_fcidump, path) == ref, size
         assert reader.call_count == line_reads, size
@@ -703,21 +716,46 @@ def test_file_read_by_blocks_matches_its_bytes(tmp_path, text, line_reads):
     data = text.encode("utf-8")
     path = tmp_path / "blocks.fcidump"
     path.write_bytes(data)
+    ref = _reference_outcome(text)
     for size in range(len(data) + 1):
-        _assert_file_reads_as_bytes(path, data, size, line_reads)
+        _assert_file_reads_as_bytes(path, data, ref, size, line_reads)
 
 
 def test_header_ending_at_the_first_block_end(tmp_path):
     # The first block is _PLAIN_BLOCK bytes and the rest of their last line.
     # At these sizes it ends exactly where the header does: the header is read
     # from the first block, and the body from the blocks after it.
-    data = (_BLOCK_HEAD + "0.5 1 1 1 1\n0.25 2 1 0 0\n").encode("ascii")
+    text = _BLOCK_HEAD + "0.5 1 1 1 1\n0.25 2 1 0 0\n"
+    data = text.encode("ascii")
     path = tmp_path / "blocks.fcidump"
     path.write_bytes(data)
+    ref = _reference_outcome(text)
     for size in range(len("&FCI NORB=3,NELEC=2,\n"), len(_BLOCK_HEAD)):
         with open(path, "rb") as fh:
             assert fh.read(size) + fh.readline() == _BLOCK_HEAD.encode("ascii")
-        _assert_file_reads_as_bytes(path, data, size, line_reads=0)
+        _assert_file_reads_as_bytes(path, data, ref, size, line_reads=0)
+
+
+# ``parse_fcidump`` reads a file object's content as it reads that content:
+# text from an ``io.StringIO``, bytes from an ``io.BytesIO`` or a binary file.
+# A declined body (an underscore in a value) has the in-memory copy of the
+# content read again for the line reader.
+@pytest.mark.parametrize("text, plain", [
+    pytest.param(_BLOCK_HEAD + "0.5 1 1 1 1\n0.25 2 1 0 0\n1.5 0 0 0 0\n", True, id="plain"),
+    pytest.param(_BLOCK_HEAD + "0.5 1 1 1 1\n0.2_5 2 1 0 0\n1.5 0 0 0 0\n", False,
+                 id="declined"),
+])
+def test_file_objects_read_as_their_content(tmp_path, text, plain):
+    ref = _outcome(parse_fcidump_lines, text)
+    assert isinstance(ref[0], MolecularIntegrals)
+    assert _outcome(parse_fcidump, text) == ref
+    path = tmp_path / "object.fcidump"
+    path.write_bytes(text.encode("ascii"))
+    for open_content in (lambda: io.StringIO(text), lambda: io.BytesIO(text.encode("ascii")),
+                         lambda: open(path, "rb")):
+        with open_content() as fh, _line_reader_counted() as reader:
+            assert _outcome(parse_fcidump, fh) == ref, fh
+        assert reader.call_count == (0 if plain else 1), fh
 
 
 def test_unseekable_file_read_whole(tmp_path):
