@@ -78,10 +78,12 @@ class SingleFactorization:
 class DoubleFactorization:
     """Eigendecomposed two-electron factors plus the adjusted one-body data.
 
-    The retained eigenpairs of all factors are stored flat: rows
-    ``offsets[r]:offsets[r + 1]`` of ``eigenvalues`` (M,) and of
-    ``eigenvectors`` (M, N) belong to L^(r), sorted by descending
-    |eigenvalue|; each row of ``eigenvectors`` is a unit-norm eigenvector.
+    Row r of ``eigenvalues`` (R, N) and of ``eigenvectors`` (R, N, N) holds
+    the retained eigenpairs of L^(r), by descending |eigenvalue|; each row of
+    ``eigenvectors[r]`` is a unit-norm eigenvector.  An eigenvalue of 0.0
+    marks a slot with no eigenpair (a retained eigenvalue is never 0), whose
+    eigenvector row only ever multiplies that 0.0.  An eigenpair is named by
+    its flat index r * N + m into ``eigenvalues.reshape(-1)``.
     ``schatten_norms[r]`` freezes sum_m |lambda_m| of the factor at
     construction time; truncation never updates it (the truncation error
     scores are defined against the untruncated factors).  ``one_body_eigs``
@@ -93,48 +95,28 @@ class DoubleFactorization:
     one_body_eigs: tuple[np.ndarray, np.ndarray]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    offsets: np.ndarray
     schatten_norms: np.ndarray
     n_orbitals: int
 
     @property
     def rank(self) -> int:
-        return self.offsets.size - 1
+        return len(self.eigenvalues)
 
     @property
     def total_eigenpairs(self) -> int:
-        return self.eigenvalues.size
+        return int(np.count_nonzero(self.eigenvalues))
 
     @property
     def max_eigenpairs_per_rank(self) -> int:
-        return int(np.diff(self.offsets).max(initial=0))
-
-    @property
-    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, m) of each flat eigenpair, as two (M,) arrays."""
-        rank_of = np.repeat(np.arange(self.rank), np.diff(self.offsets))
-        return rank_of, np.arange(self.total_eigenpairs) - self.offsets[rank_of]
-
-    def padded_abs_eigenvalues(self) -> np.ndarray:
-        """|lambda_m^(r)| at [r, m], zero-padded to (R, max_eigenpairs_per_rank)."""
-        out = np.zeros((self.rank, self.max_eigenpairs_per_rank))
-        out[self.pair_index] = np.abs(self.eigenvalues)
-        return out
+        return int(np.count_nonzero(self.eigenvalues, axis=1).max(initial=0))
 
     def factor_matrix(self, r: int) -> np.ndarray:
         """Rebuild L^(r) from its retained eigenpairs, exactly symmetric."""
-        lo, hi = self.offsets[r], self.offsets[r + 1]
-        return from_eigenpairs(self.eigenvalues[lo:hi], self.eigenvectors[lo:hi])
+        return from_eigenpairs(self.eigenvalues[r], self.eigenvectors[r])
 
     def factor_matrices(self) -> np.ndarray:
-        """Rebuild every L^(r) at once, exactly symmetric, as an (R, N, N)
-        stack from the eigenpairs zero-padded to (R, max_eigenpairs_per_rank)
-        slots."""
-        slot = self.pair_index
-        values = np.zeros((self.rank, self.max_eigenpairs_per_rank))
-        vectors = np.zeros(values.shape + (self.n_orbitals,))
-        values[slot], vectors[slot] = self.eigenvalues, self.eigenvectors
-        return from_eigenpairs(values, vectors)
+        """Rebuild every L^(r) at once, exactly symmetric, as an (R, N, N) stack."""
+        return from_eigenpairs(self.eigenvalues, self.eigenvectors)
 
 
 def from_eigenpairs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -238,34 +220,29 @@ def double_factorize(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFac
     """Eigendecompose every Cholesky factor and the adjusted one-body matrix.
 
     Eigenpairs with |lambda| <= EIGENVALUE_CUTOFF * max|lambda| within their
-    factor are numerical zeros and dropped.  The factors are decomposed
-    ``_EIGH_CHUNK`` bytes at a time, each by the same ``eigh`` call as in one
-    batch, and the kept eigenpairs go straight into arrays sized for every
-    eigenpair, returned as views of their first M rows.
+    factor are numerical zeros and dropped: their slots hold a 0.0 eigenvalue
+    and a zero eigenvector row.  The factors are decomposed ``_EIGH_CHUNK``
+    bytes at a time, each by the same ``eigh`` call as in one batch, straight
+    into the (R, N) and (R, N, N) arrays returned.
     """
     n = adj.l_minus1.shape[0]
     factors = np.reshape(sf.factors, (-1, n, n))
     rank = len(factors)
-    eigenvalues, eigenvectors = np.empty(rank * n), np.empty((rank * n, n))
-    counts, norms = np.empty(rank, dtype=np.int64), np.empty(rank)
-    step, m = max(1, _EIGH_CHUNK // (8 * n * n)), 0
+    eigenvalues, eigenvectors, norms = np.empty((rank, n)), np.empty((rank, n, n)), np.empty(rank)
+    step = max(1, _EIGH_CHUNK // (8 * n * n))
     for lo in range(0, rank, step):
         vals, vecs = _eigh_sorted(factors[lo:lo + step], "factor", lo)
         abs_vals = np.abs(vals)
-        keep = abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None]
-        counts[lo:lo + step] = keep.sum(axis=1)
-        norms[lo:lo + step] = rank_sums(np.where(keep, abs_vals, 0.0))
-        kept = int(keep.sum())
-        eigenvalues[m:m + kept] = vals[keep]
-        np.compress(keep.reshape(-1), vecs.reshape(-1, n), axis=0, out=eigenvectors[m:m + kept])
-        m += kept
+        drop = ~(abs_vals > EIGENVALUE_CUTOFF * abs_vals.max(axis=1, initial=0.0)[:, None])
+        vals[drop], vecs[drop] = 0.0, 0.0
+        eigenvalues[lo:lo + step], eigenvectors[lo:lo + step] = vals, vecs
+        norms[lo:lo + step] = rank_sums(np.abs(vals))
     ob_vals, ob_vecs = _eigh_sorted(adj.l_minus1[None], "one-body matrix")
     return DoubleFactorization(
         one_body=adj,
         one_body_eigs=(ob_vals[0], ob_vecs[0]),
-        eigenvalues=eigenvalues[:m],
-        eigenvectors=eigenvectors[:m],
-        offsets=np.concatenate(([0], np.cumsum(counts))),
+        eigenvalues=eigenvalues,
+        eigenvectors=eigenvectors,
         schatten_norms=norms,
         n_orbitals=n,
     )
@@ -307,7 +284,7 @@ def alpha_df(df: DoubleFactorization) -> float:
 
     evaluated on the currently retained eigenpairs, so truncation lowers it.
     """
-    sums = rank_sums(df.padded_abs_eigenvalues())
+    sums = rank_sums(np.abs(df.eigenvalues))
     return alpha_from_squares(df.one_body_eigs[0], schatten_squares(sums))
 
 
@@ -323,23 +300,22 @@ def reconstruct_two_body(df: DoubleFactorization) -> np.ndarray:
 # Binary cache
 #
 # One flat file, all little-endian:
-#   magic 4s = b"QDF3"
+#   magic 4s = b"QDF4"
 #   digest 32s    SHA-256 of every byte after it
 #   fcidump_sha256 32s    SHA-256 of the FCIDUMP bytes the cache was built from
 #   tol f64, eigenvalue_cutoff f64    the factorization settings
-#   N u32, R u32, K u32, M u32, warnings_length u32
-#   f64 arrays, from byte 104, so that each is 8-byte aligned:
+#   N u32, R u32, warnings_length u32
+#   f64 arrays, from byte 96, so that each is 8-byte aligned:
 #     scalar_shift and core_energy (2), h_tilde (N*N), l_minus1 (N*N),
-#     one-body eigenvalues (K) and eigenvectors (K*N, a row per eigenpair),
-#     Schatten norms (R), eigenvalues (M) and eigenvectors (M*N, a row per
-#     eigenpair), the eigenpairs of each rank in turn
-#   eigenpairs per rank  R u32
+#     one-body eigenvalues (N) and eigenvectors (N*N, a row per eigenpair),
+#     Schatten norms (R), eigenvalues (R*N) and eigenvectors (R*N*N), in the
+#     layout of DoubleFactorization
 #   warnings  the parser's warning texts, ASCII, one a line
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"QDF3"
+_MAGIC = b"QDF4"
 _SEALED = 4 + 32  # the magic and the digest, which covers every later byte
-_HEADER = struct.Struct("<32sddIIIII")
+_HEADER = struct.Struct("<32sddIII")
 
 
 @dataclass(frozen=True)
@@ -373,10 +349,8 @@ def save_cache(df: DoubleFactorization, path, fcidump_sha256: bytes, tol: float,
               ob_vals, ob_vecs, df.schatten_norms, df.eigenvalues, df.eigenvectors)
     # The parts are hashed, then written, one at a time: no joined copy.
     parts = [
-        _HEADER.pack(fcidump_sha256, tol, EIGENVALUE_CUTOFF, df.n_orbitals, df.rank,
-                     ob_vals.size, df.total_eigenpairs, len(texts)),
+        _HEADER.pack(fcidump_sha256, tol, EIGENVALUE_CUTOFF, df.n_orbitals, df.rank, len(texts)),
         *(np.ascontiguousarray(a, dtype="<f8") for a in floats),
-        np.diff(df.offsets).astype("<u4"),
         texts,
     ]
     digest = hashlib.sha256()
@@ -408,22 +382,18 @@ def read_cache(path) -> tuple[CacheHeader, DoubleFactorization]:
         raise ValueError("cache digest does not match its bytes")
     if len(data) < _SEALED + _HEADER.size:
         raise ValueError(f"cache is truncated: {len(data)} bytes")
-    fcidump_sha256, tol, cutoff, n, r, k, m, texts_length = _HEADER.unpack_from(data, _SEALED)
-    sizes = [2, n * n, n * n, k, k * n, r, m, m * n]
-    counts_at = _SEALED + _HEADER.size + 8 * sum(sizes)
-    if counts_at + 4 * r + texts_length != len(data):
-        raise ValueError(f"cache has {len(data)} bytes, its header gives "
-                         f"{counts_at + 4 * r + texts_length}")
+    fcidump_sha256, tol, cutoff, n, r, texts_length = _HEADER.unpack_from(data, _SEALED)
+    sizes = [2, n * n, n * n, n, n * n, r, r * n, r * n * n]
+    texts_at = _SEALED + _HEADER.size + 8 * sum(sizes)
+    if texts_at + texts_length != len(data):
+        raise ValueError(f"cache has {len(data)} bytes, its header gives {texts_at + texts_length}")
     floats = np.frombuffer(data, "<f8", sum(sizes), _SEALED + _HEADER.size)
     shift_core, h_tilde, l_minus1, ob_vals, ob_vecs, norms, values, vectors = np.split(
         floats, np.cumsum(sizes[:-1]))
     if not (np.isfinite(floats).all() and (norms >= 0).all()):
         raise ValueError("cache holds a non-finite value or a negative Schatten norm")
-    counts = np.frombuffer(data, "<u4", r, counts_at)
-    if (counts > n).any() or counts.sum() != m:
-        raise ValueError(f"cache eigenpair counts exceed N={n} or do not add up to M={m}")
     try:
-        texts = data[counts_at + 4 * r:].decode("ascii")
+        texts = data[texts_at:].decode("ascii")
     except UnicodeDecodeError:
         raise ValueError("cache warning texts are not ASCII") from None
     scalar, core = shift_core.tolist()
@@ -431,10 +401,9 @@ def read_cache(path) -> tuple[CacheHeader, DoubleFactorization]:
     return header, DoubleFactorization(
         one_body=AdjustedOneBody(h_tilde.reshape(n, n), l_minus1.reshape(n, n),
                                  scalar_shift=scalar, core_energy=core),
-        one_body_eigs=(ob_vals, ob_vecs.reshape(k, n)),
-        eigenvalues=values,
-        eigenvectors=vectors.reshape(m, n),
-        offsets=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+        one_body_eigs=(ob_vals, ob_vecs.reshape(n, n)),
+        eigenvalues=values.reshape(r, n),
+        eigenvectors=vectors.reshape(r, n, n),
         schatten_norms=norms,
         n_orbitals=n,
     )

@@ -21,14 +21,13 @@ truncation error bounds.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from functools import lru_cache
 from itertools import groupby, permutations
 from math import comb
 
 import numpy as np
 
-from qdf.factorization import DoubleFactorization
+from qdf.factorization import DoubleFactorization, from_eigenpairs
 from qdf.integrals import MolecularIntegrals
 
 __all__ = [
@@ -263,7 +262,7 @@ def build_from_df(df: DoubleFactorization, removed=None,
     untruncated factorization this equals :func:`build_from_integrals` of the
     source integrals up to the factorization residual.
 
-    With ``removed``, rows of ``df.eigenvalues`` as in
+    With ``removed``, flat eigenpair indices as in
     ``TruncationPlan.removed``, it is instead the truncation error H - H' of
     removing those eigenpairs.  Truncation leaves the one-body part and the
     shift alone, so H - H' = 1/2 sum_r (G_{L^(r)}^2 - G_{L'^(r)}^2) over only
@@ -276,11 +275,12 @@ def build_from_df(df: DoubleFactorization, removed=None,
         blocks = _df_blocks(df.one_body.l_minus1, df.factor_matrices(), np.ones(df.rank),
                             n_electrons)
         return FockOperator(n, blocks, df.one_body.scalar_shift + df.one_body.core_energy)
-    ranks = np.flatnonzero(np.bincount(df.pair_index[0][removed], minlength=df.rank))
-    values = df.eigenvalues.copy()
-    values[removed] = 0.0
-    kept = dataclasses.replace(df, eigenvalues=values)
-    factors = np.concatenate([f.factor_matrices()[ranks] for f in (df, kept)])
+    # np.unique would import numpy.ma on first use, about 10 ms in a fresh process
+    ranks = np.flatnonzero(np.bincount(removed // n, minlength=df.rank))
+    kept = df.eigenvalues.copy()
+    kept.reshape(-1)[removed] = 0.0
+    factors = np.concatenate([from_eigenpairs(values[ranks], df.eigenvectors[ranks])
+                              for values in (df.eigenvalues, kept)])
     weights = np.repeat([1.0, -1.0], len(ranks))
     return FockOperator(n, _df_blocks(np.zeros((n, n)), factors, weights, n_electrons))
 

@@ -33,11 +33,10 @@ SCHEMES = ("coherent", "incoherent")
 class TruncationPlan:
     """Result of one truncation: what was removed and the predicted errors.
 
-    ``removed`` holds the rows of ``df.eigenvalues`` removed, ascending by
-    score (ties by row; ``df.pair_index`` gives their (r, m));
-    ``coherent_score`` is the linear sum of removed scores and
-    ``incoherent_score`` the root-sum-square, both in Hartree regardless of
-    which scheme drove the removal.
+    ``removed`` holds the flat indices r * N + m of the eigenpairs removed,
+    ascending by score (ties by index); ``coherent_score`` is the linear sum
+    of removed scores and ``incoherent_score`` the root-sum-square, both in
+    Hartree regardless of which scheme drove the removal.
     """
 
     scheme: str
@@ -45,20 +44,21 @@ class TruncationPlan:
     removed: np.ndarray
     coherent_score: float
     incoherent_score: float
-    surviving_R: int
-    surviving_M: int
 
 
 def score_eigenpairs(df: DoubleFactorization) -> tuple[np.ndarray, np.ndarray]:
     """Removal scores ||L^(r)||_SH * |lambda_m^(r)| in ascending order.
 
-    Returns ``(order, scores)``: ``order[i]`` is the flat index (row of
-    ``df.eigenvalues``) of the i-th smallest score ``scores[i]``.  Flat
-    indices run in (r, m) order, so the stable sort breaks ties by (r, m).
+    Returns ``(order, scores)``: ``order[i]`` is the flat index r * N + m
+    (into ``df.eigenvalues.reshape(-1)``) of the i-th smallest score
+    ``scores[i]``.  Flat indices run in (r, m) order, so the stable sort
+    breaks ties by (r, m).
     """
-    scores = df.schatten_norms[df.pair_index[0]] * np.abs(df.eigenvalues)
+    values = df.eigenvalues.reshape(-1)
+    flat = np.flatnonzero(values)
+    scores = df.schatten_norms[flat // df.n_orbitals] * np.abs(values[flat])
     order = np.argsort(scores, kind="stable")
-    return order, scores[order]
+    return flat[order], scores[order]
 
 
 def _removal_prefixes(df: DoubleFactorization, scheme, epsilons):
@@ -89,35 +89,21 @@ def truncate(
 ) -> tuple[DoubleFactorization, TruncationPlan]:
     """Greedily remove eigenpairs in ascending score order within the budget.
 
-    Returns the reduced factorization (ranks left with no eigenpairs are
-    dropped; surviving factors keep their frozen Schatten norms) and the plan.
-    ``epsilon = 0`` removes only exactly-zero scores.  Raises ValueError
-    unless ``scheme`` is one of ``SCHEMES`` and ``epsilon`` is finite and
-    non-negative.
+    Returns the reduced factorization (removed eigenvalues become 0.0, ranks
+    left with no eigenpairs are dropped, surviving factors keep their frozen
+    Schatten norms) and the plan.  ``epsilon = 0`` removes only exactly-zero
+    scores.  Raises ValueError unless ``scheme`` is one of ``SCHEMES`` and
+    ``epsilon`` is finite and non-negative.
     """
     order, counts, coherent, incoherent = _removal_prefixes(df, scheme, [epsilon])
     removed = order[: counts[0]]
-    keep = np.ones(df.total_eigenpairs, dtype=bool)
-    keep[removed] = False
-
-    kept_counts = np.bincount(df.pair_index[0][keep], minlength=df.rank)
-    alive = kept_counts > 0
-    reduced = replace(
-        df,
-        eigenvalues=df.eigenvalues[keep],
-        eigenvectors=df.eigenvectors[keep],
-        offsets=np.concatenate(([0], np.cumsum(kept_counts[alive]))),
-        schatten_norms=df.schatten_norms[alive],
-    )
-    plan = TruncationPlan(
-        scheme=scheme,
-        epsilon=epsilon,
-        removed=removed,
-        coherent_score=float(coherent[0]),
-        incoherent_score=float(incoherent[0]),
-        surviving_R=reduced.rank,
-        surviving_M=reduced.total_eigenpairs,
-    )
+    values = df.eigenvalues.copy()
+    values.reshape(-1)[removed] = 0.0
+    alive = values.any(axis=1)
+    reduced = replace(df, eigenvalues=values[alive], eigenvectors=df.eigenvectors[alive],
+                      schatten_norms=df.schatten_norms[alive])
+    plan = TruncationPlan(scheme=scheme, epsilon=epsilon, removed=removed,
+                          coherent_score=float(coherent[0]), incoherent_score=float(incoherent[0]))
     return reduced, plan
 
 
@@ -142,22 +128,22 @@ def threshold_sweep(
         raise ValueError("grid must be sorted ascending")
     order, counts, coherent, incoherent = _removal_prefixes(df, scheme, grid)
 
-    rank_of, local = df.pair_index
     # kept |lambda| per rank; a removed pair becomes a 0.0, which leaves alpha_df's left-to-right
     # rank sums unchanged.  After the first point only ranks that lose a pair are summed again.
-    kept_abs = df.padded_abs_eigenvalues()
-    kept_counts = np.diff(df.offsets)
+    kept_abs = np.abs(df.eigenvalues)
+    kept_counts = np.count_nonzero(kept_abs, axis=1)
+    total = int(kept_counts.sum())
     squares = np.empty(df.rank)
     rows, done = [], 0
     for eps, count, coh, inc in zip(grid, counts.tolist(), coherent.tolist(), incoherent.tolist()):
         newly = order[done:count]
-        kept_abs[rank_of[newly], local[newly]] = 0.0
-        lost = np.bincount(rank_of[newly], minlength=df.rank)
+        kept_abs.reshape(-1)[newly] = 0.0
+        lost = np.bincount(newly // df.n_orbitals, minlength=df.rank)
         kept_counts -= lost
         done = count
         changed = np.flatnonzero(lost) if rows else slice(None)
         squares[changed] = schatten_squares(rank_sums(kept_abs[changed]))
         alpha = alpha_from_squares(df.one_body_eigs[0], squares)
-        rows.append((eps, int(np.count_nonzero(kept_counts)), df.total_eigenpairs - count,
+        rows.append((eps, int(np.count_nonzero(kept_counts)), total - count,
                      int(kept_counts.max(initial=0)), alpha, coh, inc))
     return rows

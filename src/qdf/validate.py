@@ -36,16 +36,20 @@ def checks(mol, df, scheme: str):
     yield "particle_number_symmetry", number_comm <= 1e-10, f"[H, N] max entry {number_comm:.3e}"
     del h_ref, diff  # the rest needs h_df alone
 
-    # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm.
+    # ||G_L|| = ||L||_SH for each factor, and equals its stored Schatten norm,
+    # which equals the sum of its stored |lambda|: an eigenvalue in a slot
+    # whose eigenvector row is zero moves no rebuilt factor, only that sum.
     g_norms, s_norms = oracle.one_body_norm_check(df.factor_matrices())
+    sums = factorization.rank_sums(np.abs(df.eigenvalues))
     norm_dev = float(max(np.abs(g_norms - s_norms).max(initial=0.0),
-                         np.abs(g_norms - df.schatten_norms).max(initial=0.0)))
+                         np.abs(g_norms - df.schatten_norms).max(initial=0.0),
+                         np.abs(sums - df.schatten_norms).max(initial=0.0)))
     yield "one_body_norm_identity", norm_dev <= 1e-8, f"max |deviation| {norm_dev:.3e}"
 
     alpha = factorization.alpha_df(df)
     # The norms come from the eigenvalues, as in alpha_df, so that a damaged
     # stored norm fails one_body_norm_identity alone.
-    t2_const = 0.25 * float(np.sum(factorization.rank_sums(df.padded_abs_eigenvalues())**2))
+    t2_const = 0.25 * float(np.sum(sums**2))
     shift = df.one_body.scalar_shift + df.one_body.core_energy + t2_const
     norm_shifted = oracle.spectral_norm(h_df - shift)
     yield ("alpha_dominates_spectral_norm", norm_shifted <= alpha + 1e-8,

@@ -200,16 +200,12 @@ def factorize(mol, tol=1e-10):
 
 
 def without_pair(df, index):
-    """``df`` with flat eigenpair ``index`` deleted by hand and nothing else
-    changed: its rank stays, even when it is left empty."""
-    offsets = df.offsets.copy()
-    offsets[int(df.pair_index[0][index]) + 1:] -= 1
-    return dataclasses.replace(
-        df,
-        eigenvalues=np.delete(df.eigenvalues, index),
-        eigenvectors=np.delete(df.eigenvectors, index, axis=0),
-        offsets=offsets,
-    )
+    """``df`` with the eigenpair at flat index ``index`` (r * N + m) deleted by
+    hand, its eigenvalue set to 0.0, and nothing else changed: its rank
+    stays, even when it is left empty."""
+    values = df.eigenvalues.copy()
+    values.reshape(-1)[index] = 0.0
+    return dataclasses.replace(df, eigenvalues=values)
 
 
 def sealed(blob: bytes) -> bytes:

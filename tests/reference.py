@@ -285,7 +285,7 @@ def eigenpair_groups_loop(factors: list[np.ndarray]) -> list[list[tuple[float, n
 
 def double_factorize_whole(sf: SingleFactorization, adj: AdjustedOneBody) -> DoubleFactorization:
     """``double_factorize`` as one ``_eigh_sorted`` call over the whole (R, N, N)
-    stack, with the kept eigenpairs picked from it by one mask."""
+    stack, with the dropped eigenpairs zeroed in it by one mask."""
     n = adj.l_minus1.shape[0]
     vals, vecs = _eigh_sorted(np.reshape(sf.factors, (-1, n, n)), "factor")
     abs_vals = np.abs(vals)
@@ -294,20 +294,19 @@ def double_factorize_whole(sf: SingleFactorization, adj: AdjustedOneBody) -> Dou
     return DoubleFactorization(
         one_body=adj,
         one_body_eigs=(ob_vals[0], ob_vecs[0]),
-        eigenvalues=vals[keep],
-        eigenvectors=vecs[keep],
-        offsets=np.concatenate(([0], np.cumsum(keep.sum(axis=1)))),
+        eigenvalues=np.where(keep, vals, 0.0),
+        eigenvectors=np.where(keep[..., None], vecs, 0.0),
         schatten_norms=rank_sums(np.where(keep, abs_vals, 0.0)),
         n_orbitals=n,
     )
 
 
 def groups_of(df: DoubleFactorization) -> list[list[tuple[float, np.ndarray]]]:
-    """The flat eigenpairs of ``df`` as one list of (eigenvalue, eigenvector)
-    pairs per rank."""
+    """The eigenpairs of ``df`` as one list of (eigenvalue, eigenvector) pairs
+    per rank, in slot order; a slot whose eigenvalue is 0.0 holds none."""
     return [
-        [(float(lam), vec) for lam, vec in zip(df.eigenvalues[lo:hi], df.eigenvectors[lo:hi])]
-        for lo, hi in zip(df.offsets[:-1].tolist(), df.offsets[1:].tolist())
+        [(lam, vec) for lam, vec in zip(values, vectors) if lam != 0.0]
+        for values, vectors in zip(df.eigenvalues.tolist(), df.eigenvectors)
     ]
 
 
@@ -315,9 +314,9 @@ def factor_matrix_loop(df: DoubleFactorization, r: int) -> np.ndarray:
     """L^(r) from its retained eigenpairs, one outer product at a time."""
     n = df.n_orbitals
     out = np.zeros((n, n))
-    lo, hi = df.offsets[r], df.offsets[r + 1]
-    for lam, vec in zip(df.eigenvalues[lo:hi], df.eigenvectors[lo:hi]):
-        out += lam * np.outer(vec, vec)
+    for lam, vec in zip(df.eigenvalues[r].tolist(), df.eigenvectors[r]):
+        if lam != 0.0:
+            out += lam * np.outer(vec, vec)
     return out
 
 
@@ -380,25 +379,27 @@ def score_eigenpairs_loop(df: DoubleFactorization) -> list[tuple[tuple[int, int]
     """((r, m), score) of every eigenpair, sorted by (score, r, m)."""
     scored = [
         ((r, m), float(df.schatten_norms[r]) * abs(lam))
-        for r, group in enumerate(groups_of(df))
-        for m, (lam, _) in enumerate(group)
+        for r, values in enumerate(df.eigenvalues.tolist())
+        for m, lam in enumerate(values) if lam != 0.0
     ]
     scored.sort(key=lambda item: (item[1], item[0]))
     return scored
 
 
 def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
-    """Object-form truncation: the removed (r, m) keys, both scores, the kept
-    eigenpairs per surviving rank with their frozen norms, and alpha_DF."""
+    """Object-form truncation: the removed (r, m) keys, both scores, the
+    eigenvalues of each surviving rank (a removed one as 0.0), its kept
+    eigenpairs and its frozen norm, and alpha_DF."""
     scored = score_eigenpairs_loop(df)
     removed = scored[: _greedy_removal_count([s for _, s in scored], scheme, epsilon)]
     removed_set = {key for key, _ in removed}
 
-    kept_groups, kept_norms = [], []
-    for r, group in enumerate(groups_of(df)):
-        kept = [pair for m, pair in enumerate(group) if (r, m) not in removed_set]
-        if kept:
-            kept_groups.append(kept)
+    kept_values, kept_groups, kept_norms = [], [], []
+    for r, (values, vectors) in enumerate(zip(df.eigenvalues.tolist(), df.eigenvectors)):
+        kept = [0.0 if (r, m) in removed_set else lam for m, lam in enumerate(values)]
+        if any(kept):
+            kept_values.append(kept)
+            kept_groups.append([(lam, vec) for lam, vec in zip(kept, vectors) if lam != 0.0])
             kept_norms.append(float(df.schatten_norms[r]))
     coherent = 0.0
     sum_sq = 0.0
@@ -409,6 +410,7 @@ def truncate_loop(df: DoubleFactorization, scheme, epsilon: float) -> dict:
         "removed": [key for key, _ in removed],
         "coherent_score": coherent,
         "incoherent_score": math.sqrt(sum_sq),
+        "eigenvalues": kept_values,
         "groups": kept_groups,
         "schatten_norms": kept_norms,
         "alpha_df": alpha_df_loop(df.one_body_eigs[0], kept_groups),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from qdf import factorization
 from qdf.cli import main
 from qdf.integrals import MolecularIntegrals
 from tests.conftest import fixture_path, sealed
@@ -331,13 +332,22 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == line
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-hit"])
     @pytest.mark.parametrize("scheme", ["coherent", "incoherent"])
-    def test_h4_matches_golden_file(self, tmp_path, scheme):
+    def test_h4_matches_golden_file(self, tmp_path, monkeypatch, scheme, cached):
+        # On a cache hit the sweep reads the read-only arrays of the cache's bytes.
         out = tmp_path / "sweep.json"
-        code = main([
-            "sweep", "--fcidump", H4, "--scheme", scheme, "--format", "json", "--out", str(out),
-        ])
-        assert code == 0
+        args = ["sweep", "--fcidump", H4, "--scheme", scheme, "--format", "json", "--out", str(out)]
+        if cached:
+            cache = tmp_path / "h4.qdfcache"
+            assert run_cli(["estimate", "--fcidump", H4, "--cache", str(cache)])[0] == 0
+
+            def refuse(*_, **__):
+                raise AssertionError("a cache hit factorizes nothing")
+
+            monkeypatch.setattr(factorization, "single_factorize", refuse)
+            args += ["--cache", str(cache)]
+        assert main(args) == 0
         with open(fixture_path(f"h4_sweep_{scheme}_golden.json"), "rb") as fh:
             assert out.read_bytes() == fh.read()
 
@@ -558,7 +568,7 @@ class TestValidate:
         clean = cache.read_bytes()
         blob = bytearray(clean)
         df_ref = load_cache(cache)
-        target = df_ref.eigenvalues[0]
+        target = df_ref.eigenvalues[0, 0]
         idx = blob.find(np.float64(target).tobytes())
         assert idx > 0
         blob[idx : idx + 8] = np.float64(target + 0.25).tobytes()
@@ -678,7 +688,7 @@ class TestMalformedCache:
             assert err == (f"error: --cache {path} is not a qdf cache "
                            f"(bad cache magic {blob[:4]!r}); it is left as it is\n")
             return
-        reason = (f"bad cache magic {blob[:4]!r}" if blob[:4] != b"QDF3"
+        reason = (f"bad cache magic {blob[:4]!r}" if blob[:4] != b"QDF4"
                   else "cache digest does not match its bytes")
         assert (code, err) == (0, f"cache {path} is unreadable ({reason}); rebuilding it\n")
         assert (out, warned, path.read_bytes()) == (clean.out, clean.warned, clean.cache)
@@ -710,6 +720,27 @@ class TestMalformedCache:
         assert err == f"validation failed: {failing}\n"
         assert [line.split()[0] for line in out.splitlines()] == VALIDATE_CHECKS
 
+    def test_eigenvalue_in_an_empty_slot_fails_validate(self, clean):
+        # A slot with no eigenpair holds a zero eigenvector row, so an
+        # eigenvalue sealed into it moves no rebuilt factor, only the sum of
+        # the stored |lambda| of its rank: estimate reports one more eigenpair.
+        from qdf.factorization import read_cache
+
+        good = read_cache(clean.fcidump.with_suffix(".qdfcache"))[1]
+        n = good.n_orbitals
+        r, m = np.argwhere(good.eigenvalues == 0.0)[0].tolist()
+        at = 96 + 8 * (2 + 3 * n * n + n + good.rank + r * n + m)
+        blob = bytearray(clean.cache)
+        assert blob[at:at + 8] == bytes(8)
+        blob[at:at + 8] = np.float64(1.0).tobytes()
+        path = clean.fcidump.with_suffix(".slot.qdfcache")
+        path.write_bytes(sealed(bytes(blob)))
+        assert read_cache(path)[1].total_eigenpairs == good.total_eigenpairs + 1
+        code, out, err, _ = run_captured(
+            ["validate", "--fcidump", str(clean.fcidump), "--cache", str(path)])
+        assert (code, err) == (2, "validation failed: one_body_norm_identity\n")
+        assert [line.split()[0] for line in out.splitlines()] == VALIDATE_CHECKS
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_cut_or_overlong(self, clean, data):
@@ -731,7 +762,7 @@ class TestMalformedCache:
         cache = tmp_path / "h4.qdfcache"
         args = [command, "--fcidump", H4, "--cache", str(cache)]
         assert run_cli(args)[0] == 0
-        value = np.float64(read_cache(cache)[1].eigenvalues[0]).tobytes()
+        value = np.float64(read_cache(cache)[1].eigenvalues[0, 0]).tobytes()
         blob = cache.read_bytes()
         assert blob.count(value) == 1
         damaged = blob.replace(value, np.float64(1e307).tobytes())
@@ -797,8 +828,9 @@ def visible_to_validate(good, bad) -> bool:
         # sum (g' - g)_ijkl v_i v_j v_k v_l is delta (2 lambda + delta), and
         # its size is at most N^2 times the sup-norm change of the rebuilt
         # tensor.
-        m = int(np.flatnonzero(good.eigenvalues != bad.eigenvalues)[0])
-        lam, delta = good.eigenvalues[m], bad.eigenvalues[m] - good.eigenvalues[m]
+        values, moved = good.eigenvalues.reshape(-1), bad.eigenvalues.reshape(-1)
+        m = int(np.flatnonzero(values != moved)[0])
+        lam, delta = values[m], moved[m] - values[m]
         return abs(delta * (2 * lam + delta)) > good.n_orbitals**2 * 2e-8
     if not np.array_equal(good.one_body_eigs[0], bad.one_body_eigs[0]):
         # V diag(w) V^T moves by delta v v^T, whose largest entry is at least

@@ -128,7 +128,7 @@ class TestDoubleFactorize:
             _instance(2, [np.diag([2.0, -1.0])]), tol=1e-12
         )
         df = double_factorize(sf_like, adj)
-        lams = df.eigenvalues[df.offsets[0]:df.offsets[1]]
+        lams = df.eigenvalues[0]
         assert lams.tolist() == pytest.approx([2.0, -1.0])
         assert df.schatten_norms[0] == pytest.approx(3.0)
 
@@ -148,15 +148,20 @@ class TestDoubleFactorize:
         assert np.abs(np.abs(rebuilt) - np.abs(a)).max() <= 1e-8
 
     def test_eigenvectors_unit_norm(self, h4_df):
-        assert h4_df.eigenvectors.shape == (h4_df.total_eigenpairs, h4_df.n_orbitals)
-        for vec in h4_df.eigenvectors:
+        n = h4_df.n_orbitals
+        assert h4_df.eigenvectors.shape == (h4_df.rank, n, n)
+        kept = h4_df.eigenvalues != 0.0
+        assert h4_df.total_eigenpairs == kept.sum() < h4_df.rank * n
+        for vec in h4_df.eigenvectors[kept]:
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        # a slot with no eigenpair holds a zero eigenvector row
+        assert not h4_df.eigenvectors[~kept].any()
 
     def test_deterministic_sign_convention(self, h4):
         df1 = double_factorize(single_factorize(h4, tol=1e-10), adjusted_one_body(h4))
         df2 = double_factorize(single_factorize(h4, tol=1e-10), adjusted_one_body(h4))
         np.testing.assert_array_equal(df1.eigenvectors, df2.eigenvectors)
-        for vec in df1.eigenvectors:
+        for vec in df1.eigenvectors[df1.eigenvalues != 0.0]:
             leading = vec[np.abs(vec) > 1e-12][0]
             assert leading > 0
 
@@ -189,8 +194,8 @@ class TestDoubleFactorize:
 def df_factor_reference(df, r):
     n = df.n_orbitals
     out = np.zeros((n, n))
-    for m in range(df.offsets[r], df.offsets[r + 1]):
-        out += df.eigenvalues[m] * np.outer(df.eigenvectors[m], df.eigenvectors[m])
+    for m in np.flatnonzero(df.eigenvalues[r]):
+        out += df.eigenvalues[r, m] * np.outer(df.eigenvectors[r, m], df.eigenvectors[r, m])
     return out
 
 
@@ -246,8 +251,7 @@ class TestAlphas:
         adj = adjusted_one_body(m)
         df = double_factorize(single_factorize(m, tol=1e-12), adj)
         two_body_part = 0.25 * sum(
-            sum(abs(lam) for lam in df.eigenvalues[lo:hi]) ** 2
-            for lo, hi in zip(df.offsets[:-1], df.offsets[1:])
+            sum(abs(lam) for lam in row) ** 2 for row in df.eigenvalues
         )
         assert two_body_part == pytest.approx(1.0, abs=1e-12)
 
@@ -309,9 +313,9 @@ class TestReconstruction:
     def test_single_removal_difference_structure(self, h2_df):
         # drop exactly the smallest-score eigenpair by hand
         (index, *_), _ = score_eigenpairs(h2_df)
-        r = int(h2_df.pair_index[0][index])
-        vec = h2_df.eigenvectors[index]
-        b = h2_df.eigenvalues[index] * np.outer(vec, vec)
+        r, m = divmod(int(index), h2_df.n_orbitals)
+        vec = h2_df.eigenvectors[r, m]
+        b = h2_df.eigenvalues[r, m] * np.outer(vec, vec)
         a = df_factor_reference(h2_df, r)
         reduced = without_pair(h2_df, index)
 
@@ -339,13 +343,23 @@ class TestCache:
         np.testing.assert_array_equal(again.one_body.l_minus1, h4_df.one_body.l_minus1)
         assert again.one_body.core_energy == h4_df.one_body.core_energy
         assert_same_arrays(again, h4_df)
-        assert again.offsets.dtype == np.int64 and not again.eigenvectors.flags.writeable
+        assert not (again.eigenvalues.flags.writeable or again.eigenvectors.flags.writeable)
+
+    def test_empty_rank_roundtrip(self, h4_df, tmp_path):
+        # every eigenpair of rank 1 removed leaves an all-zero row, which is read back as it is
+        emptied = h4_df
+        for m in np.flatnonzero(h4_df.eigenvalues[1]):
+            emptied = without_pair(emptied, h4_df.n_orbitals + m)
+        assert not emptied.eigenvalues[1].any()
+        path = tmp_path / "emptied.qdfcache"
+        save_cache(emptied, path, hashlib.sha256(b"h4").digest(), 1e-10)
+        again = load_cache(path)
+        assert again.rank == emptied.rank == h4_df.rank
+        assert_same_arrays(again, emptied)
 
     @pytest.mark.parametrize("fault, message", [
         ("nan_eigenvalue", "non-finite"),
         ("negative_norm", "negative Schatten norm"),
-        ("count_above_n", "counts exceed"),
-        ("counts_short_of_m", "counts exceed"),
         ("texts_not_ascii", "not ASCII"),
     ])
     def test_wrong_writer_rejected(self, h4_df, tmp_path, fault, message):
@@ -354,15 +368,11 @@ class TestCache:
         path = tmp_path / "h4.qdfcache"
         save_cache(h4_df, path, hashlib.sha256(b"h4").digest(), 1e-10, ["a warning"])
         blob = bytearray(path.read_bytes())
-        n, r, m = h4_df.n_orbitals, h4_df.rank, h4_df.total_eigenpairs
-        norms_at = 104 + 8 * (2 + 3 * n * n + n)
-        counts_at = norms_at + 8 * (r + m + m * n)
-        c0, c1 = np.diff(h4_df.offsets)[:2].tolist()
+        n, r = h4_df.n_orbitals, h4_df.rank
+        norms_at = 96 + 8 * (2 + 3 * n * n + n)
         planted = {
             "nan_eigenvalue": (norms_at + 8 * r, np.float64(np.nan).tobytes()),
             "negative_norm": (norms_at, np.float64(-1.0).tobytes()),
-            "count_above_n": (counts_at, np.array([n + 1, c0 + c1 - n - 1], "<u4").tobytes()),
-            "counts_short_of_m": (counts_at, np.array([c0 - 1], "<u4").tobytes()),
             "texts_not_ascii": (len(blob) - 1, b"\xe9"),
         }
         at, value = planted[fault]
@@ -379,7 +389,7 @@ class TestCache:
 
 
 def assert_same_arrays(a, b):
-    for name in ("eigenvalues", "eigenvectors", "offsets", "schatten_norms"):
+    for name in ("eigenvalues", "eigenvectors", "schatten_norms"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for x, y in zip(a.one_body_eigs, b.one_body_eigs):
         np.testing.assert_array_equal(x, y)
@@ -388,12 +398,13 @@ def assert_same_arrays(a, b):
     assert a.n_orbitals == b.n_orbitals
 
 
-# The v3 digest of the H2 and H4 caches: bytes 4-36, the SHA-256 of every
-# later byte.  The arrays of the v1 caches that the earlier per-rank writer
-# wrote give the same digests when written again.
+# The v4 digest of the H2 and H4 caches: bytes 4-36, the SHA-256 of every
+# later byte.  Their eigenpairs are those of the v3 caches (digests 4b1fb0ae...
+# and 6a05fd06...) bit for bit, in the padded layout, with zeros in the slots
+# of no eigenpair.
 CACHE_SHA256 = {
-    "h2": "4b1fb0ae8dd727997c1a84c1a4069701c4f08c2130ce276e2954164f13862c8d",
-    "h4": "6a05fd06c5d938645a18c1fe2b4412248d840b215344b8a586abe2e783d70bbc",
+    "h2": "6feff05b4359ad9ea86afc23ad19634d7ee6bf51264668d0772df86c1daca6aa",
+    "h4": "ddb55dac139cf18a193f4894554e978ccb68bb88081529f2934fb6abd831c86d",
 }
 
 
@@ -406,7 +417,7 @@ class TestCacheFormat:
             digest = hashlib.sha256(fh.read()).digest()
         save_cache(factorize(load_fcidump(fcidump)), path, digest, 1e-10)
         blob = path.read_bytes()
-        assert blob[:4] == b"QDF3" and blob[36:68] == digest
+        assert blob[:4] == b"QDF4" and blob[36:68] == digest
         assert blob[4:36] == hashlib.sha256(blob[36:]).digest()
         assert blob[4:36].hex() == CACHE_SHA256[name]
 
@@ -446,5 +457,5 @@ def test_double_factorize_and_cache_memory_bounded_by_outputs(monkeypatch, tmp_p
 
     df, peak = traced(factorize_and_save)
     assert df.total_eigenpairs == rank * n
-    returned = 8 * (rank * n + rank * n * n + 3 * rank + n * n + n)
+    returned = 8 * (rank * n + rank * n * n + rank + n * n + n)
     assert peak <= returned + 6 * chunk

@@ -263,10 +263,9 @@ class TestSectorBlockEdges:
 
     def test_rank_with_every_pair_removed_matches_reference(self, h4_df):
         reduced = h4_df
-        lo, hi = h4_df.offsets[1], h4_df.offsets[2]
-        for _ in range(hi - lo):
-            reduced = without_pair(reduced, lo)
-        assert reduced.rank == h4_df.rank and reduced.offsets[1] == reduced.offsets[2]
+        for m in np.flatnonzero(h4_df.eigenvalues[1]):
+            reduced = without_pair(reduced, h4_df.n_orbitals + m)
+        assert reduced.rank == h4_df.rank and not reduced.eigenvalues[1].any()
         assert np.abs(dense_matrix(build_from_df(reduced)) - build_from_df_kron(reduced)).max() <= 1e-10
 
     def test_asymmetric_one_body_refused_by_shortcut(self, h2_df):

@@ -51,6 +51,7 @@ from tests.reference import (
     estimate_full_scan,
     factor_matrix_loop,
     fill_orbits,
+    groups_of,
     orbit_members,
     parse_fcidump_lines,
     rank_sums_loop,
@@ -776,18 +777,30 @@ def test_unseekable_file_read_whole(tmp_path):
 # Eigendecomposition and truncation
 # ---------------------------------------------------------------------------
 
-def _assert_flat_equals_groups(df: DoubleFactorization, groups) -> None:
-    assert df.offsets.tolist() == np.cumsum([0] + [len(g) for g in groups]).tolist()
-    assert df.eigenvalues.tolist() == [lam for g in groups for lam, _ in g]
-    vectors = [vec for g in groups for _, vec in g]
-    assert np.array_equal(df.eigenvectors, np.reshape(vectors, (len(vectors), df.n_orbitals)))
+def _assert_padded_equals_groups(df: DoubleFactorization, groups) -> None:
+    """Row r of ``df`` holds the eigenpairs of ``groups[r]`` in its first
+    slots, and 0.0 and a zero eigenvector in the rest."""
+    n = df.n_orbitals
+    values, vectors = np.zeros((len(groups), n)), np.zeros((len(groups), n, n))
+    for r, group in enumerate(groups):
+        for m, (lam, vec) in enumerate(group):
+            values[r, m], vectors[r, m] = lam, vec
+    assert df.eigenvalues.tolist() == values.tolist()
+    assert df.eigenvectors.shape == vectors.shape and np.array_equal(df.eigenvectors, vectors)
+
+
+def _assert_holds_groups(df: DoubleFactorization, groups) -> None:
+    """The eigenpairs of ``df``, rank by rank, are those of ``groups``."""
+    held = groups_of(df)
+    assert [[lam for lam, _ in g] for g in held] == [[lam for lam, _ in g] for g in groups]
+    assert all(np.array_equal(a, b) for g, h in zip(held, groups) for (_, a), (_, b) in zip(g, h))
 
 
 def _assert_same_double_factorization(m) -> None:
     sf = single_factorize(m, tol=1e-10)
     df = double_factorize(sf, adjusted_one_body(m))
     groups = eigenpair_groups_loop(sf.factors)
-    _assert_flat_equals_groups(df, groups)
+    _assert_padded_equals_groups(df, groups)
     norms = []
     for g in groups:
         acc = 0.0
@@ -833,10 +846,10 @@ def test_chunked_double_factorize_matches_whole_stack(monkeypatch, per_chunk):
     l_minus1 = _factors_with_zeros(n, 1, set(), seed=99)[0]
     adj = AdjustedOneBody(l_minus1, l_minus1, 0.5, 1.5)
     whole = double_factorize_whole(sf, adj)
-    assert (np.diff(whole.offsets)[[2, 3, 9]] < n).all()
+    assert (np.count_nonzero(whole.eigenvalues, axis=1)[[2, 3, 9]] < n).all()
     monkeypatch.setattr(factorization, "_EIGH_CHUNK", per_chunk * 8 * n * n)
     df = double_factorize(sf, adj)
-    for name in ("eigenvalues", "eigenvectors", "offsets", "schatten_norms"):
+    for name in ("eigenvalues", "eigenvectors", "schatten_norms"):
         a, b = getattr(df, name), getattr(whole, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     for a, b in zip(df.one_body_eigs, whole.one_body_eigs):
@@ -868,8 +881,7 @@ def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
     factors = df.factor_matrices()
     assert factors.shape == (df.rank, df.n_orbitals, df.n_orbitals)
     for r in range(df.rank):
-        lo, hi = df.offsets[r], df.offsets[r + 1]
-        scale = np.abs(df.eigenvalues[lo:hi]).max(initial=0.0)
+        scale = np.abs(df.eigenvalues[r]).max(initial=0.0)
         for factor in (df.factor_matrix(r), factors[r]):
             assert np.array_equal(factor, factor.T)
             assert np.abs(factor - factor_matrix_loop(df, r)).max() <= 1e-13 * scale
@@ -882,21 +894,20 @@ def _assert_rebuilds_match_loops(df: DoubleFactorization) -> None:
 def _eigenpair_factorization(n: int, counts: list[int], seed: int,
                              scale: float) -> DoubleFactorization:
     """Ranks of min(count, n) eigenpairs each (0 for an emptied rank), with
-    orthonormal eigenvectors and |lambda| up to ``scale``."""
+    orthonormal eigenvectors and |lambda| up to ``scale``.  The slots of no
+    eigenpair hold the rest of each orthonormal basis."""
     rng = np.random.default_rng(seed)
-    counts = [min(c, n) for c in counts]
-    values, vectors = [np.empty(0)], [np.empty((0, n))]
-    for count in counts:
+    values, vectors = np.zeros((len(counts), n)), np.empty((len(counts), n, n))
+    for r, count in enumerate(min(c, n) for c in counts):
         lams = rng.uniform(-scale, scale, count)
-        values.append(lams[np.argsort(-np.abs(lams), kind="stable")])
-        vectors.append(np.linalg.qr(rng.normal(size=(n, n)))[0].T[:count])
+        values[r, :count] = lams[np.argsort(-np.abs(lams), kind="stable")]
+        vectors[r] = np.linalg.qr(rng.normal(size=(n, n)))[0].T
     return DoubleFactorization(
         one_body=AdjustedOneBody(np.zeros((n, n)), np.zeros((n, n)), 0.0),
         one_body_eigs=(np.zeros(n), np.eye(n)),
-        eigenvalues=np.concatenate(values),
-        eigenvectors=np.concatenate(vectors),
-        offsets=np.cumsum([0] + counts),
-        schatten_norms=np.array([np.abs(v).sum() for v in values[1:]]),
+        eigenvalues=values,
+        eigenvectors=vectors,
+        schatten_norms=np.abs(values).sum(axis=1),
         n_orbitals=n,
     )
 
@@ -923,9 +934,10 @@ def test_n20_rank120_rebuilds_match_loops():
 
 
 # A few magnitudes, both signs: +-lambda pairs tie inside a rank, repeated
-# magnitude lists tie across ranks through equal Schatten norms, and 0.0 gives
-# zero scores.
-MAGNITUDES = [0.0, 1e-3, 0.25, 0.5, 1.0, 3.0]
+# magnitude lists tie across ranks through equal Schatten norms, 0.0 is a slot
+# with no eigenpair (a rank of only 0.0 has none), and 1e-200 alone in a rank
+# gives a zero score (its norm times it underflows).
+MAGNITUDES = [0.0, 1e-200, 1e-3, 0.25, 0.5, 1.0, 3.0]
 
 
 @st.composite
@@ -951,14 +963,15 @@ def factorizations(draw):
             acc += abs(lam)
         # a norm above the kept sum is what a truncated factorization carries
         norms.append(acc + draw(st.sampled_from([0.0, 0.0, 0.5])))
-    counts = [len(lams) for lams in groups]
+    values = np.zeros((rank, n))
+    for r, lams in enumerate(groups):
+        values[r, :len(lams)] = lams
     ob_vals = rng.normal(size=n)
     return DoubleFactorization(
         one_body=AdjustedOneBody(np.zeros((n, n)), np.diag(ob_vals), 0.0),
         one_body_eigs=(ob_vals, np.eye(n)),
-        eigenvalues=np.array([lam for lams in groups for lam in lams], dtype=float),
-        eigenvectors=rng.normal(size=(sum(counts), n)),
-        offsets=np.cumsum([0] + counts),
+        eigenvalues=values,
+        eigenvectors=rng.normal(size=(rank, n, n)),
         schatten_norms=np.array(norms, dtype=float),
         n_orbitals=n,
     )
@@ -983,13 +996,13 @@ def _budget_boundaries(df) -> list[float]:
 def _assert_truncation_matches_loop(df, scheme, eps):
     ref = truncate_loop(df, scheme, eps)
     reduced, plan = truncate(df, scheme, eps)
-    rank_of, local = df.pair_index
-    assert list(zip(rank_of[plan.removed].tolist(), local[plan.removed].tolist())) == ref["removed"]
+    assert [divmod(i, df.n_orbitals) for i in plan.removed.tolist()] == ref["removed"]
     assert plan.coherent_score == ref["coherent_score"]
     assert plan.incoherent_score == ref["incoherent_score"]
-    assert plan.surviving_R == len(ref["groups"])
-    assert plan.surviving_M == sum(len(g) for g in ref["groups"])
-    _assert_flat_equals_groups(reduced, ref["groups"])
+    assert reduced.rank == len(ref["groups"])
+    assert reduced.total_eigenpairs == sum(len(g) for g in ref["groups"])
+    assert reduced.eigenvalues.tolist() == ref["eigenvalues"]
+    _assert_holds_groups(reduced, ref["groups"])
     assert reduced.schatten_norms.tolist() == ref["schatten_norms"]
     assert alpha_df(reduced) == ref["alpha_df"]
     return ref
@@ -1053,9 +1066,8 @@ def test_alpha_df_squares_rank_sums_like_the_loop():
         df = DoubleFactorization(
             one_body=AdjustedOneBody(np.zeros((1, 1)), np.zeros((1, 1)), 0.0),
             one_body_eigs=(np.zeros(1), np.eye(1)),
-            eigenvalues=np.array([x]),
-            eigenvectors=np.ones((1, 1)),
-            offsets=np.array([0, 1]),
+            eigenvalues=np.array([[x]]),
+            eigenvectors=np.ones((1, 1, 1)),
             schatten_norms=np.array([x]),
             n_orbitals=1,
         )

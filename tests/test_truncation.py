@@ -18,19 +18,22 @@ from qdf.truncation import (
 from tests.conftest import factorize
 
 
-def make_df(groups, n=2, l_minus1=None):
-    """DoubleFactorization with prescribed eigenvalues per factor; vectors are
-    standard basis vectors (orthonormal within each factor)."""
+def make_df(groups, n=None, l_minus1=None):
+    """DoubleFactorization with prescribed eigenvalues per factor, in its
+    first slots; vectors are standard basis vectors (orthonormal within each
+    factor).  N defaults to the longest group, and to at least 2."""
+    n = max(2, *map(len, groups)) if n is None else n
     l_minus1 = np.zeros((n, n)) if l_minus1 is None else l_minus1
     adj = AdjustedOneBody(h_tilde=np.zeros((n, n)), l_minus1=l_minus1, scalar_shift=0.0)
     vals, vecs = np.linalg.eigh(l_minus1)
-    eigenvalues = [lam for lams in groups for lam in lams]
+    eigenvalues = np.zeros((len(groups), n))
+    for r, lams in enumerate(groups):
+        eigenvalues[r, :len(lams)] = lams
     return DoubleFactorization(
         one_body=adj,
         one_body_eigs=(vals, vecs),
-        eigenvalues=np.asarray(eigenvalues, dtype=float),
-        eigenvectors=np.eye(n)[[m % n for lams in groups for m in range(len(lams))]].reshape(-1, n),
-        offsets=np.concatenate(([0], np.cumsum([len(lams) for lams in groups]))).astype(int),
+        eigenvalues=eigenvalues,
+        eigenvectors=np.tile(np.eye(n), (len(groups), 1, 1)),
         schatten_norms=np.asarray([sum(abs(x) for x in lams) for lams in groups], dtype=float),
         n_orbitals=n,
     )
@@ -45,15 +48,14 @@ def validate_n4_dfs():
 
 
 def removed_pairs(df, plan):
-    """The plan's removed rows as (r, m) pairs."""
-    return list(zip(*(a[plan.removed].tolist() for a in df.pair_index)))
+    """The plan's removed flat indices as (r, m) pairs."""
+    return [divmod(index, df.n_orbitals) for index in plan.removed.tolist()]
 
 
 def scored(df):
     """score_eigenpairs as ((r, m), score) pairs."""
     order, scores = score_eigenpairs(df)
-    r, m = (a[order].tolist() for a in df.pair_index)
-    return list(zip(zip(r, m), scores.tolist()))
+    return [(divmod(index, df.n_orbitals), s) for index, s in zip(order.tolist(), scores.tolist())]
 
 
 class TestScores:
@@ -73,7 +75,7 @@ class TestScores:
         flat = sorted(
             (float(h4_df.schatten_norms[r]) * abs(float(lam)), (r, m))
             for r in range(h4_df.rank)
-            for m, lam in enumerate(h4_df.eigenvalues[h4_df.offsets[r]:h4_df.offsets[r + 1]])
+            for m, lam in enumerate(h4_df.eigenvalues[r]) if lam != 0.0
         )
         assert [key for _, key in flat] == [key for key, _ in scored(h4_df)]
 
@@ -87,11 +89,11 @@ class TestScores:
 
 class TestTruncate:
     def test_zero_epsilon_removes_only_zero_scores(self):
-        df = make_df([[1.0, 0.0, 2.0]])
-        # an exactly-zero eigenvalue would be dropped at construction in the
-        # real pipeline; placed here it has score zero and is removable
+        # A 0.0 eigenvalue is a slot with no eigenpair; a score of zero comes
+        # from a product that underflows: 1e-200 in a rank of Schatten norm 1e-200.
+        df = make_df([[1e-200], [1.0, 2.0]])
         reduced, plan = truncate(df, "coherent", 0.0)
-        assert removed_pairs(df, plan) == [(0, 1)]
+        assert removed_pairs(df, plan) == [(0, 0)] and plan.coherent_score == 0.0
         assert reduced.total_eigenpairs == 2
 
     def test_boundary_inclusive(self):
@@ -112,9 +114,9 @@ class TestTruncate:
     def test_empty_ranks_dropped(self):
         df = make_df([[1.0], [100.0]])
         reduced, plan = truncate(df, "coherent", 1.0)
-        assert plan.surviving_R == 1
+        assert removed_pairs(df, plan) == [(0, 0)]
         assert reduced.rank == 1
-        assert reduced.eigenvalues.tolist() == [100.0]
+        assert reduced.eigenvalues.tolist() == [[100.0, 0.0]]
         np.testing.assert_array_equal(reduced.schatten_norms, [100.0])
 
     def test_one_body_never_truncated(self, h4_df):
@@ -168,7 +170,7 @@ class TestSweep:
             assert len(rows) == grid.size
             for (eps, r, m, m_max, alpha, coherent, incoherent) in rows:
                 reduced, plan = truncate(h4_df, scheme, eps)
-                assert (r, m) == (plan.surviving_R, plan.surviving_M)
+                assert (r, m) == (reduced.rank, reduced.total_eigenpairs)
                 assert m_max == reduced.max_eigenpairs_per_rank
                 assert alpha == alpha_df(reduced)
                 assert (coherent, incoherent) == (plan.coherent_score, plan.incoherent_score)
